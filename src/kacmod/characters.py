@@ -21,8 +21,8 @@ from fractions import Fraction
 from . import qseries as qs
 from .lattice import Weight, inner, level, norm_sq
 from .qseries import QSeries
-from .roots import (RootSystemCtx, classify, dynkin_labels, enumerate_dominant,
-                    is_positive, rho, root_coords)
+from .roots import (RootSystemCtx, dynkin_labels, enumerate_dominant,
+                    positive_roots, rho)
 from .weyl import enumerate_finite, enumerate_ker_psi_finite, finite_reflection
 
 
@@ -222,85 +222,23 @@ def anti_invariant(lam: Weight, sharp="I", twisted=False, depth=8,
 # Product-form denominators, Verma characters
 # ---------------------------------------------------------------------------
 
-def _middle_pairs(l):
-    for i in range(1, l + 1):
-        for j in range(i + 1, l + 1):
-            yield i, j
-
-
-def denominator_factors(l, twisted, depth, height_cap=None):
-    """The explicit factor list of the (twisted) denominator, high delta
-    degree first.  Short-root binomials flip sign in the twisted case."""
-    caps = dict(height_cap=height_cap, q_cap=depth)
-    s_sign = 1 if twisted else -1
-    delta = Weight.delta_weight(l)
-    factors = []
-    for n in range(depth, 0, -1):
-        for _ in range(l):
-            factors.append(qs.binomial_factor(delta.scale(n), -1, **caps))
-        for i in range(1, l + 1):
-            e = Weight.eps_basis(l, i)
-            for s in (1, -1):
-                factors.append(
-                    qs.binomial_factor(delta.scale(n) + e.scale(s), s_sign, **caps))
-                if n % 2 == 1:
-                    factors.append(
-                        qs.binomial_factor(delta.scale(n) + e.scale(2 * s), -1, **caps))
-        for i, j in _middle_pairs(l):
-            ei, ej = Weight.eps_basis(l, i), Weight.eps_basis(l, j)
-            for si in (1, -1):
-                for sj in (1, -1):
-                    factors.append(qs.binomial_factor(
-                        delta.scale(n) + ei.scale(si) + ej.scale(sj), -1, **caps))
-    for i in range(1, l + 1):
-        factors.append(qs.binomial_factor(Weight.eps_basis(l, i), s_sign, **caps))
-    for i, j in _middle_pairs(l):
-        ei, ej = Weight.eps_basis(l, i), Weight.eps_basis(l, j)
-        for sj in (1, -1):
-            factors.append(qs.binomial_factor(ei + ej.scale(sj), -1, **caps))
-    return factors
-
-
 def denominator_product(l, twisted=False, depth=8, height_cap=None) -> QSeries:
     """Remark-style product form of A_rho (A^psi_rho when twisted), expanded
     exactly: e^{rho - (|rho|^2/2(2l+1)) delta} times the infinite product
-    over imaginary, short, middle and long families."""
+    over imaginary, short, middle and long families.  Short (odd) binomials
+    flip sign in the twisted case."""
     acc = QSeries.one(l, height_cap, depth)
-    for f in denominator_factors(l, twisted, depth, height_cap):
-        acc = qs.mul(acc, f)
+    # high delta offset first, which keeps the partial products small
+    roots = sorted(positive_roots(l, depth, height_cap),
+                   key=lambda root: -root[0].delta)
+    for w, mult, parity in roots:
+        sign = 1 if twisted and parity == "odd" else -1
+        f = qs.binomial_factor(w, sign, height_cap, depth)
+        for _ in range(mult):
+            acc = qs.mul(acc, f)
     r = rho(l)
     lead = Weight(r.eps, -norm_sq(r) / (2 * (2 * l + 1)), r.lambda0)
     return qs.mul(acc, QSeries.monomial(lead, 1, height_cap, depth))
-
-
-def positive_roots_up_to_height(l, hmax):
-    """(root, multiplicity) for the positive roots of total height <= hmax."""
-    out = []
-    delta = Weight.delta_weight(l)
-    for n in range(0, hmax // (2 * l + 1) + 2):
-        d = delta.scale(n)
-        if n >= 1:
-            h = root_coords(d)
-            if sum(h) <= hmax:
-                out.append((d, l))
-        cands = []
-        for i in range(1, l + 1):
-            e = Weight.eps_basis(l, i)
-            for s in (1, -1):
-                cands.append(d + e.scale(s))
-                if n % 2 == 1:
-                    cands.append(d + e.scale(2 * s))
-        for i, j in _middle_pairs(l):
-            ei, ej = Weight.eps_basis(l, i), Weight.eps_basis(l, j)
-            for si in (1, -1):
-                for sj in (1, -1):
-                    cands.append(d + ei.scale(si) + ej.scale(sj))
-        for w in cands:
-            if classify(w) is not None and is_positive(w):
-                h = root_coords(w)
-                if h is not None and all(x >= 0 for x in h) and sum(h) <= hmax:
-                    out.append((w, 1))
-    return out
 
 
 def verma_character(Lambda: Weight, depth: int) -> QSeries:
@@ -309,7 +247,7 @@ def verma_character(Lambda: Weight, depth: int) -> QSeries:
     the truncation is by height)."""
     l = Lambda.rank
     acc = QSeries.monomial(Lambda.canonical(), 1, depth, None)
-    for alpha, mult in positive_roots_up_to_height(l, depth):
+    for alpha, mult, _ in positive_roots(l, height_cap=depth):
         g = qs.geometric_factor(alpha, depth, None)
         for _ in range(mult):
             acc = qs.mul(acc, g)

@@ -10,25 +10,22 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from fractions import Fraction
 
 from . import qseries as qs
 from .characters import (CharacterRequest, character,
-                         check_denominator_identity)
-from .config import Config
+                         check_denominator_identity, conformal_anomaly)
 from .lattice import Weight, frac_to_str, level, weight_to_json
-from .modular import (PSI_I_ARROWS, YPoint, default_sample, poisson_check,
-                      sin_product, smatrix, verify_S, verify_T,
-                      verify_props, verify_sl2_closure)
+from .modular import (PSI_I_ARROWS, YPoint, default_sample, poisson_args,
+                      poisson_check, sin_product, smatrix, verify_S,
+                      verify_T, verify_props, verify_sl2_closure)
 from .roots import RootSystemCtx, enumerate_dominant, from_dynkin_labels
-from .suite import run_suite
-from .superalg import (check_bracket_relations, osp_action_matrix,
-                       osp_irreducible_dim, super_character,
-                       super_denominator, super_denominator_height_cap)
-from .characters import anti_invariant, conformal_anomaly
-from .lattice import norm_sq
-from .roots import rho
+from .suite import POISSON_SEED, THETA_TOL, run_suite
+from .superalg import (check_bracket_relations, check_super_character,
+                       check_super_denominator, osp_action_matrix,
+                       osp_irreducible_dim)
 
 
 def _f(x: float):
@@ -69,15 +66,35 @@ def _parse_complex(s):
     return complex(s.replace(" ", "").replace("i", "j"))
 
 
+def _check_args(args):
+    """Reject out-of-range flags before any work is done."""
+    if getattr(args, "rank", 1) < 1:
+        raise ValueError(f"--rank must be >= 1, got {args.rank}")
+    if getattr(args, "depth", 0) < 0:
+        raise ValueError(f"--depth must be >= 0, got {args.depth}")
+    if getattr(args, "tau", None) is None and (
+            getattr(args, "z", None) or getattr(args, "t", None)):
+        raise ValueError("--z and --t need --tau")
+
+
 def _point_from_args(args, l) -> YPoint:
-    if getattr(args, "tau", None) is None:
+    if args.tau is None:
         return default_sample(l)
-    z = tuple(_parse_complex(v) for v in (args.z or "").split(",")) \
-        if getattr(args, "z", None) else default_sample(l).z
+    z = tuple(_parse_complex(v) for v in args.z.split(",")) \
+        if args.z else default_sample(l).z
     if len(z) != l:
-        raise SystemExit(2)
-    t = _parse_complex(args.t) if getattr(args, "t", None) else 0.05
+        raise ValueError(f"--z needs {l} comma-separated values (the rank), "
+                         f"got {len(z)}")
+    t = _parse_complex(args.t) if args.t else 0.05
     return YPoint(_parse_complex(args.tau), z, t)
+
+
+def _weight_from_args(args, l):
+    lams = enumerate_dominant(l, args.level)
+    if not 0 <= args.index < len(lams):
+        raise ValueError(f"--index must lie in 0..{len(lams) - 1} at rank {l},"
+                         f" level {args.level}; got {args.index}")
+    return lams[args.index]
 
 
 def _report_payload(rep):
@@ -90,7 +107,7 @@ def _report_payload(rep):
 
 # -- subcommand handlers -----------------------------------------------------
 
-def cmd_roots(args, cfg):
+def cmd_roots(args):
     ctx = RootSystemCtx.build(args.rank)
     payload = {
         "rank": ctx.rank,
@@ -108,7 +125,7 @@ def cmd_roots(args, cfg):
     return 0
 
 
-def cmd_weights(args, cfg):
+def cmd_weights(args):
     lams = enumerate_dominant(args.rank, args.level)
     payload = {
         "rank": args.rank, "level": args.level, "count": len(lams),
@@ -119,7 +136,7 @@ def cmd_weights(args, cfg):
     return 0
 
 
-def cmd_char(args, cfg):
+def cmd_char(args):
     l = args.rank
     labels = [int(x) for x in args.labels.split(",")]
     lam = from_dynkin_labels(l, labels)
@@ -139,7 +156,7 @@ def cmd_char(args, cfg):
     return 0
 
 
-def cmd_check(args, cfg):
+def cmd_check(args):
     if args.what != "denominator":
         raise SystemExit(2)
     rep = check_denominator_identity(args.rank, args.depth, args.twisted)
@@ -152,7 +169,7 @@ def cmd_check(args, cfg):
     return 0 if rep["equal"] else 1
 
 
-def cmd_smatrix(args, cfg):
+def cmd_smatrix(args):
     sm = smatrix(args.kind, args.level, args.rank)
     payload = {
         "kind": sm.kind, "level": sm.k, "rank": args.rank,
@@ -163,40 +180,30 @@ def cmd_smatrix(args, cfg):
     return 0
 
 
-def cmd_verify(args, cfg):
+def cmd_verify(args):
     l = args.rank
     if args.what == "s-lemma":
-        y = _point_from_args(args, l)
-        rep = verify_S(args.which, Weight.zero(l) if args.level == 0
-                       else enumerate_dominant(l, args.level)[args.index],
-                       args.level, y, args.tol, cfg.theta_tol)
+        rep = verify_S(args.which, _weight_from_args(args, l), args.level,
+                       _point_from_args(args, l), args.tol, THETA_TOL)
     elif args.what == "t-lemma":
-        y = _point_from_args(args, l)
-        rep = verify_T(args.which, Weight.zero(l) if args.level == 0
-                       else enumerate_dominant(l, args.level)[args.index],
-                       args.level, y, args.tol, 1e-12)
+        rep = verify_T(args.which, _weight_from_args(args, l), args.level,
+                       _point_from_args(args, l), args.tol, 1e-12)
     elif args.what == "prop":
-        y = _point_from_args(args, l)
-        lam = enumerate_dominant(l, args.level)[args.index]
-        rep = verify_props(args.which, lam, args.level, y, args.tol,
-                           cfg.theta_tol, args.law)
+        rep = verify_props(args.which, _weight_from_args(args, l), args.level,
+                           _point_from_args(args, l), args.tol, THETA_TOL,
+                           args.law)
     elif args.what == "sl2":
-        out = verify_sl2_closure(l, args.level, args.tol, cfg.theta_tol)
-        out_psi = verify_sl2_closure(l, args.level, args.tol, cfg.theta_tol,
+        out = verify_sl2_closure(l, args.level, args.tol, THETA_TOL)
+        out_psi = verify_sl2_closure(l, args.level, args.tol, THETA_TOL,
                                      arrows=PSI_I_ARROWS, include_gram=False)
         ok = out["pass"] and out_psi["pass"]
         _emit({"verify": "sl2", "rank": l, "level": args.level, "pass": ok,
                "closure": out, "psi_I_closure": out_psi}, True)
         return 0 if ok else 1
     elif args.what == "poisson":
-        import random
-        rng = random.Random(20240 + 7)
-        reports = []
-        for _ in range(5):
-            a = tuple(complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.5, 0.5))
-                      for _ in range(l))
-            tau = complex(rng.uniform(-0.9, 0.9), rng.uniform(0.5, 2.0))
-            reports.append(poisson_check(l, a, tau, args.tol))
+        rng = random.Random(POISSON_SEED)
+        reports = [poisson_check(l, *poisson_args(rng, l), args.tol)
+                   for _ in range(5)]
         ok = all(r.passed for r in reports)
         _emit({"verify": "poisson", "rank": l, "pass": ok,
                "reports": [_report_payload(r) for r in reports]}, True)
@@ -217,23 +224,13 @@ def cmd_verify(args, cfg):
     return 0 if rep.passed else 1
 
 
-def cmd_super(args, cfg):
+def cmd_super(args):
     if args.what == "verify":
-        hc = super_denominator_height_cap(args.rank, args.depth)
-        sd = super_denominator(args.rank, args.depth, hc)
-        anti = anti_invariant(Weight.zero(args.rank), "I", True, args.depth, hc)
-        shifted = anti.shift_apex_delta(
-            norm_sq(rho(args.rank)) / (2 * (2 * args.rank + 1)))
-        den_ok = sd == shifted
-        char_ok = True
+        den_ok = check_super_denominator(args.rank, args.depth)["equal"]
         ctx = RootSystemCtx.build(args.rank)
-        for lam in enumerate_dominant(args.rank, args.level):
-            sch = super_character(lam, args.depth)
-            tw = character(
-                CharacterRequest(ctx, lam, args.level, "I", True, args.depth),
-                height_cap=sch.height_cap)
-            if sch != tw.shift_apex_delta(conformal_anomaly(lam)):
-                char_ok = False
+        char_ok = all(
+            check_super_character(ctx, lam, args.level, args.depth)["pass"]
+            for lam in enumerate_dominant(args.rank, args.level))
         ok = den_ok and char_ok
         _emit({"super": "verify", "rank": args.rank, "level": args.level,
                "depth": args.depth, "denominator_pass": den_ok,
@@ -258,16 +255,16 @@ def cmd_super(args, cfg):
     raise SystemExit(2)
 
 
-def cmd_suite(args, cfg):
-    results = run_suite(quick=args.quick, cfg=cfg)
+def cmd_suite(args):
+    results = run_suite(quick=args.quick)
     ok = all(r["pass"] for r in results)
     if args.report:
         # timings stay on the console; the report file is byte-reproducible
         stripped = [{k: v for k, v in r.items() if k != "seconds"}
                     for r in results]
         with open(args.report, "w") as fh:
-            json.dump(_jsonable({"pass": ok, "threads": cfg.threads,
-                                 "results": stripped}), fh, indent=2)
+            json.dump(_jsonable({"pass": ok, "results": stripped}), fh,
+                      indent=2)
     print(f"suite: {'PASS' if ok else 'FAIL'} "
           f"({sum(r['pass'] for r in results)}/{len(results)} criteria)")
     return 0 if ok else 1
@@ -280,7 +277,6 @@ def build_parser():
         prog="kacmod",
         description="Characters, theta series and modular transformation "
                     "laws of the twisted affine root system BC_l^(2).")
-    p.add_argument("--config", default=None, help="key=value config file")
     sub = p.add_subparsers(dest="cmd", required=True)
 
     q = sub.add_parser("roots", help="dump the root datum")
@@ -356,9 +352,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    cfg = Config.load(args.config)
     try:
-        return args.fn(args, cfg)
+        _check_args(args)
+        return args.fn(args)
     except (ValueError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

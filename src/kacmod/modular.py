@@ -173,7 +173,11 @@ def _shell_radius(l, decay, log_c, tol):
     j = 1
     while True:
         le = log_c - decay * j * j + l * math.log(2 * j + 3)
-        shells.append(math.exp(le) if le > -700 else 0.0)
+        try:
+            shells.append(math.exp(le) if le > -700 else 0.0)
+        except OverflowError:
+            raise ValueError("the lattice sum exceeds the floating-point "
+                             "range at this point") from None
         if le < -700 or (j > 4 and shells[-1] < tol * 1e-6):
             break
         j += 1
@@ -284,19 +288,6 @@ def eval_qseries(series, sharp, y: YPoint) -> complex:
     for vec, c in series.sorted_items():
         total += c * cmath.exp(complex(inner(series.weight_of(vec), v)))
     return total
-
-
-def macdonald_specialization(l, sharp="I", twisted=False, direction=None,
-                             offset=None, s=0.0, tau=1.13j, t=0.0, tol=1e-10):
-    """Evaluate A_rho (A^psi_rho) along the line z = direction*s + offset.
-
-    Hook for the eta-product specializations; no specific identification is
-    asserted (the specialization is not pinned down in the source material)."""
-    direction = direction or (1.0,) * l
-    offset = offset or (0.0,) * l
-    z = tuple(d * s + o for d, o in zip(direction, offset))
-    return eval_anti_invariant(Weight.zero(l), sharp, twisted,
-                               YPoint(tau, z, t), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -582,7 +573,9 @@ def verify_sl2_closure(l, k, tol=1e-6, theta_tol=1e-10, n_points=None,
     if k == 0:
         return {"degenerate": True, "rank": l, "k": k, "pass": True,
                 "arrows": [], "gram_rank": 1, "expected_gram_rank": 1}
-    n_points = n_points or max(2 * dim + 2, 8)
+    # 3*dim + 2 rows, so the Gram stack of the three families can reach
+    # full column rank 3*dim
+    n_points = n_points or max(3 * dim + 2, 8)
     if points is None:
         points = sample_points(l, n_points)
         # resample once if the target family samples are ill-conditioned
@@ -665,6 +658,16 @@ def _gaussian_sum(l, q, shift, lin, tol):
             + TWO_PI_I * sum(li * mi for li, mi in zip(lin, m))
         total += cmath.exp(e)
     return total
+
+
+def poisson_args(rng, l):
+    """One random argument (a, tau) of poisson_check drawn from rng:
+    a in [-0.8, 0.8] + [-0.5, 0.5]i per coordinate, tau in
+    [-0.9, 0.9] + [0.5, 2]i."""
+    a = tuple(complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.5, 0.5))
+              for _ in range(l))
+    tau = complex(rng.uniform(-0.9, 0.9), rng.uniform(0.5, 2.0))
+    return a, tau
 
 
 def poisson_check(l, a, tau, tol=1e-8) -> VerificationReport:

@@ -246,15 +246,6 @@ def invert_unit(a: QSeries) -> QSeries:
     return divide(QSeries.one(a.rank, *a.caps()), a)
 
 
-def power(a: QSeries, n: int) -> QSeries:
-    if n < 0:
-        raise ValueError("negative power")
-    out = QSeries.one(a.rank, *a.caps())
-    for _ in range(n):
-        out = mul(out, a)
-    return out
-
-
 def binomial_factor(root: Weight, sign=-1, height_cap=None, q_cap=None) -> QSeries:
     """1 + sign * e^{-root} for a positive root."""
     l = root.rank

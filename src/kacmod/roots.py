@@ -97,38 +97,41 @@ def classify(w: Weight):
     return None
 
 
-def positive_real_roots(l, max_height):
-    """All positive real roots whose total height (in simple roots) is
-    <= max_height, together with their RootInfo."""
-    out = []
-    # height of beta_f + n*delta grows with n; n <= max_height suffices
-    for n in range(0, max_height + 1):
-        for w in _real_roots_at_delta(l, n):
-            h = height_vector(w)
-            if h is not None and sum(h) <= max_height:
-                out.append(classify(w))
-    return [ri for ri in out if ri is not None]
+def positive_roots(l, q_cap=None, height_cap=None, super_=False):
+    """Yield (root, multiplicity, parity) for the positive roots with delta
+    offset <= q_cap and total height <= height_cap, by increasing offset n.
 
-
-def _real_roots_at_delta(l, n):
-    d = Weight.delta_weight(l).scale(n)
-    for i in range(1, l + 1):
-        e = Weight.eps_basis(l, i)
-        for s in (1, -1):
-            w = d + e.scale(s)
-            if is_positive(w):
-                yield w
-            w = d + e.scale(2 * s)
-            if is_positive(w) and n % 2 == 1:
-                yield w
-    for i in range(1, l + 1):
-        for j in range(i + 1, l + 1):
-            ei, ej = Weight.eps_basis(l, i), Weight.eps_basis(l, j)
+    At each n: the imaginary root n delta (multiplicity l, n >= 1); for each
+    eps_i and sign s the short root n delta + s eps_i (odd) and the long root
+    n delta + 2s eps_i (even; at odd n only, or at every n with super_ for
+    the system B^(1)(0,l)); then the middle roots n delta + s eps_i + s' eps_j
+    (i < j, even).  Without caps the generator does not end."""
+    delta = Weight.delta_weight(l)
+    eps = [Weight.eps_basis(l, i) for i in range(1, l + 1)]
+    offsets = itertools.count()
+    if height_cap is not None:
+        # the lowest root at offset n >= 1, n delta - 2 eps_1, has height
+        # (2l+1) n - 2l
+        offsets = range((height_cap + 2 * l) // (2 * l + 1) + 1)
+    for n in offsets:
+        if q_cap is not None and n > q_cap:
+            return
+        d = delta.scale(n)
+        cands = [(d, l, "even")] if n else []
+        for e in eps:
+            for s in (1, -1):
+                cands.append((d + e.scale(s), 1, "odd"))
+                if super_ or n % 2:
+                    cands.append((d + e.scale(2 * s), 1, "even"))
+        for ei, ej in itertools.combinations(eps, 2):
             for si in (1, -1):
                 for sj in (1, -1):
-                    w = d + ei.scale(si) + ej.scale(sj)
-                    if is_positive(w):
-                        yield w
+                    cands.append((d + ei.scale(si) + ej.scale(sj), 1, "even"))
+        for w, mult, parity in cands:
+            h = height_vector(w)
+            if h is not None and any(h) and (
+                    height_cap is None or sum(h) <= height_cap):
+                yield w, mult, parity
 
 
 def height_vector(w: Weight):

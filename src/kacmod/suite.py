@@ -8,23 +8,30 @@ import random
 import time
 from fractions import Fraction
 
-from . import qseries as qs
-from .characters import (CharacterRequest, anti_invariant, character,
+from .characters import (CharacterRequest, character,
                          check_denominator_identity, conformal_anomaly)
-from .config import Config
-from .lattice import Weight, inner, norm_sq
+from .lattice import Weight, inner
 from .modular import (PSI_I_ARROWS, YPoint, eval_character, eval_qseries,
-                      point_to_weight, sample_points, sin_product,
-                      poisson_check, transition, verify_S, verify_T,
-                      verify_props, verify_sl2_closure, weight_to_point)
-from .roots import (RootSystemCtx, enumerate_dominant, phi_involution, rho)
-from .superalg import (check_bracket_relations, osp_irreducible_dim,
-                       super_character, super_denominator,
-                       super_denominator_height_cap, verma_reducible,
-                       integrable)
+                      point_to_weight, poisson_args, sample_points,
+                      sin_product, poisson_check, transition, verify_S,
+                      verify_T, verify_props, verify_sl2_closure,
+                      weight_to_point)
+from .roots import RootSystemCtx, enumerate_dominant, phi_involution
+from .superalg import (check_bracket_relations, check_super_character,
+                       check_super_denominator, osp_irreducible_dim,
+                       verma_reducible)
+
+# Acceptance tolerances, pinned: law residuals, theta-series tails, Poisson
+# resummation and the exact T-phases.
+TOL = 1e-6
+THETA_TOL = 1e-10
+POISSON_TOL = 1e-8
+PHASE_TOL = 1e-10
+
+POISSON_SEED = 20240 + 7
 
 
-def _crit_denominator(quick, twisted, cfg):
+def _crit_denominator(quick, twisted):
     ranks = (1, 2) if quick else (1, 2, 3)
     reports = []
     for l in ranks:
@@ -33,30 +40,23 @@ def _crit_denominator(quick, twisted, cfg):
     return {"pass": all(r["equal"] for r in reports), "reports": reports}
 
 
-def criterion_1(quick=False, cfg=None):
+def criterion_1(quick=False):
     """Denominator identity, coefficientwise exact, l in {1,2,3}, depth 10."""
-    return _crit_denominator(quick, False, cfg)
+    return _crit_denominator(quick, False)
 
 
-def criterion_2(quick=False, cfg=None):
+def criterion_2(quick=False):
     """Twisted denominator identity, same ranks and depth."""
-    return _crit_denominator(quick, True, cfg)
+    return _crit_denominator(quick, True)
 
 
-def criterion_3(quick=False, cfg=None):
+def criterion_3(quick=False):
     """Super-denominator equals the twisted anti-invariant route, depth 8."""
-    details = []
-    for l in (1, 2):
-        hc = super_denominator_height_cap(l, 8)
-        sd = super_denominator(l, 8, hc)
-        anti = anti_invariant(Weight.zero(l), "I", True, 8, hc)
-        shifted = anti.shift_apex_delta(norm_sq(rho(l)) / (2 * (2 * l + 1)))
-        details.append({"rank": l, "equal": sd == shifted,
-                        "terms": len(sd.terms)})
+    details = [check_super_denominator(l, 8) for l in (1, 2)]
     return {"pass": all(d["equal"] for d in details), "details": details}
 
 
-def criterion_4(quick=False, cfg=None):
+def criterion_4(quick=False):
     """chi_0 = 1 to depth 12 (l <= 3); untwisted characters nonnegative with
     apex coefficient 1 for all level-2 dominant weights, l <= 2, depth 8."""
     details = []
@@ -78,18 +78,14 @@ def criterion_4(quick=False, cfg=None):
     return {"pass": all(d["pass"] for d in details), "details": details}
 
 
-def criterion_5(quick=False, cfg=None):
+def criterion_5(quick=False):
     """Super-character equals the twisted character termwise, depth 8,
     through independent code paths."""
     details = []
     for l in (1, 2):
         ctx = RootSystemCtx.build(l)
         for lam in enumerate_dominant(l, 2):
-            sch = super_character(lam, 8)
-            tw = character(CharacterRequest(ctx, lam, 2, "I", True, 8),
-                           height_cap=sch.height_cap)
-            ok = sch == tw.shift_apex_delta(conformal_anomaly(lam))
-            details.append({"rank": l, "pass": ok, "terms": len(sch.terms)})
+            details.append(check_super_character(ctx, lam, 2, 8))
     return {"pass": all(d["pass"] for d in details), "details": details}
 
 
@@ -97,11 +93,10 @@ def _lemma_points(l):
     return sample_points(l, 3)
 
 
-def criterion_6(quick=False, cfg=None):
+def criterion_6(quick=False):
     """S-transformation laws of the four transformation lemmas at three
     generic points, rel err <= 1e-6; corollary constants at 1e-8; formal
     series cross-check at depth 12."""
-    cfg = cfg or Config()
     worst = 0.0
     details = []
     ranks = (1,) if quick else (1, 2)
@@ -110,7 +105,7 @@ def criterion_6(quick=False, cfg=None):
         for lemma in ("4.2", "4.3", "4.4", "4.5"):
             for lam in enumerate_dominant(l, 2):
                 for y in pts:
-                    rep = verify_S(lemma, lam, 2, y, cfg.tol, cfg.theta_tol)
+                    rep = verify_S(lemma, lam, 2, y, TOL, THETA_TOL)
                     worst = max(worst, rep.rel_err)
                     details.append({"lemma": lemma, "rank": l,
                                     "rel_err": rep.rel_err, "pass": rep.passed})
@@ -133,10 +128,9 @@ def criterion_6(quick=False, cfg=None):
             "checks": len(details)}
 
 
-def criterion_7(quick=False, cfg=None):
+def criterion_7(quick=False):
     """T-transformation laws with exact phases (type II swaps the twist),
     agreement to 1e-10."""
-    cfg = cfg or Config()
     worst = 0.0
     details = []
     ranks = (1,) if quick else (1, 2)
@@ -145,7 +139,7 @@ def criterion_7(quick=False, cfg=None):
         for lemma in ("4.2", "4.3", "4.4", "4.5"):
             for lam in enumerate_dominant(l, 2):
                 for y in pts:
-                    rep = verify_T(lemma, lam, 2, y, cfg.phase_tol, 1e-12)
+                    rep = verify_T(lemma, lam, 2, y, PHASE_TOL, 1e-12)
                     worst = max(worst, rep.rel_err)
                     details.append({"lemma": lemma, "rank": l,
                                     "rel_err": rep.rel_err, "pass": rep.passed})
@@ -153,10 +147,9 @@ def criterion_7(quick=False, cfg=None):
             "checks": len(details)}
 
 
-def criterion_8(quick=False, cfg=None):
+def criterion_8(quick=False):
     """Propositions for normalized characters (S and T laws, conformal
     anomaly phases); the type-II S-law is the Kac-Peterson case."""
-    cfg = cfg or Config()
     worst = 0.0
     details = []
     ranks = (1,) if quick else (1, 2)
@@ -165,8 +158,8 @@ def criterion_8(quick=False, cfg=None):
         for prop in ("4.6", "4.7", "4.8", "4.9"):
             for lam in enumerate_dominant(l, 2):
                 for law in ("S", "T"):
-                    rep = verify_props(prop, lam, 2, y, cfg.tol,
-                                       cfg.theta_tol, law)
+                    rep = verify_props(prop, lam, 2, y, TOL,
+                                       THETA_TOL, law)
                     worst = max(worst, rep.rel_err)
                     details.append({"prop": prop, "law": law, "rank": l,
                                     "rel_err": rep.rel_err,
@@ -175,13 +168,12 @@ def criterion_8(quick=False, cfg=None):
             "checks": len(details)}
 
 
-def criterion_9(quick=False, cfg=None):
+def criterion_9(quick=False):
     """Mapping table of the S/T arrows between the three character families
     (least squares), Gram rank 3|P_{2,+}|, and the closure of the fourth
     family under S and T."""
-    cfg = cfg or Config()
-    rep = verify_sl2_closure(1, 2, cfg.tol, cfg.theta_tol)
-    rep_psi = verify_sl2_closure(1, 2, cfg.tol, cfg.theta_tol,
+    rep = verify_sl2_closure(1, 2, TOL, THETA_TOL)
+    rep_psi = verify_sl2_closure(1, 2, TOL, THETA_TOL,
                                  arrows=PSI_I_ARROWS, include_gram=False)
     return {"pass": rep["pass"] and rep_psi["pass"],
             "arrows": rep["arrows"] + rep_psi["arrows"],
@@ -189,19 +181,15 @@ def criterion_9(quick=False, cfg=None):
             "expected_gram_rank": rep["expected_gram_rank"]}
 
 
-def criterion_10(quick=False, cfg=None):
+def criterion_10(quick=False):
     """Poisson resummation on Z^l (5 seeded random (a, tau) per rank,
     rel err <= 1e-8) and the sine product formula for 2 <= N <= 50."""
-    cfg = cfg or Config()
-    rng = random.Random(20240 + 7)
+    rng = random.Random(POISSON_SEED)
     details = []
     ranks = (1, 2) if quick else (1, 2, 3)
     for l in ranks:
         for _ in range(5):
-            a = tuple(complex(rng.uniform(-0.8, 0.8), rng.uniform(-0.5, 0.5))
-                      for _ in range(l))
-            tau = complex(rng.uniform(-0.9, 0.9), rng.uniform(0.5, 2.0))
-            rep = poisson_check(l, a, tau, cfg.poisson_tol)
+            rep = poisson_check(l, *poisson_args(rng, l), POISSON_TOL)
             details.append({"rank": l, "rel_err": rep.rel_err,
                             "pass": rep.passed})
     sine_ok = True
@@ -213,7 +201,7 @@ def criterion_10(quick=False, cfg=None):
     return {"pass": all(d["pass"] for d in details), "checks": len(details)}
 
 
-def criterion_11(quick=False, cfg=None):
+def criterion_11(quick=False):
     """osp(1|2): bracket identities exact on w_0..w_20; dim L(N alpha) =
     2N+1 for N <= 10; Verma reducibility iff lambda(H) in 2Z_{>=0}."""
     details = []
@@ -231,7 +219,7 @@ def criterion_11(quick=False, cfg=None):
     return {"pass": all(d["pass"] for d in details), "details": details}
 
 
-def criterion_12(quick=False, cfg=None):
+def criterion_12(quick=False):
     """Coordinate geometry: the transition map squares to the identity, the
     phi involution and its projection intertwining hold exactly, and the
     commutative diagrams hold to 1e-12 on 100 random points."""
@@ -297,12 +285,11 @@ CRITERIA = (
 )
 
 
-def run_suite(quick=False, cfg=None, echo=print):
-    cfg = cfg or Config()
+def run_suite(quick=False, echo=print):
     results = []
     for name, fn in CRITERIA:
         t0 = time.time()
-        out = fn(quick=quick, cfg=cfg)
+        out = fn(quick=quick)
         out["name"] = name
         out["seconds"] = round(time.time() - t0, 3)
         results.append(out)

@@ -1,6 +1,7 @@
 """osp(1|2) Verma modules and the affine super root datum B^(1)(0,l):
 super-denominator and super-characters through an explicit product/Weyl-sum
-route, independent of the theta-orbit code path.
+route, independent of the theta-orbit code path, and the two checks that
+compare them with the twisted theta route.
 
 The super system shares the GCM of BC_l^(2) with odd node l; its real roots
 form the non-reduced system with long roots at every delta offset, odd roots
@@ -16,11 +17,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import qseries as qs
-from .characters import (conformal_anomaly, is_dominant, theta_height_bound,
-                         _middle_pairs)
+from .characters import (CharacterRequest, anti_invariant, character,
+                         conformal_anomaly, theta_height_bound)
 from .lattice import Weight, inner, level, norm_sq
 from .qseries import QSeries
-from .roots import RootSystemCtx, coroot, rho, root_coords, simple_roots_I
+from .roots import (RootSystemCtx, coroot, positive_roots, rho, root_coords,
+                    simple_roots_I)
 from .weyl import AffineWeylElement, enumerate_finite, epsilon, psi
 
 # ---------------------------------------------------------------------------
@@ -178,52 +180,6 @@ class SuperRootDatum:
             raise ValueError("not in the root lattice")
         return "odd" if coords[-1] % 2 else "even"
 
-    def positive_roots(self, depth, height_cap):
-        """(root, multiplicity, parity) for the positive roots of the
-        non-reduced super system within the caps: short and middle families
-        at every delta offset, long at every delta offset (unlike the
-        twisted system), imaginary with multiplicity l."""
-        l = self.rank
-        delta = Weight.delta_weight(l)
-        out = []
-
-        def keep(w):
-            h = root_coords(w)
-            if h is None or any(n < 0 for n in h) or not any(h):
-                return False
-            if depth is not None and h[0] > depth:
-                return False
-            if height_cap is not None and sum(h) > height_cap:
-                return False
-            return True
-
-        n = 0
-        while True:
-            d = delta.scale(n)
-            found = False
-            if n >= 1 and keep(d):
-                out.append((d, l, "even"))
-                found = True
-            cands = []
-            for i in range(1, l + 1):
-                e = Weight.eps_basis(l, i)
-                for s in (1, -1):
-                    cands.append((d + e.scale(s), "odd"))
-                    cands.append((d + e.scale(2 * s), "even"))
-            for i, j in _middle_pairs(l):
-                ei, ej = Weight.eps_basis(l, i), Weight.eps_basis(l, j)
-                for si in (1, -1):
-                    for sj in (1, -1):
-                        cands.append((d + ei.scale(si) + ej.scale(sj), "even"))
-            for w, par in cands:
-                if keep(w):
-                    out.append((w, 1, par))
-                    found = True
-            if not found and n > 0:
-                break
-            n += 1
-        return out
-
 
 def integrable(Lambda: Weight) -> bool:
     """L(Lambda) is integrable iff the labels at 0..l-1 are nonnegative
@@ -250,9 +206,8 @@ def super_denominator(l, depth=8, height_cap=None) -> QSeries:
     the twisted theta route).  Apex e^rho, no delta normalization."""
     if height_cap is None:
         height_cap = super_denominator_height_cap(l, depth)
-    datum = SuperRootDatum.build(l)
     acc = QSeries.monomial(rho(l), 1, height_cap, depth)
-    for w, mult, par in datum.positive_roots(depth, height_cap):
+    for w, mult, par in positive_roots(l, depth, height_cap, super_=True):
         if par == "even":
             f = qs.binomial_factor(w, -1, height_cap, depth)
         else:
@@ -304,8 +259,7 @@ def super_character(Lambda: Weight, depth=8, height_cap=None) -> QSeries:
             l, k + 2 * l + 1, norm_sq(Lambda + rho(l)), depth) + 2 * l + 2
     base = (Lambda + rho(l)).canonical()
     acc = _psi_weyl_sum(l, base, height_cap, depth)
-    datum = SuperRootDatum.build(l)
-    for w, mult, par in datum.positive_roots(depth, height_cap):
+    for w, mult, par in positive_roots(l, depth, height_cap, super_=True):
         if par == "odd":
             f = qs.binomial_factor(w, -1, height_cap, depth)
         else:
@@ -313,3 +267,28 @@ def super_character(Lambda: Weight, depth=8, height_cap=None) -> QSeries:
         for _ in range(mult):
             acc = qs.mul(acc, f)
     return qs.mul(acc, QSeries.monomial(-rho(l), 1, height_cap, depth))
+
+
+# ---------------------------------------------------------------------------
+# Cross-checks against the twisted theta route
+# ---------------------------------------------------------------------------
+
+def check_super_denominator(l, depth=8) -> dict:
+    """The super-denominator equals the twisted anti-invariant A^psi_rho,
+    shifted by its delta normalization."""
+    hc = super_denominator_height_cap(l, depth)
+    sd = super_denominator(l, depth, hc)
+    anti = anti_invariant(Weight.zero(l), "I", True, depth, hc)
+    shifted = anti.shift_apex_delta(norm_sq(rho(l)) / (2 * (2 * l + 1)))
+    return {"rank": l, "equal": sd == shifted, "terms": len(sd.terms)}
+
+
+def check_super_character(ctx: RootSystemCtx, lam: Weight, k, depth=8) -> dict:
+    """The super-character of lam equals its normalized twisted character
+    (series division of twisted anti-invariants), shifted by c_lam."""
+    sch = super_character(lam, depth)
+    tw = character(CharacterRequest(ctx, lam, k, "I", True, depth),
+                   height_cap=sch.height_cap)
+    return {"rank": ctx.rank,
+            "pass": sch == tw.shift_apex_delta(conformal_anomaly(lam)),
+            "terms": len(sch.terms)}

@@ -8,13 +8,12 @@ from kacmod.characters import (CharacterRequest, _accumulate_theta,
                                anti_invariant, character,
                                check_denominator_identity, conformal_anomaly,
                                denominator_product, is_dominant,
-                               positive_roots_up_to_height, theta_formal,
-                               verma_character)
+                               theta_formal, verma_character)
 from kacmod.lattice import Weight, level, norm_sq
 from kacmod.qseries import QSeries
 from kacmod.roots import (RootSystemCtx, enumerate_dominant,
-                          from_dynkin_labels, rho, root_coords,
-                          simple_roots_I)
+                          from_dynkin_labels, positive_roots, rho,
+                          root_coords, simple_roots_I)
 from kacmod.weyl import enumerate_finite, translate
 
 
@@ -153,7 +152,7 @@ def test_verma_character_against_partition_oracle():
     # of positive roots summing to sum n_i alpha_i (imaginary roots counted
     # with multiplicity l)
     roots = []
-    for w, mult in positive_roots_up_to_height(l, depth):
+    for w, mult, _ in positive_roots(l, height_cap=depth):
         roots.extend([root_coords(w)] * mult)
     for vec in itertools.product(range(depth + 1), repeat=l + 1):
         if sum(vec) > depth:
@@ -167,7 +166,7 @@ def test_verma_character_rank2_spot():
     Lam = from_dynkin_labels(2, (0, 0, 2))
     v = verma_character(Lam, 3)
     roots = []
-    for w, mult in positive_roots_up_to_height(2, 3):
+    for w, mult, _ in positive_roots(2, height_cap=3):
         roots.extend([root_coords(w)] * mult)
     for vec in itertools.product(range(4), repeat=3):
         if sum(vec) > 3:

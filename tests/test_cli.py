@@ -116,8 +116,42 @@ def test_usage_errors():
     assert exc.value.code == 2
 
 
-def test_config_file(tmp_path, capsys):
-    cfgfile = tmp_path / "kacmod.cfg"
-    cfgfile.write_text("tol = 1e-5\ndepth = 6\n# comment\n")
-    code, _ = run(capsys, "--config", str(cfgfile), "verify", "sinprod")
-    assert code == 0
+@pytest.mark.parametrize("argv,flag", [
+    pytest.param(("smatrix", "--kind", "aI", "--rank", "0", "--level", "2"),
+                 "--rank", id="rank-zero"),
+    pytest.param(("roots", "--rank", "-1"), "--rank", id="rank-negative"),
+    pytest.param(("char", "--rank", "1", "--labels", "1,0", "--depth", "-3"),
+                 "--depth", id="char-depth-negative"),
+    pytest.param(("check", "denominator", "--rank", "1", "--depth", "-1"),
+                 "--depth", id="check-depth-negative"),
+    pytest.param(("verify", "prop", "--rank", "1", "--level", "2",
+                  "--index", "5"), "--index", id="index-past-end"),
+    pytest.param(("verify", "s-lemma", "--rank", "1", "--level", "2",
+                  "--index", "-1"), "--index", id="index-negative"),
+    pytest.param(("verify", "s-lemma", "--rank", "2", "--z", "0.1+0.1i"),
+                 "--tau", id="z-without-tau"),
+    pytest.param(("verify", "t-lemma", "--rank", "1", "--t", "0.02"),
+                 "--tau", id="t-without-tau"),
+    pytest.param(("verify", "s-lemma", "--rank", "2", "--tau", "0.3+1.1i",
+                  "--z", "0.1+0.1i"), "--z", id="z-count"),
+])
+def test_rejected_input_exits_2_with_message(capsys, argv, flag):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1 and flag in captured.err
+
+
+def test_depth_zero_accepted(capsys):
+    code, out = run(capsys, "char", "--rank", "1", "--labels", "1,0",
+                    "--depth", "0", "--json")
+    assert code == 0 and json.loads(out)["depth"] == 0
+
+
+def test_lattice_sum_overflow_exits_2(capsys):
+    code = main(["verify", "s-lemma", "--tau", "0.3+1i", "--z", "0+40i"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert "floating-point range" in captured.err
+    assert "Traceback" not in captured.err

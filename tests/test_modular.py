@@ -13,7 +13,8 @@ from kacmod.modular import (DegeneratePointError, S_MAT, T_MAT, YPoint,
                             point_to_weight, poisson_check, pr, sample_points,
                             sin_product, sl2_act, smatrix, smatrix_entry,
                             smatrix_entry_via_ker_psi, transition, verify_S,
-                            verify_T, verify_props, weight_to_point)
+                            verify_T, verify_props, verify_sl2_closure,
+                            weight_to_point)
 from kacmod.roots import (enumerate_dominant, from_dynkin_labels,
                           phi_involution, rho)
 
@@ -259,3 +260,11 @@ def test_sin_product():
     assert abs(prod - 0.5) < 1e-14 and closed == 0.5
     with pytest.raises(ValueError):
         sin_product(1)
+
+
+@pytest.mark.parametrize("l,k", ((1, 4), (2, 2)))
+def test_sl2_closure_full_gram_rank(l, k):
+    # enough sample points for the 3*dim columns of the Gram stack
+    rep = verify_sl2_closure(l, k)
+    assert rep["gram_rank"] == rep["expected_gram_rank"]
+    assert rep["pass"]

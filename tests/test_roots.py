@@ -10,7 +10,7 @@ from kacmod.roots import (RootSystemCtx, cartan_matrix, classify,
                           fundamental_weights_I, fundamental_weights_II,
                           height_vector, labels, phi_involution, rho, rho_f,
                           root_coords, simple_roots_I, simple_roots_II,
-                          special_indices, positive_real_roots)
+                          special_indices, positive_roots)
 from kacmod.weyl import reflection
 
 from conftest import weights
@@ -57,7 +57,8 @@ def test_classify_examples():
 
 def test_root_set_weyl_stable_small_height():
     for l in (1, 2):
-        roots = [ri.weight for ri in positive_real_roots(l, 3)]
+        roots = [w for w, _, _ in positive_roots(l, height_cap=3)
+                 if any(w.eps)]
         assert roots
         refs = [reflection(l, a) for a in simple_roots_I(l)]
         for w in refs:
@@ -172,3 +173,39 @@ def test_height_vector():
     assert height_vector(d - Weight.eps_basis(l, 1).scale(2)) == (1, 0, 0)
     assert height_vector(Weight.eps_basis(l, 1).scale(-1)) is None
     assert root_coords(Weight((Fraction(1, 3), Fraction(0)))) is None
+
+
+def _root_oracle(l, q_cap, height_cap, super_):
+    """(height vector, multiplicity, parity) of every positive root in the
+    caps, by scanning height vectors: the roots `classify` accepts, plus the
+    long roots +-2 eps_i + (even) delta of the super system."""
+    hmax = height_cap if height_cap is not None else (2 * l + 1) * q_cap + 2 * l
+    si = simple_roots_I(l)
+    out = set()
+    for vec in itertools.product(range(hmax + 1), repeat=l + 1):
+        if sum(vec) > hmax or not any(vec) or (
+                q_cap is not None and vec[0] > q_cap):
+            continue
+        w = Weight.zero(l)
+        for n, alpha in zip(vec, si):
+            w = w + alpha.scale(n)
+        info = classify(w)
+        if info is not None:
+            out.add((vec, info.multiplicity, info.parity))
+        elif super_ and w.delta % 2 == 0 and sorted(
+                abs(c) for c in w.eps) == [0] * (l - 1) + [2]:
+            out.add((vec, 1, "even"))
+    return out
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+@pytest.mark.parametrize("q_cap,height_cap",
+                         ((None, 9), (2, 12), (3, 7), (1, None), (0, 20)))
+@pytest.mark.parametrize("super_", (False, True))
+def test_positive_roots_against_scan(l, q_cap, height_cap, super_):
+    got = [(root_coords(w), mult, parity) for w, mult, parity
+           in positive_roots(l, q_cap, height_cap, super_)]
+    assert len(set(got)) == len(got)
+    assert set(got) == _root_oracle(l, q_cap, height_cap, super_)
+    offsets = [vec[0] for vec, _, _ in got]
+    assert offsets == sorted(offsets)

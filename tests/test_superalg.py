@@ -3,10 +3,11 @@ from fractions import Fraction
 import pytest
 
 from kacmod.characters import (CharacterRequest, anti_invariant, character,
-                               conformal_anomaly, positive_roots_up_to_height)
+                               conformal_anomaly)
 from kacmod.lattice import Weight, norm_sq
 from kacmod.roots import (RootSystemCtx, classify, enumerate_dominant,
-                          fundamental_weights_I, rho, root_coords)
+                          fundamental_weights_I, positive_roots, rho,
+                          root_coords)
 from kacmod.superalg import (SuperRootDatum, check_bracket_relations,
                              integrable, osp_action, osp_action_matrix,
                              osp_irreducible_dim, singular_indices,
@@ -57,7 +58,7 @@ def test_action_matrix_window():
 def test_parity_decomposition_matches_classify():
     for l in (1, 2):
         datum = SuperRootDatum.build(l)
-        for beta, mult in positive_roots_up_to_height(l, 3):
+        for beta, mult, _ in positive_roots(l, height_cap=3):
             info = classify(beta)
             if info.length_class == "imaginary":
                 assert datum.parity(beta) == "even"
@@ -69,8 +70,7 @@ def test_parity_decomposition_matches_classify():
 
 
 def test_super_positive_roots_long_family():
-    datum = SuperRootDatum.build(1)
-    roots = datum.positive_roots(3, 30)
+    roots = list(positive_roots(1, 3, 30, super_=True))
     longs = [w for w, mult, par in roots
              if par == "even" and any(abs(c) == 2 for c in w.eps)]
     deltas = sorted(int(w.delta) for w in longs)

@@ -10,8 +10,7 @@ from kacmod.weyl import (AffineWeylElement, FiniteWeylElement,
                          affine_from_action, enumerate_finite,
                          enumerate_ker_psi_finite, epsilon, psi, reflection,
                          simple_reflection, translate)
-from kacmod.characters import positive_roots_up_to_height
-from kacmod.roots import root_coords
+from kacmod.roots import positive_roots, root_coords
 
 from conftest import weights
 
@@ -115,7 +114,7 @@ def test_psi_factors_through_root_lattice_parity():
     from kacmod.roots import classify
 
     for l in (1, 2):
-        for beta, mult in positive_roots_up_to_height(l, 3):
+        for beta, mult, _ in positive_roots(l, height_cap=3):
             if classify(beta).length_class == "imaginary":
                 continue
             s = reflection(l, beta)

@@ -227,18 +227,16 @@ def denominator_product(l, twisted=False, depth=8, height_cap=None) -> QSeries:
     exactly: e^{rho - (|rho|^2/2(2l+1)) delta} times the infinite product
     over imaginary, short, middle and long families.  Short (odd) binomials
     flip sign in the twisted case."""
-    acc = QSeries.one(l, height_cap, depth)
+    r = rho(l)
+    lead = Weight(r.eps, -norm_sq(r) / (2 * (2 * l + 1)), r.lambda0)
     # high delta offset first, which keeps the partial products small
     roots = sorted(positive_roots(l, depth, height_cap),
                    key=lambda root: -root[0].delta)
+    factors = []
     for w, mult, parity in roots:
         sign = 1 if twisted and parity == "odd" else -1
-        f = qs.binomial_factor(w, sign, height_cap, depth)
-        for _ in range(mult):
-            acc = qs.mul(acc, f)
-    r = rho(l)
-    lead = Weight(r.eps, -norm_sq(r) / (2 * (2 * l + 1)), r.lambda0)
-    return qs.mul(acc, QSeries.monomial(lead, 1, height_cap, depth))
+        factors += [qs.binomial_factor(w, sign, height_cap, depth)] * mult
+    return qs.mul(QSeries.monomial(lead, 1, height_cap, depth), *factors)
 
 
 def verma_character(Lambda: Weight, depth: int) -> QSeries:
@@ -246,12 +244,11 @@ def verma_character(Lambda: Weight, depth: int) -> QSeries:
     total height `depth` (delta slices of a Verma character are infinite, so
     the truncation is by height)."""
     l = Lambda.rank
-    acc = QSeries.monomial(Lambda.canonical(), 1, depth, None)
+    factors = []
     for alpha, mult, _ in positive_roots(l, height_cap=depth):
-        g = qs.geometric_factor(alpha, depth, None)
-        for _ in range(mult):
-            acc = qs.mul(acc, g)
-    return acc
+        factors += [qs.geometric_factor(alpha, depth, None)] * mult
+    return qs.mul(QSeries.monomial(Lambda.canonical(), 1, depth, None),
+                  *factors)
 
 
 # ---------------------------------------------------------------------------

@@ -62,8 +62,16 @@ def _emit(payload, as_json):
         print(json.dumps(_jsonable(payload)))
 
 
-def _parse_complex(s):
-    return complex(s.replace(" ", "").replace("i", "j"))
+# verifiers that take no sample point from --tau/--z/--t
+_NO_POINT_VERIFIERS = ("sl2", "poisson", "sinprod")
+
+
+def _parse_complex(s, flag):
+    try:
+        return complex(s.replace(" ", "").replace("i", "j"))
+    except ValueError:
+        raise ValueError(f"{flag} must be a complex number such as 0.37+1.13i,"
+                         f" got {s!r}") from None
 
 
 def _check_args(args):
@@ -72,6 +80,11 @@ def _check_args(args):
         raise ValueError(f"--rank must be >= 1, got {args.rank}")
     if getattr(args, "depth", 0) < 0:
         raise ValueError(f"--depth must be >= 0, got {args.depth}")
+    if getattr(args, "what", None) in _NO_POINT_VERIFIERS:
+        for flag in ("tau", "z", "t"):
+            if getattr(args, flag) is not None:
+                raise ValueError(f"--{flag} does not apply to verify "
+                                 f"{args.what}")
     if getattr(args, "tau", None) is None and (
             getattr(args, "z", None) or getattr(args, "t", None)):
         raise ValueError("--z and --t need --tau")
@@ -80,13 +93,13 @@ def _check_args(args):
 def _point_from_args(args, l) -> YPoint:
     if args.tau is None:
         return default_sample(l)
-    z = tuple(_parse_complex(v) for v in args.z.split(",")) \
+    z = tuple(_parse_complex(v, "--z") for v in args.z.split(",")) \
         if args.z else default_sample(l).z
     if len(z) != l:
         raise ValueError(f"--z needs {l} comma-separated values (the rank), "
                          f"got {len(z)}")
-    t = _parse_complex(args.t) if args.t else 0.05
-    return YPoint(_parse_complex(args.tau), z, t)
+    t = _parse_complex(args.t, "--t") if args.t else 0.05
+    return YPoint(_parse_complex(args.tau, "--tau"), z, t)
 
 
 def _weight_from_args(args, l):
@@ -182,14 +195,15 @@ def cmd_smatrix(args):
 
 def cmd_verify(args):
     l = args.rank
+    which = args.which or ("4.6" if args.what == "prop" else "4.2")
     if args.what == "s-lemma":
-        rep = verify_S(args.which, _weight_from_args(args, l), args.level,
+        rep = verify_S(which, _weight_from_args(args, l), args.level,
                        _point_from_args(args, l), args.tol, THETA_TOL)
     elif args.what == "t-lemma":
-        rep = verify_T(args.which, _weight_from_args(args, l), args.level,
+        rep = verify_T(which, _weight_from_args(args, l), args.level,
                        _point_from_args(args, l), args.tol, 1e-12)
     elif args.what == "prop":
-        rep = verify_props(args.which, _weight_from_args(args, l), args.level,
+        rep = verify_props(which, _weight_from_args(args, l), args.level,
                            _point_from_args(args, l), args.tol, THETA_TOL,
                            args.law)
     elif args.what == "sl2":
@@ -219,7 +233,7 @@ def cmd_verify(args):
         return 0 if not bad else 1
     else:
         raise SystemExit(2)
-    _emit({"verify": args.what, "which": args.which,
+    _emit({"verify": args.what, "which": which,
            **_report_payload(rep)}, True)
     return 0 if rep.passed else 1
 
@@ -319,8 +333,9 @@ def build_parser():
     q = sub.add_parser("verify", help="numerical transformation laws")
     q.add_argument("what", choices=("s-lemma", "t-lemma", "prop", "sl2",
                                     "poisson", "sinprod"))
-    q.add_argument("--which", default="4.2",
-                   help="lemma 4.2..4.5 or proposition 4.6..4.9")
+    q.add_argument("--which", default=None,
+                   help="lemma 4.2..4.5 (default 4.2) or proposition "
+                        "4.6..4.9 (default 4.6)")
     q.add_argument("--rank", type=int, default=1)
     q.add_argument("--level", type=int, default=2)
     q.add_argument("--index", type=int, default=0,

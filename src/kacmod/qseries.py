@@ -10,17 +10,27 @@ exact computation in the corresponding quotient ring.  At least one cap must
 be set; the q cap alone suffices whenever all factors are polynomials (theta
 sums, denominator products), while the height cap is required for objects
 with infinite q-slices (Verma characters, unit inversion).
+
+`mul` is the one product kernel: it packs each height vector into one int64
+code (a mixed radix sized per step, coordinate 0 most significant) and keeps
+coefficients int64 only while max|acc| * sum|factor| < 2^62, switching to
+Python-int object arrays otherwise, so no product ever wraps.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
+
+import numpy as np
 
 from .lattice import Weight, frac_to_str, weight_to_json
 from .roots import root_coords, simple_roots_I
 
 _MAX_DIVISION_STEPS = 2_000_000
+_EXACT_INT64 = 1 << 62  # int64 coefficients and codes stay below this
+_CHUNK = 1 << 16        # candidate pairs formed per merge round
 
 
 @dataclass
@@ -152,30 +162,108 @@ def sub(a: QSeries, b: QSeries) -> QSeries:
     return add(a, neg(b))
 
 
-def mul(a: QSeries, b: QSeries) -> QSeries:
-    """Convolution of height vectors over the apex sum."""
-    _check_compatible(a, b)
-    out = QSeries(a.rank, a.apex + b.apex, {}, *a.caps())
-    if not a.terms or not b.terms:
+def mul(a: QSeries, b: QSeries, *more: QSeries) -> QSeries:
+    """Product of two or more series over the apex sum, folded left to right
+    with the running product held as arrays."""
+    factors = (a, b) + more
+    apex = a.apex
+    for f in factors[1:]:
+        _check_compatible(a, f)
+        apex = apex + f.apex
+    out = QSeries(a.rank, apex, {}, *a.caps())
+    arrays = [_as_arrays(f) for f in factors]
+    if any(not len(f.coefs) for f in arrays):
         return out
-    big, small = (a, b) if len(a.terms) >= len(b.terms) else (b, a)
-    terms = out.terms
-    hcap, qcap = out.height_cap, out.q_cap
-    for svec, sc in small.sorted_items():
-        s0 = svec[0]
-        sh = sum(svec)
-        for bvec, bc in big.terms.items():
-            if qcap is not None and bvec[0] + s0 > qcap:
-                continue
-            if hcap is not None and sum(bvec) + sh > hcap:
-                continue
-            key = tuple(x + y for x, y in zip(bvec, svec))
-            c = terms.get(key, 0) + sc * bc
-            if c:
-                terms[key] = c
-            else:
-                del terms[key]
+    acc = arrays[0]
+    for f in arrays[1:]:
+        acc = _mul_arrays(acc, f, out.height_cap, out.q_cap)
+        if not len(acc.coefs):
+            return out
+    out.terms = dict(zip(map(tuple, acc.coords.tolist()), acc.coefs.tolist()))
     return out
+
+
+class _Terms(NamedTuple):
+    coords: np.ndarray   # (n, l+1) int64 height vectors
+    coefs: np.ndarray    # (n,) int64, or object holding Python ints
+    heights: np.ndarray  # (n,) int64 total heights
+    span: np.ndarray     # (l+1,) int64 bound on each coordinate
+
+
+def _as_arrays(s: QSeries) -> _Terms:
+    """The nonzero terms of s inside its caps; coefficients are int64 when
+    every magnitude is below _EXACT_INT64."""
+    vals = list(s.terms.values())
+    big = max(map(abs, vals), default=0) >= _EXACT_INT64
+    coefs = np.array(vals, dtype=object if big else np.int64)
+    coords = np.array(list(s.terms), dtype=np.int64).reshape(len(vals),
+                                                             s.rank + 1)
+    if len(vals) and coords.min() < 0:
+        raise ValueError("height vectors must be nonnegative")
+    heights = coords.sum(1)
+    keep = coefs != 0
+    if s.height_cap is not None:
+        keep &= heights <= s.height_cap
+    if s.q_cap is not None:
+        keep &= coords[:, 0] <= s.q_cap
+    coords = coords[keep]
+    return _Terms(coords, coefs[keep], heights[keep], coords.max(0, initial=0))
+
+
+def _mul_arrays(acc: _Terms, f: _Terms, height_cap, q_cap) -> _Terms:
+    """One product step.  Height vectors are packed into int64 codes with a
+    mixed radix just wide enough for the product (coordinate 0 most
+    significant), so a sum of vectors is a sum of codes and code order is
+    lexicographic order.  Candidate pairs are formed chunk by chunk over the
+    factor, cut to the caps, and merged into the sorted running result; the
+    result's rows are gathered from one source pair per surviving code."""
+    bound = (int(np.abs(acc.coefs).max())
+             * int(np.abs(f.coefs).sum(dtype=object)))
+    dtype = np.int64 if bound < _EXACT_INT64 else object
+    coefs = acc.coefs.astype(dtype, copy=False)
+    fcoefs = f.coefs.astype(dtype, copy=False)
+    span = acc.span + f.span
+    if height_cap is not None:
+        span = np.minimum(span, height_cap)
+    if q_cap is not None:
+        span[0] = min(span[0], q_cap)
+    strides = [1]
+    for r in span[:0:-1]:
+        strides.insert(0, strides[0] * (int(r) + 1))
+    if strides[0] * (int(span[0]) + 1) > _EXACT_INT64:
+        raise ValueError("height vectors too far apart to pack into int64 "
+                         f"codes (coordinate maxima {span.tolist()})")
+    strides = np.array(strides, dtype=np.int64)
+    codes, fcodes = acc.coords @ strides, f.coords @ strides
+    out_codes = np.zeros(0, dtype=np.int64)
+    out_coefs = np.zeros(0, dtype=dtype)
+    out_i = out_k = np.zeros(0, dtype=np.intp)
+    step = max(1, _CHUNK // len(codes))
+    for lo in range(0, len(fcodes), step):
+        hi = lo + step
+        keep = np.ones((len(fcodes[lo:hi]), len(codes)), dtype=bool)
+        if height_cap is not None:
+            keep &= f.heights[lo:hi, None] + acc.heights <= height_cap
+        if q_cap is not None:
+            keep &= f.coords[lo:hi, 0, None] + acc.coords[:, 0] <= q_cap
+        # factor term outer: each factor term adds one sorted run
+        k, i = np.nonzero(keep)
+        if not len(k):
+            continue
+        k += lo
+        cand = np.concatenate([out_codes, codes[i] + fcodes[k]])
+        order = np.argsort(cand, kind="stable")
+        cand = cand[order]
+        first = np.flatnonzero(np.r_[True, cand[1:] != cand[:-1]])
+        sums = np.add.reduceat(
+            np.concatenate([out_coefs, coefs[i] * fcoefs[k]])[order], first)
+        nonzero = sums != 0
+        rep = order[first[nonzero]]
+        out_codes, out_coefs = cand[first[nonzero]], sums[nonzero]
+        out_i = np.concatenate([out_i, i])[rep]
+        out_k = np.concatenate([out_k, k])[rep]
+    return _Terms(np.take(acc.coords, out_i, 0) + np.take(f.coords, out_k, 0),
+                  out_coefs, acc.heights[out_i] + f.heights[out_k], span)
 
 
 def scalar_mul(c: int, a: QSeries) -> QSeries:

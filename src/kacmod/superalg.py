@@ -206,15 +206,21 @@ def super_denominator(l, depth=8, height_cap=None) -> QSeries:
     the twisted theta route).  Apex e^rho, no delta normalization."""
     if height_cap is None:
         height_cap = super_denominator_height_cap(l, depth)
-    acc = QSeries.monomial(rho(l), 1, height_cap, depth)
+    return qs.mul(QSeries.monomial(rho(l), 1, height_cap, depth),
+                  *_super_factors(l, depth, height_cap, "even"))
+
+
+def _super_factors(l, depth, height_cap, binomial_parity):
+    """(1 - e^{-a}) for the roots of one parity and (1 - e^{-a})^{-1} for
+    the other, each repeated by multiplicity."""
+    factors = []
     for w, mult, par in positive_roots(l, depth, height_cap, super_=True):
-        if par == "even":
+        if par == binomial_parity:
             f = qs.binomial_factor(w, -1, height_cap, depth)
         else:
             f = qs.geometric_factor(w, height_cap, depth)
-        for _ in range(mult):
-            acc = qs.mul(acc, f)
-    return acc
+        factors += [f] * mult
+    return factors
 
 
 def _psi_weyl_sum(l, base: Weight, height_cap, depth) -> QSeries:
@@ -258,15 +264,9 @@ def super_character(Lambda: Weight, depth=8, height_cap=None) -> QSeries:
         height_cap = theta_height_bound(
             l, k + 2 * l + 1, norm_sq(Lambda + rho(l)), depth) + 2 * l + 2
     base = (Lambda + rho(l)).canonical()
-    acc = _psi_weyl_sum(l, base, height_cap, depth)
-    for w, mult, par in positive_roots(l, depth, height_cap, super_=True):
-        if par == "odd":
-            f = qs.binomial_factor(w, -1, height_cap, depth)
-        else:
-            f = qs.geometric_factor(w, height_cap, depth)
-        for _ in range(mult):
-            acc = qs.mul(acc, f)
-    return qs.mul(acc, QSeries.monomial(-rho(l), 1, height_cap, depth))
+    return qs.mul(QSeries.monomial(-rho(l), 1, height_cap, depth),
+                  _psi_weyl_sum(l, base, height_cap, depth),
+                  *_super_factors(l, depth, height_cap, "odd"))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -134,12 +135,82 @@ def test_usage_errors():
                  "--tau", id="t-without-tau"),
     pytest.param(("verify", "s-lemma", "--rank", "2", "--tau", "0.3+1.1i",
                   "--z", "0.1+0.1i"), "--z", id="z-count"),
+    pytest.param(("verify", "poisson", "--rank", "1", "--tau", "0.3+1i"),
+                 "--tau", id="poisson-tau"),
+    pytest.param(("verify", "sl2", "--rank", "1", "--tau", "0.3+1i",
+                  "--z", "0.1"), "--tau", id="sl2-tau"),
+    pytest.param(("verify", "sinprod", "--tau", "0.3+1i", "--t", "0.02"),
+                 "--tau", id="sinprod-tau"),
+    pytest.param(("verify", "s-lemma", "--tau", "abc"), "--tau",
+                 id="tau-malformed"),
+    pytest.param(("verify", "t-lemma", "--rank", "1", "--tau", "0.3+1i",
+                  "--z", "x"), "--z", id="z-malformed"),
 ])
 def test_rejected_input_exits_2_with_message(capsys, argv, flag):
     code = main(list(argv))
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.count("\n") == 1 and flag in captured.err
+
+
+def test_verify_prop_default_which(capsys):
+    code, out = run(capsys, "verify", "prop", "--rank", "1", "--level", "2")
+    d = json.loads(out)
+    assert code == 0 and d["which"] == "4.6" and d["pass"] is True
+    _, out = run(capsys, "verify", "s-lemma", "--rank", "1", "--level", "2")
+    assert json.loads(out)["which"] == "4.2"
+
+
+# sha256 of stdout for the README's CLI examples (all but `suite`), plus one
+# product route of non-trivial size; any change to these bytes is deliberate
+PINNED_STDOUT = {
+    "roots --rank 2 --json":
+        "b0935bcc55385ff1e2a43d14548a5a5e6b1d98aa26a5270a49c2c0957147bfd6",
+    "weights --rank 2 --level 2 --json":
+        "9ed3d2c4c2af52f7aa285d429489f65df642f75d524c3f05210d8e40097ab92d",
+    "char --rank 1 --labels 1,0 --depth 12 --json":
+        "d4d35967fdb81ea476a52466f5af4469c1853f12b461161678c250b660b167ac",
+    "char --rank 1 --labels 1,0 --depth 12 --twisted --json":
+        "7ff502c0603d768849c3a30227d541e8da4c8149398e4a2b7731dd9c2af2557e",
+    "char --rank 1 --labels 1,0 --depth 12 --sharp II --json":
+        "e8f11b93f442a37ec52cb6fe77f727dc6277cbfc3369ceb3c50b08322eac18e4",
+    "char --rank 1 --labels 1,0 --depth 12 --twisted --sharp II --json":
+        "975bfdb0f5b7f12ae97579a858502d7d9a751369f5a02d4fdc91a1b9e2a2eb89",
+    "check denominator --rank 2 --depth 10":
+        "b38fd0606ecba176a41b8a8b3ef9d60a9ca8f624935a0f585b70c06a5edba771",
+    "check denominator --rank 2 --depth 10 --twisted":
+        "9ad12d03e9ebd544edc47c2fd79a86d579189905a9a218bc51ef660bef4863fa",
+    "check denominator --rank 3 --depth 8 --twisted":
+        "8a0c77116e2c784152a99164e77383a63d67eb16ae4b675e795692f7a08dda6d",
+    "smatrix --kind aII --rank 1 --level 2 --json":
+        "27112f1fa9b7a85b61ed2cef2feca4cf7abc6dab002471ce0a2804e6587ce857",
+    "verify s-lemma --which 4.3 --rank 1 --level 2 --tol 1e-6":
+        "52cad7c636447bb4abe7d2198257a1b045ae089adb0ac28dd5672f4d4f9e0dba",
+    "verify s-lemma --which 4.3 --rank 1 --level 2 --tol 1e-6 "
+    "--tau 0.37+1.13i --z 0.11+0.07i --t 0.05":
+        "52cad7c636447bb4abe7d2198257a1b045ae089adb0ac28dd5672f4d4f9e0dba",
+    "verify t-lemma --which 4.4 --rank 1 --level 2":
+        "b76f14c73aba06f3c4a563b389a782336a07f20fe444b3414ef5ca1447fb4eec",
+    "verify prop --which 4.8 --law S --rank 1 --level 2":
+        "0e843be6f1b432a83f72341498089da679fc762fe41ef16961067d7a8bb7b245",
+    "verify sl2 --rank 1 --level 2":
+        "231b3e579c408a0ffc91ac8dc3e61ff81126b16545471badfee4ba5508b8aafb",
+    "verify poisson --rank 2":
+        "1483aa2cbf9a00ccfb2b3bd6caee868628849c11d3583959107d7bd64559183f",
+    "verify sinprod":
+        "72a58aaa4b24bc0d15a84341efb2ac9ebbca00738306d3f633a66ed6a31cfc0c",
+    "super verify --rank 2 --level 2 --depth 8":
+        "bce52f03ecb6d2914e10dadea5f490dcbb8d66385d3a03bd09572bb36970be94",
+    "super osp --N 3":
+        "1cdd43dcbde5a9d5c7d0295e4609d6475fa8a1b38436fc728475abbec631289d",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_STDOUT))
+def test_pinned_stdout(capsys, argv):
+    code, out = run(capsys, *argv.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_STDOUT[argv]
 
 
 def test_depth_zero_accepted(capsys):

@@ -33,6 +33,135 @@ def sparse_series(l=2, height_cap=8):
     )
 
 
+def _reference_mul(a: QSeries, b: QSeries) -> QSeries:
+    """The dict-of-tuples convolution that the array kernel replaced, kept as
+    its oracle."""
+    assert a.rank == b.rank and a.caps() == b.caps()
+    out = QSeries(a.rank, a.apex + b.apex, {}, *a.caps())
+    big, small = (a, b) if len(a.terms) >= len(b.terms) else (b, a)
+    terms = out.terms
+    hcap, qcap = out.height_cap, out.q_cap
+    for svec, sc in small.sorted_items():
+        s0 = svec[0]
+        sh = sum(svec)
+        for bvec, bc in big.terms.items():
+            if qcap is not None and bvec[0] + s0 > qcap:
+                continue
+            if hcap is not None and sum(bvec) + sh > hcap:
+                continue
+            key = tuple(x + y for x, y in zip(bvec, svec))
+            c = terms.get(key, 0) + sc * bc
+            if c:
+                terms[key] = c
+            else:
+                del terms[key]
+    return out
+
+
+# (height_cap, q_cap): height cap only, q cap only, both
+CAP_PAIRS = [(8, None), (None, 3), (8, 3)]
+SMALL = st.integers(-4, 4)
+# magnitudes around 2^62, where the kernel leaves int64 for Python ints
+HUGE = st.integers(2**62 - 4, 2**62 + 4) | st.integers(-2**70, 2**70)
+
+
+@st.composite
+def series_pairs(draw, n=2, coef=SMALL):
+    """n random sparse series of one rank in 1..3 under one cap pair."""
+    l = draw(st.integers(1, 3))
+    height_cap, q_cap = draw(st.sampled_from(CAP_PAIRS))
+    vec = st.tuples(*([st.integers(0, 3)] * (l + 1)))
+    out = []
+    for _ in range(n):
+        apex = Weight.zero(l)
+        for m, alpha in zip(draw(st.lists(st.integers(-2, 2), min_size=l + 1,
+                                          max_size=l + 1)),
+                            simple_roots_I(l)):
+            apex = apex + alpha.scale(m)
+        s = QSeries(l, apex, {}, height_cap, q_cap)
+        for v, c in draw(st.lists(st.tuples(vec, coef), max_size=8)):
+            s.add_term(v, c)
+        out.append(s)
+    return out
+
+
+@given(series_pairs())
+@settings(max_examples=150, deadline=None)
+def test_mul_matches_reference(pair):
+    a, b = pair
+    assert qs.mul(a, b) == _reference_mul(a, b)
+
+
+@given(series_pairs())
+@settings(max_examples=60, deadline=None)
+def test_mul_merges_chunks(pair):
+    # a tiny chunk makes every product merge one factor term at a time
+    a, b = pair
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(qs, "_CHUNK", 1)
+        assert qs.mul(a, b) == _reference_mul(a, b)
+
+
+def test_mul_large_operands():
+    # operands of ~10^3 terms: more candidate pairs than one chunk holds
+    l = 2
+    alphas = simple_roots_I(l)
+    a = qs.mul(*[qs.geometric_factor(x, 16, None) for x in alphas])
+    b = qs.mul(qs.binomial_factor(alphas[0] + alphas[1], 1, 16, None),
+               *[qs.geometric_factor(x, 16, None) for x in alphas[1:]])
+    b = qs.mul(b, b)
+    assert len(a.terms) * len(b.terms) > qs._CHUNK
+    assert qs.mul(a, b) == _reference_mul(a, b)
+
+
+@given(series_pairs(n=4))
+@settings(max_examples=60, deadline=None)
+def test_nary_mul_is_left_fold(series):
+    a, b, c, d = series
+    fold = _reference_mul(_reference_mul(_reference_mul(a, b), c), d)
+    assert qs.mul(a, b, c, d) == fold
+    assert qs.mul(qs.mul(qs.mul(a, b), c), d) == fold
+
+
+@given(series_pairs(coef=SMALL | HUGE))
+@settings(max_examples=80, deadline=None)
+def test_mul_exact_beyond_int64(pair):
+    a, b = pair
+    assert qs.mul(a, b) == _reference_mul(a, b)
+
+
+def test_mul_coefficients_near_two_to_62():
+    l = 1
+    alpha = simple_roots_I(l)[1]
+    for big in (2**60 - 1, 2**62 - 1, 2**62, 2**63 + 5, -(2**90)):
+        a = qs.binomial_factor(alpha, -1, 6, None)
+        a.set_term((0, 0), big)
+        b = qs.binomial_factor(alpha, 3, 6, None)
+        prod = qs.mul(a, b, b)
+        assert prod == _reference_mul(_reference_mul(a, b), b)
+        assert all(type(c) is int for c in prod.terms.values())
+        assert prod.terms[(0, 0)] == big
+
+
+def test_mul_rejects_codes_wider_than_int64():
+    # three coordinates spread over 2^21 each need more than 62 bits
+    l = 3
+    a = QSeries(l, Weight.zero(l), {(0, 2**21, 2**21, 2**21): 1}, None, 5)
+    b = QSeries.one(l, None, 5)
+    b.add_term((0, 2**21, 2**21, 2**21), 1)
+    with pytest.raises(ValueError, match="int64"):
+        qs.mul(a, b)
+
+
+def test_mul_empty_and_out_of_cap_operands():
+    l = 2
+    one = QSeries.one(l, 4, None)
+    empty = QSeries(l, Weight.zero(l), {}, 4, None)
+    assert qs.mul(one, one, empty).is_zero()
+    outside = QSeries(l, Weight.zero(l), {(2, 2, 1): 7}, 4, None)
+    assert qs.mul(outside, one).is_zero()
+
+
 def test_monomial_multiplication():
     l = 2
     lam = from_dynkin_labels(l, (1, 0, 0))

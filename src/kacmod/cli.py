@@ -18,9 +18,9 @@ from . import qseries as qs
 from .characters import (CharacterRequest, character,
                          check_denominator_identity, conformal_anomaly)
 from .lattice import Weight, frac_to_str, level, weight_to_json
-from .modular import (PSI_I_ARROWS, YPoint, default_sample, poisson_args,
-                      poisson_check, sin_product, smatrix, verify_S,
-                      verify_T, verify_props, verify_sl2_closure)
+from .modular import (YPoint, default_sample, poisson_args, poisson_check,
+                      sin_product_failures, smatrix, verify_S, verify_T,
+                      verify_props, verify_sl2)
 from .roots import RootSystemCtx, enumerate_dominant, from_dynkin_labels
 from .suite import POISSON_SEED, THETA_TOL, run_suite
 from .superalg import (check_bracket_relations, check_super_character,
@@ -62,8 +62,20 @@ def _emit(payload, as_json):
         print(json.dumps(_jsonable(payload)))
 
 
-# verifiers that take no sample point from --tau/--z/--t
-_NO_POINT_VERIFIERS = ("sl2", "poisson", "sinprod")
+# the flags each verifier takes besides --tol, with their defaults; any other
+# verify flag given on the command line is rejected
+_LEMMA_FLAGS = {"which": "4.2", "rank": 1, "level": 2, "index": 0,
+                "tau": None, "z": None, "t": None}
+_VERIFY_FLAGS = {
+    "s-lemma": _LEMMA_FLAGS,
+    "t-lemma": _LEMMA_FLAGS,
+    "prop": {**_LEMMA_FLAGS, "which": "4.6", "law": "S"},
+    "sl2": {"rank": 1, "level": 2},
+    "poisson": {"rank": 1},
+    "sinprod": {"nmax": 50},
+}
+_VERIFY_ALL_FLAGS = tuple(dict.fromkeys(
+    flag for taken in _VERIFY_FLAGS.values() for flag in taken))
 
 
 def _parse_complex(s, flag):
@@ -75,16 +87,20 @@ def _parse_complex(s, flag):
 
 
 def _check_args(args):
-    """Reject out-of-range flags before any work is done."""
-    if getattr(args, "rank", 1) < 1:
+    """Reject foreign and out-of-range flags before any work is done, and
+    fill in the defaults of the flags a verifier takes."""
+    if args.cmd == "verify":
+        taken = _VERIFY_FLAGS[args.what]
+        for flag in _VERIFY_ALL_FLAGS:
+            if getattr(args, flag) is None:
+                setattr(args, flag, taken.get(flag))
+            elif flag not in taken:
+                raise ValueError(f"--{flag} does not apply to verify "
+                                 f"{args.what}")
+    if getattr(args, "rank", None) is not None and args.rank < 1:
         raise ValueError(f"--rank must be >= 1, got {args.rank}")
     if getattr(args, "depth", 0) < 0:
         raise ValueError(f"--depth must be >= 0, got {args.depth}")
-    if getattr(args, "what", None) in _NO_POINT_VERIFIERS:
-        for flag in ("tau", "z", "t"):
-            if getattr(args, flag) is not None:
-                raise ValueError(f"--{flag} does not apply to verify "
-                                 f"{args.what}")
     if getattr(args, "tau", None) is None and (
             getattr(args, "z", None) or getattr(args, "t", None)):
         raise ValueError("--z and --t need --tau")
@@ -170,8 +186,6 @@ def cmd_char(args):
 
 
 def cmd_check(args):
-    if args.what != "denominator":
-        raise SystemExit(2)
     rep = check_denominator_identity(args.rank, args.depth, args.twisted)
     payload = {"check": "denominator", "rank": args.rank, "depth": args.depth,
                "twisted": args.twisted, "pass": rep["equal"],
@@ -193,28 +207,19 @@ def cmd_smatrix(args):
     return 0
 
 
+# the law verifier of each verify subcommand that checks one law at one point
+_LAW_VERIFIERS = {"s-lemma": verify_S, "t-lemma": verify_T,
+                  "prop": verify_props}
+
+
 def cmd_verify(args):
     l = args.rank
-    which = args.which or ("4.6" if args.what == "prop" else "4.2")
-    if args.what == "s-lemma":
-        rep = verify_S(which, _weight_from_args(args, l), args.level,
-                       _point_from_args(args, l), args.tol, THETA_TOL)
-    elif args.what == "t-lemma":
-        rep = verify_T(which, _weight_from_args(args, l), args.level,
-                       _point_from_args(args, l), args.tol, 1e-12)
-    elif args.what == "prop":
-        rep = verify_props(which, _weight_from_args(args, l), args.level,
-                           _point_from_args(args, l), args.tol, THETA_TOL,
-                           args.law)
-    elif args.what == "sl2":
-        out = verify_sl2_closure(l, args.level, args.tol, THETA_TOL)
-        out_psi = verify_sl2_closure(l, args.level, args.tol, THETA_TOL,
-                                     arrows=PSI_I_ARROWS, include_gram=False)
-        ok = out["pass"] and out_psi["pass"]
+    if args.what == "sl2":
+        ok, out, out_psi = verify_sl2(l, args.level, args.tol, THETA_TOL)
         _emit({"verify": "sl2", "rank": l, "level": args.level, "pass": ok,
                "closure": out, "psi_I_closure": out_psi}, True)
         return 0 if ok else 1
-    elif args.what == "poisson":
+    if args.what == "poisson":
         rng = random.Random(POISSON_SEED)
         reports = [poisson_check(l, *poisson_args(rng, l), args.tol)
                    for _ in range(5)]
@@ -222,18 +227,18 @@ def cmd_verify(args):
         _emit({"verify": "poisson", "rank": l, "pass": ok,
                "reports": [_report_payload(r) for r in reports]}, True)
         return 0 if ok else 1
-    elif args.what == "sinprod":
-        bad = []
-        for n in range(2, args.nmax + 1):
-            prod, closed = sin_product(n)
-            if abs(prod / closed - 1) > args.tol:
-                bad.append(n)
+    if args.what == "sinprod":
+        bad = sin_product_failures(args.nmax, args.tol)
         _emit({"verify": "sinprod", "nmax": args.nmax, "pass": not bad,
                "failures": bad}, True)
         return 0 if not bad else 1
-    else:
-        raise SystemExit(2)
-    _emit({"verify": args.what, "which": which,
+    # the T-lemmas' exact phases are checked against 1e-12 theta tails
+    theta_tol = 1e-12 if args.what == "t-lemma" else THETA_TOL
+    law = (args.law,) if args.law else ()
+    rep = _LAW_VERIFIERS[args.what](args.which, _weight_from_args(args, l),
+                                    args.level, _point_from_args(args, l),
+                                    args.tol, theta_tol, *law)
+    _emit({"verify": args.what, "which": args.which,
            **_report_payload(rep)}, True)
     return 0 if rep.passed else 1
 
@@ -250,23 +255,21 @@ def cmd_super(args):
                "depth": args.depth, "denominator_pass": den_ok,
                "character_pass": char_ok, "pass": ok}, True)
         return 0 if ok else 1
-    if args.what == "osp":
-        n = args.N
-        lam = Fraction(2 * n)
-        dim = osp_irreducible_dim(n)
-        bad = check_bracket_relations(lam, 2 * n + 6)
-        payload = {
-            "super": "osp", "N": n, "lambda_H": frac_to_str(lam),
-            "dim": dim, "brackets_exact": not bad,
-            "basis": [f"w_{i}" for i in range(dim)],
-            "action_matrices": {
-                g: [[frac_to_str(c) for c in row]
-                    for row in osp_action_matrix(g, lam, dim - 1)]
-                for g in ("E", "H", "F", "e", "f")},
-        }
-        _emit(payload, True)
-        return 0
-    raise SystemExit(2)
+    n = args.N
+    lam = Fraction(2 * n)
+    dim = osp_irreducible_dim(n)
+    bad = check_bracket_relations(lam, 2 * n + 6)
+    payload = {
+        "super": "osp", "N": n, "lambda_H": frac_to_str(lam),
+        "dim": dim, "brackets_exact": not bad,
+        "basis": [f"w_{i}" for i in range(dim)],
+        "action_matrices": {
+            g: [[frac_to_str(c) for c in row]
+                for row in osp_action_matrix(g, lam, dim - 1)]
+            for g in ("E", "H", "F", "e", "f")},
+    }
+    _emit(payload, True)
+    return 0
 
 
 def cmd_suite(args):
@@ -336,16 +339,18 @@ def build_parser():
     q.add_argument("--which", default=None,
                    help="lemma 4.2..4.5 (default 4.2) or proposition "
                         "4.6..4.9 (default 4.6)")
-    q.add_argument("--rank", type=int, default=1)
-    q.add_argument("--level", type=int, default=2)
-    q.add_argument("--index", type=int, default=0,
-                   help="index into the dominant-weight list")
-    q.add_argument("--law", choices=("S", "T"), default="S")
+    q.add_argument("--rank", type=int, default=None, help="default 1")
+    q.add_argument("--level", type=int, default=None, help="default 2")
+    q.add_argument("--index", type=int, default=None,
+                   help="index into the dominant-weight list (default 0)")
+    q.add_argument("--law", choices=("S", "T"), default=None,
+                   help="prop only (default S)")
     q.add_argument("--tau", default=None, help="complex, e.g. 0.37+1.13i")
     q.add_argument("--z", default=None, help="comma-separated complex values")
     q.add_argument("--t", default=None)
     q.add_argument("--tol", type=float, default=1e-6)
-    q.add_argument("--nmax", type=int, default=50)
+    q.add_argument("--nmax", type=int, default=None,
+                   help="sinprod only (default 50)")
     q.set_defaults(fn=cmd_verify)
 
     q = sub.add_parser("super", help="superalgebra checks")

@@ -75,11 +75,6 @@ class Weight:
         v[l - i] = Fraction(-1)
         return Weight(tuple(v), HALF, Fraction(0))
 
-    @staticmethod
-    def from_eps(vec, delta=Fraction(0), lambda0=Fraction(0)):
-        return Weight(tuple(_as_scalar(x) for x in vec), _as_scalar(delta),
-                      _as_scalar(lambda0))
-
     # -- linear structure ---------------------------------------------------
 
     def _chk(self, other):

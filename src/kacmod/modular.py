@@ -266,13 +266,17 @@ def eval_anti_invariant(lam: Weight, sharp="I", twisted=False,
     return total
 
 
+# |A_rho(y)| below this makes eval_character refuse the point
+_DEN_THRESHOLD = 1e-10
+
+
 def eval_character(lam: Weight, sharp="I", twisted=False, y: YPoint = None,
-                   tol=1e-10, den_threshold=1e-10) -> complex:
+                   tol=1e-10) -> complex:
     """chi_lam (chi^psi when twisted) at y: the ratio of anti-invariants.
-    Raises DegeneratePointError when |A_rho(y)| falls below the threshold."""
+    Raises DegeneratePointError when |A_rho(y)| falls below _DEN_THRESHOLD."""
     l = lam.rank
     den = eval_anti_invariant(Weight.zero(l), sharp, twisted, y, tol)
-    if abs(den) < den_threshold:
+    if abs(den) < _DEN_THRESHOLD:
         raise DegeneratePointError(
             f"denominator {abs(den):.3e} below threshold at tau={y.tau}; "
             "move the sample point")
@@ -415,119 +419,88 @@ def _sqrt_tau_over_i(tau, l) -> complex:
     return cmath.sqrt(tau / 1j) ** l
 
 
-# Each lemma: (sharp of its invariant, lhs twisted, S-matrix kind,
-#              target sharp, target twisted, first S-matrix argument phi?)
-_LEMMAS = {
-    "4.2": ("I", False, "aI_II", "II", True, True),
-    "4.3": ("I", True, "aI", "I", True, False),
-    "4.4": ("II", False, "aII", "II", False, False),
-    "4.5": ("II", True, "aII_I", "I", False, True),
+# Each law: (report key, sharp of its invariant, lhs twisted, S-matrix kind,
+#            target sharp, target twisted, exponent of i in the S-constant).
+# Lemmas 4.2-4.5 act on anti-invariants, propositions 4.6-4.9 on normalized
+# characters.  The mixed kinds take phi-images in their first argument, and
+# the type-II T-laws swap the twist.  The S-constant enters the lemmas only
+# through their k = 0 corollary, and the propositions' S-laws directly.
+_LAWS = {
+    "4.2": ("lemma", "I", False, "aI_II", "II", True, lambda l: -l * l),
+    "4.3": ("lemma", "I", True, "aI", "I", True, lambda l: l * (l - 1)),
+    "4.4": ("lemma", "II", False, "aII", "II", False, lambda l: -l * l),
+    "4.5": ("lemma", "II", True, "aII_I", "I", False, lambda l: -l * l),
+    "4.6": ("prop", "I", False, "aI_II", "II", True, lambda l: l * l),
+    "4.7": ("prop", "I", True, "aI", "I", True, lambda l: l * (l - 1)),
+    "4.8": ("prop", "II", False, "aII", "II", False, lambda l: l * l),
+    "4.9": ("prop", "II", True, "aII_I", "I", False, lambda l: l * l),
 }
 
-_COROLLARY_CONST = {
-    "4.2": lambda l: i_power(-l * l),
-    "4.3": lambda l: (1 + 0j) if (l * (l - 1) // 2) % 2 == 0 else (-1 + 0j),
-    "4.4": lambda l: i_power(-l * l),
-    "4.5": lambda l: i_power(-l * l),
-}
 
-# T-laws: lemmas 4.4/4.5 swap the twist of the right-hand side
-_T_SWAP = {"4.2": False, "4.3": False, "4.4": True, "4.5": True}
+def _verify_law(key, law, lam: Weight, k, y: YPoint, tol, theta_tol):
+    """The S- or T-law `law` of lemma or proposition `key` at one point."""
+    family, sharp, twisted, kind, tsharp, ttwisted, i_exp = _LAWS[key]
+    ev = eval_character if family == "prop" else eval_anti_invariant
+    l = lam.rank
+    m = k + 2 * l + 1
+    if law == "T":
+        lhs = ev(lam, sharp, twisted, t_point(y), theta_tol)
+        nsq = norm_sq((lam + rho(l)).canonical().project_finite(sharp))
+        arg = Fraction(nsq, m)
+        if family == "prop":
+            # conformal anomaly of the normalization
+            arg -= Fraction(norm_sq(rho(l).project_finite(sharp)), 2 * l + 1)
+        phase = cmath.exp(1j * math.pi * float(arg % 2))
+        rhs = phase * ev(lam, sharp, twisted != (sharp == "II"), y, theta_tol)
+    else:
+        lhs = ev(lam, sharp, twisted, s_point(y, sharp), theta_tol)
+        pref = _sqrt_tau_over_i(y.tau, l)
+        if family == "lemma" and k == 0:
+            # the corollary: a constant in place of the mu-sum
+            law = "S-corollary"
+            rhs = pref * i_power(i_exp(l)) * ev(
+                Weight.zero(l), tsharp, ttwisted, y, theta_tol)
+        else:
+            first = phi_involution(lam) if sharp != tsharp else lam
+            acc = 0.0 + 0.0j
+            for mu in enumerate_dominant(l, k):
+                acc += smatrix_entry(kind, k, first, mu) * ev(
+                    mu, tsharp, ttwisted, y, theta_tol)
+            const = i_power(i_exp(l)) if family == "prop" else pref
+            rhs = m ** (-l / 2) * const * acc
+    return make_report(lhs, rhs, tol, lam=lam, y=y, **{family: key}, law=law,
+                       rank=l, k=k, theta_tol=theta_tol)
+
+
+def _check_key(key, family):
+    if _LAWS.get(key, (None,))[0] != family:
+        name = "proposition" if family == "prop" else family
+        raise ValueError(f"unknown {name} {key!r}")
 
 
 def verify_S(lemma, lam: Weight, k, y: YPoint, tol=1e-6, theta_tol=1e-10):
     """S-transformation law of one of the four lemmas at one sample point.
     With lam = 0 and k = 0 the corollary form (constant instead of the
     mu-sum) is checked."""
-    if lemma not in _LEMMAS:
-        raise ValueError(f"unknown lemma {lemma!r}")
-    sharp, twisted, kind, tsharp, ttwisted, use_phi = _LEMMAS[lemma]
-    l = lam.rank
-    m = k + 2 * l + 1
-    sy = s_point(y, sharp)
-    lhs = eval_anti_invariant(lam, sharp, twisted, sy, theta_tol)
-    pref = _sqrt_tau_over_i(y.tau, l)
-    if k == 0:
-        rhs = pref * _COROLLARY_CONST[lemma](l) * eval_anti_invariant(
-            Weight.zero(l), tsharp, ttwisted, y, theta_tol)
-        return make_report(lhs, rhs, tol, lam=lam, y=y, lemma=lemma,
-                           law="S-corollary", rank=l, k=k,
-                           theta_tol=theta_tol)
-    first = phi_involution(lam) if use_phi else lam
-    acc = 0.0 + 0.0j
-    for mu in enumerate_dominant(l, k):
-        acc += smatrix_entry(kind, k, first, mu) * eval_anti_invariant(
-            mu, tsharp, ttwisted, y, theta_tol)
-    rhs = m ** (-l / 2) * pref * acc
-    return make_report(lhs, rhs, tol, lam=lam, y=y, lemma=lemma, law="S",
-                       rank=l, k=k, theta_tol=theta_tol)
+    _check_key(lemma, "lemma")
+    return _verify_law(lemma, "S", lam, k, y, tol, theta_tol)
 
 
 def verify_T(lemma, lam: Weight, k, y: YPoint, tol=1e-10, theta_tol=1e-12):
     """T-transformation law (second display) of one of the four lemmas; the
     phase is computed from the exact rational |pi^(sharp)(lam+rho)|^2."""
-    if lemma not in _LEMMAS:
-        raise ValueError(f"unknown lemma {lemma!r}")
-    sharp, twisted, _, _, _, _ = _LEMMAS[lemma]
-    l = lam.rank
-    m = k + 2 * l + 1
-    lhs = eval_anti_invariant(lam, sharp, twisted, t_point(y), theta_tol)
-    nsq = norm_sq((lam + rho(l)).canonical().project_finite(sharp))
-    phase = cmath.exp(1j * math.pi * float(Fraction(nsq, m) % 2))
-    rhs_twisted = (not twisted) if _T_SWAP[lemma] else twisted
-    rhs = phase * eval_anti_invariant(lam, sharp, rhs_twisted, y, theta_tol)
-    return make_report(lhs, rhs, tol, lam=lam, y=y, lemma=lemma, law="T",
-                       rank=l, k=k, theta_tol=theta_tol)
-
-
-# Propositions for normalized characters: same table, with chi in place of A
-_PROPS = {
-    "4.6": "4.2",
-    "4.7": "4.3",
-    "4.8": "4.4",
-    "4.9": "4.5",
-}
-
-_PROP_CONST = {
-    "4.6": lambda l: i_power(l * l),
-    "4.7": lambda l: (1 + 0j) if (l * (l - 1) // 2) % 2 == 0 else (-1 + 0j),
-    "4.8": lambda l: i_power(l * l),
-    "4.9": lambda l: i_power(l * l),
-}
+    _check_key(lemma, "lemma")
+    return _verify_law(lemma, "T", lam, k, y, tol, theta_tol)
 
 
 def verify_props(prop, lam: Weight, k, y: YPoint, tol=1e-6, theta_tol=1e-10,
                  law="S"):
     """S- or T-law of Propositions for the normalized (twisted-)characters,
     including the conformal-anomaly phase in the T-laws."""
-    if prop not in _PROPS:
-        raise ValueError(f"unknown proposition {prop!r}")
-    lemma = _PROPS[prop]
-    sharp, twisted, kind, tsharp, ttwisted, use_phi = _LEMMAS[lemma]
-    l = lam.rank
-    m = k + 2 * l + 1
-    if law == "S":
-        sy = s_point(y, sharp)
-        lhs = eval_character(lam, sharp, twisted, sy, theta_tol)
-        first = phi_involution(lam) if use_phi else lam
-        acc = 0.0 + 0.0j
-        for mu in enumerate_dominant(l, k):
-            acc += smatrix_entry(kind, k, first, mu) * eval_character(
-                mu, tsharp, ttwisted, y, theta_tol)
-        rhs = m ** (-l / 2) * _PROP_CONST[prop](l) * acc
-        return make_report(lhs, rhs, tol, lam=lam, y=y, prop=prop, law="S",
-                           rank=l, k=k, theta_tol=theta_tol)
-    if law == "T":
-        lhs = eval_character(lam, sharp, twisted, t_point(y), theta_tol)
-        nsq_l = norm_sq((lam + rho(l)).canonical().project_finite(sharp))
-        nsq_r = norm_sq(rho(l).project_finite(sharp))
-        arg = Fraction(nsq_l, m) - Fraction(nsq_r, 2 * l + 1)
-        phase = cmath.exp(1j * math.pi * float(arg % 2))
-        rhs_twisted = (not twisted) if _T_SWAP[lemma] else twisted
-        rhs = phase * eval_character(lam, sharp, rhs_twisted, y, theta_tol)
-        return make_report(lhs, rhs, tol, lam=lam, y=y, prop=prop, law="T",
-                           rank=l, k=k, theta_tol=theta_tol)
-    raise ValueError(f"law must be 'S' or 'T', got {law!r}")
+    _check_key(prop, "prop")
+    if law not in ("S", "T"):
+        raise ValueError(f"law must be 'S' or 'T', got {law!r}")
+    return _verify_law(prop, law, lam, k, y, tol, theta_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -553,16 +526,8 @@ SL2_ARROWS = (
 PSI_I_ARROWS = (("S", "psiI", "psiI"), ("T", "psiI", "psiI"))
 
 
-def _family_samples(l, k, fam, points, theta_tol):
-    sharp, twisted = _FAMILIES[fam]
-    lams = enumerate_dominant(l, k)
-    return np.array([[eval_character(lam, sharp, twisted, y, theta_tol)
-                      for lam in lams] for y in points])
-
-
-def verify_sl2_closure(l, k, tol=1e-6, theta_tol=1e-10, n_points=None,
-                       arrows=SL2_ARROWS, include_gram=True,
-                       points=None) -> dict:
+def verify_sl2_closure(l, k, tol=1e-6, theta_tol=1e-10, arrows=SL2_ARROWS,
+                       include_gram=True) -> dict:
     """Least-squares closure of the six S/T arrows between the character
     families, plus the Gram rank of the three families' samples.
 
@@ -573,35 +538,37 @@ def verify_sl2_closure(l, k, tol=1e-6, theta_tol=1e-10, n_points=None,
     if k == 0:
         return {"degenerate": True, "rank": l, "k": k, "pass": True,
                 "arrows": [], "gram_rank": 1, "expected_gram_rank": 1}
+
+    def sample(fam, pts):
+        sharp, twisted = _FAMILIES[fam]
+        return np.array([[eval_character(lam, sharp, twisted, y, theta_tol)
+                          for lam in lams] for y in pts])
+
     # 3*dim + 2 rows, so the Gram stack of the three families can reach
     # full column rank 3*dim
-    n_points = n_points or max(3 * dim + 2, 8)
-    if points is None:
-        points = sample_points(l, n_points)
-        # resample once if the target family samples are ill-conditioned
-        probe = np.array([[eval_character(lam, "II", False, y, theta_tol)
-                           for lam in lams] for y in points])
-        if np.linalg.cond(probe) > 1e10:
-            points = sample_points(l, n_points + 4)[4:]
-    cache = {}
+    n_points = max(3 * dim + 2, 8)
+    points = sample_points(l, n_points)
+    # family samples at the final points; the target family doubles as the
+    # conditioning probe, and is drawn once more on ill-conditioned points
+    cache = {"II": sample("II", points)}
+    if np.linalg.cond(cache["II"]) > 1e10:
+        points = sample_points(l, n_points + 4)[4:]
+        cache = {}
 
-    def fam_matrix(fam, pts, key):
-        if (fam, key) not in cache:
-            cache[(fam, key)] = _family_samples(l, k, fam, pts, theta_tol)
-        return cache[(fam, key)]
+    def family(fam):
+        if fam not in cache:
+            cache[fam] = sample(fam, points)
+        return cache[fam]
 
     results = []
     all_pass = True
     for mat, src, dst in arrows:
-        src_sharp, src_twisted = _FAMILIES[src]
         if mat == "S":
-            gpts = [s_point(y, src_sharp) for y in points]
+            gpts = [s_point(y, _FAMILIES[src][0]) for y in points]
         else:
             gpts = [t_point(y) for y in points]
-        transformed = np.array(
-            [[eval_character(lam, src_sharp, src_twisted, gy, theta_tol)
-              for lam in lams] for gy in gpts])
-        target = fam_matrix(dst, points, "base")
+        transformed = sample(src, gpts)
+        target = family(dst)
         res_max = 0.0
         for col in range(dim):
             v = transformed[:, col]
@@ -615,14 +582,23 @@ def verify_sl2_closure(l, k, tol=1e-6, theta_tol=1e-10, n_points=None,
     out = {"degenerate": False, "rank": l, "k": k, "arrows": results,
            "pass": all_pass}
     if include_gram:
-        stack = np.hstack([fam_matrix(f, points, "base")
-                           for f in ("I", "II", "psiII")])
+        stack = np.hstack([family(f) for f in ("I", "II", "psiII")])
         svals = np.linalg.svd(stack, compute_uv=False)
         grank = int((svals > svals[0] * 1e-8).sum())
         out["gram_rank"] = grank
         out["expected_gram_rank"] = 3 * dim
         out["pass"] = out["pass"] and grank == 3 * dim
     return out
+
+
+def verify_sl2(l, k, tol=1e-6, theta_tol=1e-10):
+    """(pass, closure, psi^(I) closure): the six arrows between the three
+    character families with their Gram rank, and the fourth family's closure
+    under S and T on its own."""
+    out = verify_sl2_closure(l, k, tol, theta_tol)
+    out_psi = verify_sl2_closure(l, k, tol, theta_tol, arrows=PSI_I_ARROWS,
+                                 include_gram=False)
+    return out["pass"] and out_psi["pass"], out, out_psi
 
 
 # ---------------------------------------------------------------------------
@@ -693,3 +669,14 @@ def sin_product(n: int):
     for k in range(1, n):
         prod *= math.sin(k * math.pi / n)
     return prod, n / 2 ** (n - 1)
+
+
+def sin_product_failures(nmax, tol) -> list:
+    """The n in 2..nmax where sin_product misses its closed form by a
+    relative error above tol."""
+    bad = []
+    for n in range(2, nmax + 1):
+        prod, closed = sin_product(n)
+        if abs(prod / closed - 1) > tol:
+            bad.append(n)
+    return bad

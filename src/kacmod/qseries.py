@@ -57,10 +57,6 @@ class QSeries:
             return False
         return True
 
-    def copy(self):
-        return QSeries(self.rank, self.apex, dict(self.terms),
-                       self.height_cap, self.q_cap)
-
     def __eq__(self, other):
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -107,9 +103,6 @@ class QSeries:
                       self.apex.lambda0)
         return QSeries(self.rank, apex, dict(self.terms),
                        self.height_cap, self.q_cap)
-
-    def max_height(self):
-        return max((sum(v) for v in self.terms), default=0)
 
     # -- constructors ----------------------------------------------------------
 

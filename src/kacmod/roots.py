@@ -37,14 +37,6 @@ def simple_roots_II(l):
     return [si[l - i] for i in range(l + 1)]
 
 
-def simple_roots(l, sharp):
-    if sharp == "I":
-        return simple_roots_I(l)
-    if sharp == "II":
-        return simple_roots_II(l)
-    raise ValueError(f"sharp must be 'I' or 'II', got {sharp!r}")
-
-
 def cartan_matrix(l):
     """GCM rows a_{j,i} = (alpha_j^vee, alpha_i)."""
     si = simple_roots_I(l)

@@ -3,7 +3,6 @@ each runnable standalone and bundled for the CLI and the test suite."""
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from fractions import Fraction
@@ -11,11 +10,10 @@ from fractions import Fraction
 from .characters import (CharacterRequest, character,
                          check_denominator_identity, conformal_anomaly)
 from .lattice import Weight, inner
-from .modular import (PSI_I_ARROWS, YPoint, eval_character, eval_qseries,
-                      point_to_weight, poisson_args, sample_points,
-                      sin_product, poisson_check, transition, verify_S,
-                      verify_T, verify_props, verify_sl2_closure,
-                      weight_to_point)
+from .modular import (YPoint, eval_character, eval_qseries, point_to_weight,
+                      poisson_args, poisson_check, sample_points,
+                      sin_product_failures, transition, verify_S, verify_T,
+                      verify_props, verify_sl2, weight_to_point)
 from .roots import RootSystemCtx, enumerate_dominant, phi_involution
 from .superalg import (check_bracket_relations, check_super_character,
                        check_super_denominator, osp_irreducible_dim,
@@ -89,29 +87,45 @@ def criterion_5(quick=False):
     return {"pass": all(d["pass"] for d in details), "details": details}
 
 
-def _lemma_points(l):
-    return sample_points(l, 3)
+_LEMMAS = ("4.2", "4.3", "4.4", "4.5")
+_PROPS = ("4.6", "4.7", "4.8", "4.9")
+
+
+def _ranks(quick):
+    return (1,) if quick else (1, 2)
+
+
+def _laws(quick, names, n_points, check):
+    """(rel_err, passed) of every report of check(name, lam, y), for each
+    name, level-2 dominant weight lam and sample point y, with n_points
+    points per rank."""
+    out = []
+    for l in _ranks(quick):
+        pts = sample_points(l, n_points)
+        for name in names:
+            for lam in enumerate_dominant(l, 2):
+                for y in pts:
+                    out += [(r.rel_err, r.passed) for r in check(name, lam, y)]
+    return out
+
+
+def _summary(laws, others=()):
+    """A criterion over (rel_err, passed) pairs; the pass flags in `others`
+    are counted as checks but have no rel err in the worst case."""
+    return {"pass": all(ok for _, ok in laws) and all(others),
+            "worst_rel_err": max((rel for rel, _ in laws), default=0.0),
+            "checks": len(laws) + len(others)}
 
 
 def criterion_6(quick=False):
     """S-transformation laws of the four transformation lemmas at three
     generic points, rel err <= 1e-6; corollary constants at 1e-8; formal
     series cross-check at depth 12."""
-    worst = 0.0
-    details = []
-    ranks = (1,) if quick else (1, 2)
-    for l in ranks:
-        pts = _lemma_points(l)
-        for lemma in ("4.2", "4.3", "4.4", "4.5"):
-            for lam in enumerate_dominant(l, 2):
-                for y in pts:
-                    rep = verify_S(lemma, lam, 2, y, TOL, THETA_TOL)
-                    worst = max(worst, rep.rel_err)
-                    details.append({"lemma": lemma, "rank": l,
-                                    "rel_err": rep.rel_err, "pass": rep.passed})
-            rep0 = verify_S(lemma, Weight.zero(l), 0, pts[0], 1e-8, 1e-12)
-            details.append({"lemma": lemma + " corollary", "rank": l,
-                            "rel_err": rep0.rel_err, "pass": rep0.passed})
+    laws = _laws(quick, _LEMMAS, 3, lambda lemma, lam, y: [
+        verify_S(lemma, lam, 2, y, TOL, THETA_TOL)])
+    corollaries = [verify_S(lemma, Weight.zero(l), 0, sample_points(l, 1)[0],
+                            1e-8, 1e-12).passed
+                   for l in _ranks(quick) for lemma in _LEMMAS]
     # formal q-expansion cross-check of chi at depth 12, Im tau = 1.1
     l = 1
     ctx = RootSystemCtx.build(l)
@@ -121,61 +135,31 @@ def criterion_6(quick=False):
         v_formal = eval_qseries(ch, "I", y)
         v_direct = eval_character(lam, "I", False, y, 1e-12)
         rel = abs(v_formal - v_direct) / abs(v_direct)
-        details.append({"lemma": "series cross-check", "rank": l,
-                        "rel_err": rel, "pass": rel <= 1e-6})
-        worst = max(worst, rel)
-    return {"pass": all(d["pass"] for d in details), "worst_rel_err": worst,
-            "checks": len(details)}
+        laws.append((rel, rel <= 1e-6))
+    return _summary(laws, corollaries)
 
 
 def criterion_7(quick=False):
     """T-transformation laws with exact phases (type II swaps the twist),
     agreement to 1e-10."""
-    worst = 0.0
-    details = []
-    ranks = (1,) if quick else (1, 2)
-    for l in ranks:
-        pts = _lemma_points(l)
-        for lemma in ("4.2", "4.3", "4.4", "4.5"):
-            for lam in enumerate_dominant(l, 2):
-                for y in pts:
-                    rep = verify_T(lemma, lam, 2, y, PHASE_TOL, 1e-12)
-                    worst = max(worst, rep.rel_err)
-                    details.append({"lemma": lemma, "rank": l,
-                                    "rel_err": rep.rel_err, "pass": rep.passed})
-    return {"pass": all(d["pass"] for d in details), "worst_rel_err": worst,
-            "checks": len(details)}
+    return _summary(_laws(quick, _LEMMAS, 3, lambda lemma, lam, y: [
+        verify_T(lemma, lam, 2, y, PHASE_TOL, 1e-12)]))
 
 
 def criterion_8(quick=False):
     """Propositions for normalized characters (S and T laws, conformal
     anomaly phases); the type-II S-law is the Kac-Peterson case."""
-    worst = 0.0
-    details = []
-    ranks = (1,) if quick else (1, 2)
-    for l in ranks:
-        y = _lemma_points(l)[0]
-        for prop in ("4.6", "4.7", "4.8", "4.9"):
-            for lam in enumerate_dominant(l, 2):
-                for law in ("S", "T"):
-                    rep = verify_props(prop, lam, 2, y, TOL,
-                                       THETA_TOL, law)
-                    worst = max(worst, rep.rel_err)
-                    details.append({"prop": prop, "law": law, "rank": l,
-                                    "rel_err": rep.rel_err,
-                                    "pass": rep.passed})
-    return {"pass": all(d["pass"] for d in details), "worst_rel_err": worst,
-            "checks": len(details)}
+    return _summary(_laws(quick, _PROPS, 1, lambda prop, lam, y: [
+        verify_props(prop, lam, 2, y, TOL, THETA_TOL, law)
+        for law in ("S", "T")]))
 
 
 def criterion_9(quick=False):
     """Mapping table of the S/T arrows between the three character families
     (least squares), Gram rank 3|P_{2,+}|, and the closure of the fourth
     family under S and T."""
-    rep = verify_sl2_closure(1, 2, TOL, THETA_TOL)
-    rep_psi = verify_sl2_closure(1, 2, TOL, THETA_TOL,
-                                 arrows=PSI_I_ARROWS, include_gram=False)
-    return {"pass": rep["pass"] and rep_psi["pass"],
+    ok, rep, rep_psi = verify_sl2(1, 2, TOL, THETA_TOL)
+    return {"pass": ok,
             "arrows": rep["arrows"] + rep_psi["arrows"],
             "gram_rank": rep["gram_rank"],
             "expected_gram_rank": rep["expected_gram_rank"]}
@@ -192,12 +176,8 @@ def criterion_10(quick=False):
             rep = poisson_check(l, *poisson_args(rng, l), POISSON_TOL)
             details.append({"rank": l, "rel_err": rep.rel_err,
                             "pass": rep.passed})
-    sine_ok = True
-    for n in range(2, 51):
-        prod, closed = sin_product(n)
-        if abs(prod / closed - 1) > 1e-10:
-            sine_ok = False
-    details.append({"check": "sine product 2..50", "pass": sine_ok})
+    details.append({"check": "sine product 2..50",
+                    "pass": not sin_product_failures(50, 1e-10)})
     return {"pass": all(d["pass"] for d in details), "checks": len(details)}
 
 

@@ -134,10 +134,6 @@ def translate(gamma, w: Weight) -> Weight:
     return Weight(eps, w.delta - pair - Fraction(nsq, 2) * lev, w.lambda0)
 
 
-def act(w, v: Weight) -> Weight:
-    return w.act(v)
-
-
 def epsilon(w) -> int:
     """Sign character (-1)^length; det of the signed permutation part."""
     u = w.finite if isinstance(w, AffineWeylElement) else w
@@ -156,21 +152,21 @@ def psi(w) -> int:
     return -1 if s % 2 else 1
 
 
-def enumerate_finite(l, sharp="I", rank_cap=RANK_CAP):
+def enumerate_finite(l, sharp="I"):
     """All 2^l l! elements of W_f^(sharp) (as signed permutations of the
     sharp coordinates); deterministic order."""
     if sharp not in ("I", "II"):
         raise ValueError(f"sharp must be 'I' or 'II', got {sharp!r}")
-    if l > rank_cap:
-        raise ValueError(f"rank {l} exceeds enumeration cap {rank_cap}")
+    if l > RANK_CAP:
+        raise ValueError(f"rank {l} exceeds enumeration cap {RANK_CAP}")
     for perm in itertools.permutations(range(l)):
         for signs in itertools.product((1, -1), repeat=l):
             yield FiniteWeylElement(perm, signs)
 
 
-def enumerate_ker_psi_finite(l, rank_cap=RANK_CAP):
+def enumerate_ker_psi_finite(l):
     """W_{f;m}^(I) = W_f^(I) cap Ker psi: even number of negative signs."""
-    for u in enumerate_finite(l, "I", rank_cap):
+    for u in enumerate_finite(l, "I"):
         if u.neg_count() % 2 == 0:
             yield u
 

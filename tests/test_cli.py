@@ -93,6 +93,9 @@ def test_suite_quick_and_report(capsys, tmp_path):
     assert "suite: PASS" in out
     d = json.loads(report.read_text())
     assert d["pass"] is True and len(d["results"]) == 12
+    # the report file is byte-reproducible; any change to it is deliberate
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == (
+        "78d166acd67955adfdd43ea830b74efcc112049fc177be0181e05fa559712915")
 
 
 def test_deterministic_output(capsys):
@@ -145,6 +148,22 @@ def test_usage_errors():
                  id="tau-malformed"),
     pytest.param(("verify", "t-lemma", "--rank", "1", "--tau", "0.3+1i",
                   "--z", "x"), "--z", id="z-malformed"),
+    pytest.param(("verify", "sinprod", "--which", "4.9", "--law", "T",
+                  "--level", "6", "--index", "3", "--rank", "9"), "--which",
+                 id="sinprod-which"),
+    pytest.param(("verify", "sinprod", "--rank", "9"), "--rank",
+                 id="sinprod-rank"),
+    pytest.param(("verify", "sl2", "--which", "4.6"), "--which",
+                 id="sl2-which"),
+    pytest.param(("verify", "sl2", "--index", "1"), "--index", id="sl2-index"),
+    pytest.param(("verify", "poisson", "--level", "4"), "--level",
+                 id="poisson-level"),
+    pytest.param(("verify", "poisson", "--law", "T"), "--law",
+                 id="poisson-law"),
+    pytest.param(("verify", "s-lemma", "--law", "T"), "--law",
+                 id="s-lemma-law"),
+    pytest.param(("verify", "t-lemma", "--nmax", "10"), "--nmax",
+                 id="t-lemma-nmax"),
 ])
 def test_rejected_input_exits_2_with_message(capsys, argv, flag):
     code = main(list(argv))

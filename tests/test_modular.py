@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from kacmod import modular
 from kacmod.characters import (CharacterRequest, anti_invariant, character,
                                theta_formal)
 from kacmod.lattice import Weight, norm_sq
@@ -248,6 +249,19 @@ def test_props_sample():
         assert verify_props(prop, lam, k, y, 1e-6, 1e-10, "T").passed
 
 
+def test_law_verifiers_reject_foreign_names():
+    l, k = 1, 2
+    lam, y = enumerate_dominant(l, k)[0], default_sample(l)
+    with pytest.raises(ValueError, match="unknown lemma '4.6'"):
+        verify_S("4.6", lam, k, y)
+    with pytest.raises(ValueError, match="unknown lemma '4.8'"):
+        verify_T("4.8", lam, k, y)
+    with pytest.raises(ValueError, match="unknown proposition '4.2'"):
+        verify_props("4.2", lam, k, y)
+    with pytest.raises(ValueError, match="law must be"):
+        verify_props("4.6", lam, k, y, law="U")
+
+
 def test_poisson():
     rep = poisson_check(1, (0.0,), 1j, 1e-10)
     assert rep.passed and abs(rep.lhs - rep.rhs) < 1e-10
@@ -268,3 +282,17 @@ def test_sl2_closure_full_gram_rank(l, k):
     rep = verify_sl2_closure(l, k)
     assert rep["gram_rank"] == rep["expected_gram_rank"]
     assert rep["pass"]
+
+
+def test_sl2_closure_reuses_the_probe(monkeypatch):
+    # the conditioning probe is the family-II sample: 8 points x 2 weights
+    # for it and the two other families, and 6 arrows x 16 transformed
+    calls = []
+    real = modular.eval_character
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(modular, "eval_character", counting)
+    assert verify_sl2_closure(1, 2)["pass"]
+    assert len(calls) == 144

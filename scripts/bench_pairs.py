@@ -1,0 +1,144 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two source checkouts, written to one JSON file.
+
+    python3 scripts/bench_pairs.py --parent ../kacmod-parent --change . \
+        --run analytic-laws:1:10 --run suite:1:5 --trace analytic-laws:1 \
+        --seconds 30 --out BENCH_5.json
+
+Each `--run WORKLOAD:SEED:PAIRS` runs `bench/run.py --trace 0` PAIRS times in
+each checkout, one process at a time, alternating which side goes first.
+Each `--trace WORKLOAD:SEED` adds one `--trace 1` run per side.  The last
+stdout line of every run is kept verbatim under `runs`; `summary` gives the
+quartiles of each end-to-end metric per side, the change/parent ratio of the
+medians and the number of pairs the change wins; `same_outputs` says whether
+every `# digest` and `# failed` line of each pair agreed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+# end-to-end metrics and whether lower is better
+E2E = {"setup_s": True, "wall_s": True, "peak_rss_mb": True,
+       "pass_ratio": False, "accuracy_digits_p50": False,
+       "accuracy_digits_low": False}
+# per-layer metrics kept from the traced runs
+LAYERS = ("modular.eval_anti_invariant.self_s",
+          "modular.eval_anti_invariant.calls", "modular.eval_theta.calls",
+          "modular.smatrix_entry.self_s", "modular.smatrix_entry.calls",
+          "modular.poisson_check.self_s", "modular.eval_character.calls",
+          "weyl.enumerate_finite.calls", "trace.overhead_ratio")
+
+
+def run_bench(root: Path, workload, seed, seconds, trace):
+    """(last stdout line as JSON, the `# digest` / `# failed` lines)."""
+    out = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds),
+         "--trace", str(trace)],
+        cwd=root, capture_output=True, text=True, check=True).stdout
+    lines = out.strip().splitlines()
+    marks = [ln for ln in lines if ln.startswith(("# digest", "# failed"))]
+    return json.loads(lines[-1]), marks
+
+
+def quartiles(xs):
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return [q1, med, q3]
+
+
+def summarize(workload, seed, pairs):
+    metrics = {}
+    for name, lower in E2E.items():
+        par = [p["parent"]["metrics"][name]["value"] for p in pairs]
+        chg = [p["change"]["metrics"][name]["value"] for p in pairs]
+        wins = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
+        metrics[name] = {
+            "parent_q1_med_q3": quartiles(par),
+            "change_q1_med_q3": quartiles(chg),
+            "change_over_parent_median":
+                statistics.median(chg) / statistics.median(par),
+            "change_wins": wins}
+    return {"workload": workload, "seed": seed, "pairs": len(pairs),
+            "failed_parent": [p["parent"]["failed"] for p in pairs],
+            "failed_change": [p["change"]["failed"] for p in pairs],
+            "correct": all(p[s]["correct"] for p in pairs
+                           for s in ("parent", "change")),
+            "same_outputs": all(p["same_outputs"] for p in pairs),
+            "metrics": metrics}
+
+
+def git_head(root: Path):
+    try:
+        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
+                              capture_output=True, text=True,
+                              check=True).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--run", action="append", default=[],
+                    help="WORKLOAD:SEED:PAIRS, repeatable")
+    ap.add_argument("--trace", action="append", default=[],
+                    help="WORKLOAD:SEED, repeatable")
+    ap.add_argument("--seconds", type=float, default=30)
+    ap.add_argument("--out", type=Path, required=True)
+    args = ap.parse_args(argv)
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    import numpy
+    doc = {"what": f"bench/run.py --seconds {args.seconds:g}, parent vs "
+                   "change, pairs alternating which side runs first; every "
+                   "run's last stdout line is kept verbatim under "
+                   "runs[].parent / runs[].change",
+           "parent_commit": git_head(sides["parent"]),
+           "machine": {"python": platform.python_version(),
+                       "numpy": numpy.__version__, "cpus": os.cpu_count()},
+           "summary": [], "traced": [], "runs": []}
+    for spec in args.run:
+        workload, seed, n = spec.split(":")
+        pairs = []
+        for i in range(int(n)):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"workload": workload, "seed": int(seed), "trace": 0,
+                    "first": order[0]}
+            marks = {}
+            for side in order:
+                pair[side], marks[side] = run_bench(
+                    sides[side], workload, seed, args.seconds, 0)
+            pair["same_outputs"] = marks["parent"] == marks["change"]
+            pairs.append(pair)
+            print(f"{workload} seed {seed} pair {i + 1}/{n}: wall_s "
+                  f"{pair['parent']['metrics']['wall_s']['value']:.3f} -> "
+                  f"{pair['change']['metrics']['wall_s']['value']:.3f}",
+                  file=sys.stderr)
+        doc["runs"] += pairs
+        doc["summary"].append(summarize(workload, int(seed), pairs))
+    for spec in args.trace:
+        workload, seed = spec.split(":")
+        entry = {"workload": workload, "seed": int(seed)}
+        marks = {}
+        for side in ("parent", "change"):
+            res, marks[side] = run_bench(sides[side], workload, seed,
+                                         args.seconds, 1)
+            doc["runs"].append({"workload": workload, "seed": int(seed),
+                                "trace": 1, "side": side, side: res})
+            entry[side] = {k: res["metrics"][k]["value"] for k in LAYERS
+                           if k in res["metrics"]}
+        entry["same_outputs"] = marks["parent"] == marks["change"]
+        doc["traced"].append(entry)
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

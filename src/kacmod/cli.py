@@ -99,6 +99,8 @@ def _check_args(args):
                                  f"{args.what}")
     if getattr(args, "rank", None) is not None and args.rank < 1:
         raise ValueError(f"--rank must be >= 1, got {args.rank}")
+    if not 0 < getattr(args, "tol", 1) < float("inf"):
+        raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
     if getattr(args, "depth", 0) < 0:
         raise ValueError(f"--depth must be >= 0, got {args.depth}")
     if getattr(args, "tau", None) is None and (

@@ -19,6 +19,7 @@ sum z_i^2 (the literal projection pr carries one factor of 2*pi*i).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -184,27 +185,130 @@ def _shell_radius(l, decay, log_c, tol):
         if j > 10_000:
             raise ValueError("nonconvergent parameters: tail does not decay")
     tail = 0.0
-    radius = len(shells) + 1
     for idx in range(len(shells) - 1, -1, -1):
         tail += shells[idx]
         if tail >= tol:
-            radius = idx + 2
-            break
-    else:
-        radius = 1
-    return radius
+            return idx + 2
+    return 1
 
 
-def _box(center, radius):
-    ranges = []
-    for c in center:
-        lo = math.ceil(-radius - c)
-        hi = math.floor(radius - c)
-        ranges.append(range(lo, hi + 1))
-    out = [()]
-    for r in ranges:
-        out = [v + (g,) for v in out for g in r]
-    return out
+# lattice points per block of _lattice_sums (at least one per orbit row);
+# bounds its temporaries
+_CHUNK = 4096
+
+
+@functools.lru_cache(maxsize=None)
+def _orbit(l, sharp):
+    """W_f^(sharp) as arrays in enumerate_finite order: u.v = signs[u] *
+    v[gather[u]] on sharp coordinate vectors, with det and neg_count of u."""
+    els = list(enumerate_finite(l, sharp))
+    gather, signs = np.empty((2, len(els), l), np.int64)
+    for r, u in enumerate(els):
+        gather[r, list(u.perm)], signs[r, list(u.perm)] = range(l), u.signs
+    det = np.array([u.det() for u in els])
+    neg = np.array([u.neg_count() for u in els])
+    for arr in (gather, signs, det, neg):
+        arr.setflags(write=False)
+    return gather, signs, det, neg
+
+
+def _orbit_signs(l, sharp, psi):
+    """epsilon(u), times psi(u) if psi, for u in W_f^(sharp)."""
+    _, _, det, neg = _orbit(l, sharp)
+    return det * (-1) ** neg if psi else det
+
+
+def _cmul(ar, ai, br, bi):
+    """Python's complex product formula in real arithmetic, so numpy arrays
+    round as Python complex scalars do."""
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _signed_sum(sgn, values) -> complex:
+    """sum_u sgn[u] * values[u], added in order from 0 as a Python loop."""
+    terms = np.where(sgn < 0, -values, values)
+    return complex(np.cumsum(np.concatenate(([0j], terms)))[-1])
+
+
+def _lattice_sums(shift, shift_im, center, radius, quad, lin, z,
+                  lin_on_gamma=False, twisted=False):
+    """Row u: the sum over gamma in the box of radius `radius` about
+    center[u], in lexicographic order, of exp(quad sum_j x_j^2
+    + lin sum_j v_j z_j), x = gamma + shift[u] + i shift_im (None: real)
+    and v = gamma if lin_on_gamma else x; a term at odd sum(gamma) is
+    negated when twisted.  Each row is bit-identical to a scalar loop over
+    the box with Python complex arithmetic: the sums run left to right,
+    complex products use _cmul, and the terms of a row are added in box
+    order (cumsum, blocks carrying the running total)."""
+    n, l = center.shape
+    lo = np.ceil(-radius - center).astype(np.int64)
+    hi = np.floor(radius - center).astype(np.int64)
+    side = int((hi - lo).max()) + 1
+    step = max(1, _CHUNK // n)  # box points per block, for all n rows
+    totals = np.zeros(n, complex)
+    for c0 in range(0, side ** l, step):
+        offsets = np.unravel_index(
+            np.arange(c0, min(c0 + step, side ** l)), (side,) * l)
+        inside, parity = True, 0
+        sq_re = sq_im = lin_re = lin_im = 0.0
+        for j in range(l):
+            gamma = lo[:, j, None] + offsets[j]
+            inside = inside & (gamma <= hi[:, j, None])
+            parity = parity + gamma
+            x = gamma + shift[:, j, None]
+            if shift_im is None:
+                sq_re = sq_re + x * x
+            else:
+                re, im = _cmul(x, 0.0 + shift_im[j], x, 0.0 + shift_im[j])
+                sq_re, sq_im = sq_re + re, sq_im + im
+            re, im = _cmul(gamma if lin_on_gamma else x, 0.0,
+                           z[j].real, z[j].imag)
+            lin_re, lin_im = lin_re + re, lin_im + im
+        e1 = _cmul(quad.real, quad.imag, sq_re, sq_im)
+        e2 = _cmul(lin.real, lin.imag, lin_re, lin_im)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.exp(e1[0] + e2[0] + 1j * (e1[1] + e2[1]))
+        if twisted:
+            np.negative(terms, out=terms, where=parity % 2 == 1)
+        terms[~inside] = 0.0
+        totals = np.cumsum(np.concatenate((totals[:, None], terms), axis=1),
+                           axis=1)[:, -1]
+    if not np.isfinite(totals).all():
+        raise ValueError("the lattice sum exceeds the floating-point range "
+                         "at this point")
+    return totals
+
+
+def _coords(w: Weight, sharp):
+    """The sharp eps-coordinates of w: the vector W_f^(sharp) permutes."""
+    return w.eps if sharp == "I" else w.to_type_II_coords()[0]
+
+
+def _theta_rows(lam: Weight, sharp, twisted, y: YPoint, tol, orbit=False):
+    """eval_theta of lam, or of every u.lam for u in W_f^(sharp) (in orbit
+    order) when orbit is set, as an array."""
+    k = level(lam)
+    if Fraction(k).denominator != 1 or k <= 0:
+        raise ValueError(f"positive integer level required, got {k}")
+    k = int(k)
+    a = np.array([[float(c) / k for c in _coords(lam, sharp)]])
+    if orbit:
+        gather, signs, _, _ = _orbit(lam.rank, sharp)
+        a = signs * a[0, gather]
+    tau, z = y.tau, y.z
+    im_tau = tau.imag
+    if im_tau <= 0:
+        raise ValueError("Im(tau) must be positive")
+    w = [zi.imag / im_tau for zi in z]
+    decay = math.pi * k * im_tau
+    log_c = decay * sum(x * x for x in w)
+    radius = _shell_radius(lam.rank, decay, log_c, tol)
+    rows = _lattice_sums(a, None, a + np.array(w), radius,
+                         1j * math.pi * k * tau, TWO_PI_I * k, z,
+                         twisted=twisted)
+    pre = cmath.exp(TWO_PI_I * k * y.t)
+    re, im = _cmul(pre.real, pre.imag, rows.real, rows.imag)
+    return re + 1j * im
 
 
 def eval_theta(lam: Weight, sharp="I", twisted=False, y: YPoint = None,
@@ -213,57 +317,20 @@ def eval_theta(lam: Weight, sharp="I", twisted=False, y: YPoint = None,
     e^{2 pi i k t} sum_gamma [psi(t_gamma)] e^{pi i k tau |gamma+a|^2
     + 2 pi i k <gamma+a, z>} with a = pr^(sharp)(lam)/k; the Gaussian tail is
     bounded below tol."""
-    l = lam.rank
-    k = level(lam)
-    if Fraction(k).denominator != 1 or k <= 0:
-        raise ValueError(f"positive integer level required, got {k}")
-    k = int(k)
-    if sharp == "I":
-        a = [float(c) / k for c in lam.eps]
-    else:
-        eps2, _, _ = lam.to_type_II_coords()
-        a = [float(c) / k for c in eps2]
-    tau, z, t = y.tau, y.z, y.t
-    im_tau = tau.imag
-    if im_tau <= 0:
-        raise ValueError("Im(tau) must be positive")
-    w = [zi.imag / im_tau for zi in z]
-    decay = math.pi * k * im_tau
-    log_c = decay * sum(x * x for x in w)
-    radius = _shell_radius(l, decay, log_c, tol)
-    center = [ai + wi for ai, wi in zip(a, w)]
-    total = 0.0 + 0.0j
-    for gamma in _box(center, radius):
-        x = [g + ai for g, ai in zip(gamma, a)]
-        expo = (1j * math.pi * k * tau * sum(v * v for v in x)
-                + TWO_PI_I * k * sum(v * zi for v, zi in zip(x, z)))
-        term = cmath.exp(expo)
-        if twisted and sum(gamma) % 2:
-            term = -term
-        total += term
-    return cmath.exp(TWO_PI_I * k * t) * total
+    return complex(_theta_rows(lam, sharp, twisted, y, tol)[0])
 
 
 def eval_anti_invariant(lam: Weight, sharp="I", twisted=False,
                         y: YPoint = None, tol=1e-10) -> complex:
     """A_{lam+rho} (A^psi when twisted) as a function on Y through the sharp
-    chart: the epsilon(-psi)-weighted sum of theta orbits over W_f^(sharp)."""
+    chart: the epsilon(-psi)-weighted sum of theta orbits over W_f^(sharp)
+    (W_f^(II) lies in Ker psi), each to tol / |W_f|."""
     l = lam.rank
-    base = (lam + rho(l)).canonical()
     nw = 2 ** l * math.factorial(l)
-    tol_u = tol / nw
-    total = 0.0 + 0.0j
-    for u in enumerate_finite(l, sharp):
-        if sharp == "I":
-            mu = u.act(base, "I")
-            sgn = u.det()
-            if twisted and u.neg_count() % 2:
-                sgn = -sgn
-        else:
-            mu = u.act(base, "II")
-            sgn = u.det()  # W_f^(II) lies in Ker psi
-        total += sgn * eval_theta(mu, sharp, twisted, y, tol_u)
-    return total
+    thetas = _theta_rows((lam + rho(l)).canonical(), sharp, twisted, y,
+                         tol / nw, orbit=True)
+    return _signed_sum(_orbit_signs(l, sharp, twisted and sharp == "I"),
+                       thetas)
 
 
 # |A_rho(y)| below this makes eval_character refuse the point
@@ -298,7 +365,10 @@ def eval_qseries(series, sharp, y: YPoint) -> complex:
 # The four transformation matrices
 # ---------------------------------------------------------------------------
 
-_KINDS = ("aI", "aI_II", "aII_I", "aII")
+# kind: (numeration of the rho_f shifting lam, numeration of the W_f-sum);
+# only a^(I) is psi-weighted
+_KINDS = {"aI": ("I", "I"), "aI_II": ("I", "II"), "aII_I": ("II", "I"),
+          "aII": ("II", "II")}
 
 
 @dataclass
@@ -309,44 +379,36 @@ class SMatrix:
     entries: list  # row-major complex
 
 
-def _phase(arg: Fraction) -> complex:
-    """exp(-2 pi i arg) from an exact rational argument reduced mod 1."""
-    r = Fraction(arg) % 1
-    return cmath.exp(-TWO_PI_I * float(r))
-
-
 def smatrix_entry(kind, k, lam: Weight, mu: Weight) -> complex:
     """Entry a^(kind)(lam, mu); lam may be any exact weight (the lemmas feed
     phi-images of dominant weights into the mixed kinds)."""
+    if kind not in _KINDS:
+        raise ValueError(f"kind must be one of {tuple(_KINDS)}, got {kind!r}")
     l = lam.rank
     m = k + 2 * l + 1
-    rfI = rho_f(l, "I")
-    rfII = rho_f(l, "II")
-    if kind == "aI":
-        x = lam.project_finite("I") + rfI
-        yv = mu.project_finite("I") + rfI
-        grp, use_psi = "I", True
-    elif kind == "aI_II":
-        x = lam.project_finite("II") + phi_involution(rfI)
-        yv = mu.project_finite("II") + rfII
-        grp, use_psi = "II", False
-    elif kind == "aII_I":
-        x = lam.project_finite("I") + phi_involution(rfII)
-        yv = mu.project_finite("I") + rfI
-        grp, use_psi = "I", False
-    elif kind == "aII":
-        x = lam.project_finite("II") + rfII
-        yv = mu.project_finite("II") + rfII
-        grp, use_psi = "II", False
-    else:
-        raise ValueError(f"kind must be one of {_KINDS}, got {kind!r}")
-    total = 0.0 + 0.0j
-    for u in enumerate_finite(l, grp):
-        sgn = u.det()
-        if use_psi and u.neg_count() % 2:
-            sgn = -sgn
-        total += sgn * _phase(Fraction(inner(u.act(x, grp), yv), m))
-    return total
+    src, grp = _KINDS[kind]
+    rf = rho_f(l, src)
+    x = lam.project_finite(grp) + (rf if src == grp else phi_involution(rf))
+    yv = mu.project_finite(grp) + rho_f(l, grp)
+    # inner(u.x, yv) = sum_j (u.c)_j g_j + const with c the grp coordinates
+    # of x, in integers over den^2
+    basis = Weight.eps_basis if grp == "I" else Weight.eps_basis_II
+    c = [Fraction(v) for v in _coords(x, grp)]
+    g = [Fraction(inner(basis(l, j), yv)) for j in range(1, l + 1)]
+    const = inner(x, yv) - sum(cj * gj for cj, gj in zip(c, g))
+    den = math.lcm(*(Fraction(v).denominator for v in (*c, *g, const)))
+    ci, gi = [int(v * den) for v in c], [int(v * den) for v in g]
+    shift, modulus = int(const * den * den), den * den * m
+    # int64 while no numerator passes 2^62 and r / modulus is exact in
+    # float64; Python ints otherwise
+    small = modulus < 2 ** 53 and abs(shift) + max(1, sum(map(abs, ci))) * \
+        max(1, *map(abs, gi)) < 2 ** 62
+    gather, signs, _, _ = _orbit(l, grp)
+    ci, gi = (np.array(v, np.int64 if small else object) for v in (ci, gi))
+    num = (signs * ci[gather]) @ gi + shift
+    frac = (num % modulus / modulus).astype(float)
+    phases = np.exp(-TWO_PI_I * frac)
+    return _signed_sum(_orbit_signs(l, grp, kind == "aI"), phases)
 
 
 def smatrix(kind, k, l) -> SMatrix:
@@ -368,10 +430,9 @@ def smatrix_entry_via_ker_psi(k, lam: Weight, mu: Weight) -> complex:
     s_l = finite_reflection(l, Weight.eps_basis(l, l), "I")
     total = 0.0 + 0.0j
     for u in enumerate_ker_psi_finite(l):
-        sgn = u.det()
-        total += sgn * _phase(Fraction(inner(u.act(x, "I"), yv), m))
-        us = u.compose(s_l)
-        total += sgn * _phase(Fraction(inner(us.act(x, "I"), yv), m))
+        for v in (u, u.compose(s_l)):
+            r = Fraction(inner(v.act(x, "I"), yv), m) % 1
+            total += u.det() * cmath.exp(-TWO_PI_I * float(r))
     return total
 
 
@@ -548,10 +609,12 @@ def verify_sl2_closure(l, k, tol=1e-6, theta_tol=1e-10, arrows=SL2_ARROWS,
     # full column rank 3*dim
     n_points = max(3 * dim + 2, 8)
     points = sample_points(l, n_points)
-    # family samples at the final points; the target family doubles as the
-    # conditioning probe, and is drawn once more on ill-conditioned points
-    cache = {"II": sample("II", points)}
-    if np.linalg.cond(cache["II"]) > 1e10:
+    # family samples at the final points; the first arrow's target family
+    # doubles as the conditioning probe, and is drawn once more on
+    # ill-conditioned points
+    probe = arrows[0][2]
+    cache = {probe: sample(probe, points)}
+    if np.linalg.cond(cache[probe]) > 1e10:
         points = sample_points(l, n_points + 4)[4:]
         cache = {}
 
@@ -617,23 +680,19 @@ def _gaussian_sum(l, q, shift, lin, tol):
     u = [(q.real * c.imag + li.imag) / im_q
          for c, li in zip(shift, lin)]
     center = [rs + ui for rs, ui in zip(re_s, u)]
-    # conservative constant: evaluate the real exponent at the center
-    def real_exponent(m):
-        x = [mi + ci for mi, ci in zip(m, shift)]
-        e = 1j * math.pi * q * sum(v * v for v in x) \
-            + TWO_PI_I * sum(li * mi for li, mi in zip(lin, m))
-        return e.real
+    # conservative constant: the real exponent at the lattice point nearest
+    # the center
     m0 = tuple(round(-c) for c in center)
-    log_c = real_exponent(m0) + math.pi * im_q * sum(
+    x0 = [mi + ci for mi, ci in zip(m0, shift)]
+    e0 = 1j * math.pi * q * sum(v * v for v in x0) \
+        + TWO_PI_I * sum(li * mi for li, mi in zip(lin, m0))
+    log_c = e0.real + math.pi * im_q * sum(
         (a + b) ** 2 for a, b in zip(m0, center))
     radius = _shell_radius(l, math.pi * im_q, log_c, tol)
-    total = 0.0 + 0.0j
-    for m in _box(center, radius + 1):
-        x = [mi + ci for mi, ci in zip(m, shift)]
-        e = 1j * math.pi * q * sum(v * v for v in x) \
-            + TWO_PI_I * sum(li * mi for li, mi in zip(lin, m))
-        total += cmath.exp(e)
-    return total
+    rows = _lattice_sums(np.array([re_s]), [c.imag for c in shift],
+                         np.array([center]), radius + 1, 1j * math.pi * q,
+                         TWO_PI_I, lin, lin_on_gamma=True)
+    return complex(rows[0])
 
 
 def poisson_args(rng, l):

@@ -164,6 +164,13 @@ def test_usage_errors():
                  id="s-lemma-law"),
     pytest.param(("verify", "t-lemma", "--nmax", "10"), "--nmax",
                  id="t-lemma-nmax"),
+    pytest.param(("verify", "sinprod", "--tol", "-1"), "--tol",
+                 id="tol-negative"),
+    pytest.param(("verify", "sinprod", "--tol", "nan"), "--tol",
+                 id="tol-nan"),
+    pytest.param(("verify", "s-lemma", "--tol", "inf"), "--tol",
+                 id="tol-inf"),
+    pytest.param(("verify", "poisson", "--tol", "0"), "--tol", id="tol-zero"),
 ])
 def test_rejected_input_exits_2_with_message(capsys, argv, flag):
     code = main(list(argv))

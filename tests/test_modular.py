@@ -1,5 +1,6 @@
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from kacmod import modular
 from kacmod.characters import (CharacterRequest, anti_invariant, character,
                                theta_formal)
-from kacmod.lattice import Weight, norm_sq
+from kacmod.lattice import Weight, inner, norm_sq
 from kacmod.modular import (DegeneratePointError, S_MAT, T_MAT, YPoint,
                             default_sample, eval_anti_invariant,
                             eval_character, eval_qseries, eval_theta,
@@ -17,9 +18,137 @@ from kacmod.modular import (DegeneratePointError, S_MAT, T_MAT, YPoint,
                             verify_T, verify_props, verify_sl2_closure,
                             weight_to_point)
 from kacmod.roots import (enumerate_dominant, from_dynkin_labels,
-                          phi_involution, rho)
+                          phi_involution, rho, rho_f)
+from kacmod.weyl import enumerate_finite
 
 TOL = 1e-12
+TWO_PI_I = 2j * math.pi
+
+
+# -- reference loops: one lattice point / one Weyl element at a time ----------
+
+def _reference_box(center, radius):
+    ranges = []
+    for c in center:
+        lo = math.ceil(-radius - c)
+        hi = math.floor(radius - c)
+        ranges.append(range(lo, hi + 1))
+    out = [()]
+    for r in ranges:
+        out = [v + (g,) for v in out for g in r]
+    return out
+
+
+def _theta_box(lam, sharp, y, tol):
+    """(k, a, center, radius) of the level-k theta orbit of lam at y: the
+    shift a and the box eval_theta sums over."""
+    k = int(lam.lambda0 * 2)
+    coords = lam.eps if sharp == "I" else lam.to_type_II_coords()[0]
+    a = [float(c) / k for c in coords]
+    w = [zi.imag / y.tau.imag for zi in y.z]
+    decay = math.pi * k * y.tau.imag
+    log_c = decay * sum(x * x for x in w)
+    radius = modular._shell_radius(lam.rank, decay, log_c, tol)
+    return k, a, [ai + wi for ai, wi in zip(a, w)], radius
+
+
+def _reference_eval_theta(lam, sharp, twisted, y, tol):
+    k, a, center, radius = _theta_box(lam, sharp, y, tol)
+    tau, z, t = y.tau, y.z, y.t
+    total = 0.0 + 0.0j
+    for gamma in _reference_box(center, radius):
+        x = [g + ai for g, ai in zip(gamma, a)]
+        expo = (1j * math.pi * k * tau * sum(v * v for v in x)
+                + TWO_PI_I * k * sum(v * zi for v, zi in zip(x, z)))
+        term = cmath.exp(expo)
+        if twisted and sum(gamma) % 2:
+            term = -term
+        total += term
+    return cmath.exp(TWO_PI_I * k * t) * total
+
+
+def _reference_eval_anti_invariant(lam, sharp, twisted, y, tol):
+    l = lam.rank
+    base = (lam + rho(l)).canonical()
+    tol_u = tol / (2 ** l * math.factorial(l))
+    total = 0.0 + 0.0j
+    for u in enumerate_finite(l, sharp):
+        sgn = u.det()
+        if sharp == "I" and twisted and u.neg_count() % 2:
+            sgn = -sgn
+        total += sgn * _reference_eval_theta(u.act(base, sharp), sharp,
+                                             twisted, y, tol_u)
+    return total
+
+
+def _reference_smatrix_entry(kind, k, lam, mu):
+    l = lam.rank
+    m = k + 2 * l + 1
+    rfI = rho_f(l, "I")
+    rfII = rho_f(l, "II")
+    if kind == "aI":
+        x = lam.project_finite("I") + rfI
+        yv = mu.project_finite("I") + rfI
+        grp, use_psi = "I", True
+    elif kind == "aI_II":
+        x = lam.project_finite("II") + phi_involution(rfI)
+        yv = mu.project_finite("II") + rfII
+        grp, use_psi = "II", False
+    elif kind == "aII_I":
+        x = lam.project_finite("I") + phi_involution(rfII)
+        yv = mu.project_finite("I") + rfI
+        grp, use_psi = "I", False
+    else:
+        x = lam.project_finite("II") + rfII
+        yv = mu.project_finite("II") + rfII
+        grp, use_psi = "II", False
+    total = 0.0 + 0.0j
+    for u in enumerate_finite(l, grp):
+        sgn = u.det()
+        if use_psi and u.neg_count() % 2:
+            sgn = -sgn
+        r = Fraction(inner(u.act(x, grp), yv), m) % 1
+        total += sgn * cmath.exp(-TWO_PI_I * float(r))
+    return total
+
+
+def _gaussian_box(l, q, shift, lin, tol):
+    """(center, radius) of the box _gaussian_sum sums over."""
+    im_q = q.imag
+    re_s = [c.real for c in shift]
+    u = [(q.real * c.imag + li.imag) / im_q for c, li in zip(shift, lin)]
+    center = [rs + ui for rs, ui in zip(re_s, u)]
+
+    def real_exponent(m):
+        x = [mi + ci for mi, ci in zip(m, shift)]
+        e = 1j * math.pi * q * sum(v * v for v in x) \
+            + TWO_PI_I * sum(li * mi for li, mi in zip(lin, m))
+        return e.real
+    m0 = tuple(round(-c) for c in center)
+    log_c = real_exponent(m0) + math.pi * im_q * sum(
+        (a + b) ** 2 for a, b in zip(m0, center))
+    return center, modular._shell_radius(l, math.pi * im_q, log_c, tol) + 1
+
+
+def _reference_gaussian_sum(l, q, shift, lin, tol):
+    total = 0.0 + 0.0j
+    for m in _reference_box(*_gaussian_box(l, q, shift, lin, tol)):
+        x = [mi + ci for mi, ci in zip(m, shift)]
+        e = 1j * math.pi * q * sum(v * v for v in x) \
+            + TWO_PI_I * sum(li * mi for li, mi in zip(lin, m))
+        total += cmath.exp(e)
+    return total
+
+
+def _grid_points(l, seed):
+    """One point per Im(tau) in 1/8 .. 8: Re tau, z and real t drawn."""
+    rng = random.Random(seed)
+    for im in (1 / 8, 1 / 2, 1.0, 3.0, 8.0):
+        yield YPoint(complex(rng.uniform(-0.5, 0.5), im),
+                     tuple(complex(rng.uniform(-0.5, 0.5),
+                                   rng.uniform(-0.25, 0.25))
+                           for _ in range(l)),
+                     rng.uniform(-0.2, 0.2))
 
 
 def capprox(a, b, tol=1e-9):
@@ -296,3 +425,204 @@ def test_sl2_closure_reuses_the_probe(monkeypatch):
     monkeypatch.setattr(modular, "eval_character", counting)
     assert verify_sl2_closure(1, 2)["pass"]
     assert len(calls) == 144
+
+
+def test_psi_I_closure_probes_its_own_family(monkeypatch):
+    # the psi^(I) arrows only target psiI, so its sample is the probe: 16
+    # calls for it and 2 arrows x 16 transformed
+    calls = []
+    real = modular.eval_character
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+    monkeypatch.setattr(modular, "eval_character", counting)
+    rep = verify_sl2_closure(1, 2, arrows=modular.PSI_I_ARROWS,
+                             include_gram=False)
+    assert rep["pass"]
+    assert len(calls) == 48
+    assert {(a[1], a[2]) for a in calls} == {("I", True)}
+
+
+# -- the batched orbit kernel against the reference loops --------------------
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_anti_invariant_matches_reference(l):
+    rng = random.Random(l)
+    n = 0
+    for k in (0, 2, 4):
+        lams = enumerate_dominant(l, k)
+        for sharp in ("I", "II"):
+            for twisted in (False, True):
+                for y in _grid_points(l, f"{l}{k}{sharp}{twisted}"):
+                    lam = rng.choice(lams)
+                    got = eval_anti_invariant(lam, sharp, twisted, y, 1e-10)
+                    want = _reference_eval_anti_invariant(lam, sharp, twisted,
+                                                          y, 1e-10)
+                    assert got == want, (k, sharp, twisted, y, lam)
+                    n += 1
+    assert n == 60
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_eval_theta_matches_reference(l):
+    # single orbits at odd and even levels, with complex t
+    rng = random.Random(10 + l)
+    for k in (0, 2):
+        for lam in enumerate_dominant(l, k):
+            base = (lam + rho(l)).canonical()
+            for sharp in ("I", "II"):
+                mu = rng.choice(list(enumerate_finite(l, sharp))).act(base,
+                                                                      sharp)
+                for y in _grid_points(l, rng.random()):
+                    y = YPoint(y.tau, y.z, complex(y.t, 0.1))
+                    for twisted in (False, True):
+                        assert eval_theta(mu, sharp, twisted, y, 1e-12) == \
+                            _reference_eval_theta(mu, sharp, twisted, y, 1e-12)
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_smatrix_entry_matches_reference(l):
+    for k in (2, 4) if l < 3 else (2,):
+        lams = enumerate_dominant(l, k)
+        for kind in ("aI", "aI_II", "aII_I", "aII"):
+            for lam in lams:
+                # the lemmas feed phi-images into the mixed kinds
+                for first in {lam, phi_involution(lam)}:
+                    for mu in lams:
+                        assert smatrix_entry(kind, k, first, mu) == \
+                            _reference_smatrix_entry(kind, k, first, mu)
+
+
+def test_gaussian_sums_match_reference():
+    rng = random.Random(5)
+    for l in (1, 2, 3):
+        for _ in range(20):
+            a, tau = modular.poisson_args(rng, l)
+            zero = (0.0,) * l
+            for q, shift, lin in ((-1 / tau, a, zero), (tau, zero, a)):
+                assert modular._gaussian_sum(l, q, shift, lin, 1e-10) == \
+                    _reference_gaussian_sum(l, q, shift, lin, 1e-10)
+
+
+def test_lattice_sums_across_block_boundaries(monkeypatch):
+    # one box point per block: every row's running sum crosses blocks
+    monkeypatch.setattr(modular, "_CHUNK", 1)
+    y = YPoint(0.3 + 0.5j, (0.2 - 0.1j, -0.3 + 0.2j), -0.1)
+    for sharp in ("I", "II"):
+        for twisted in (False, True):
+            lam = enumerate_dominant(2, 2)[1]
+            assert eval_anti_invariant(lam, sharp, twisted, y, 1e-8) == \
+                _reference_eval_anti_invariant(lam, sharp, twisted, y, 1e-8)
+    a, tau = (0.3 - 0.2j, 0.1 + 0.4j), 0.2 + 0.9j
+    assert modular._gaussian_sum(2, -1 / tau, a, (0.0, 0.0), 1e-10) == \
+        _reference_gaussian_sum(2, -1 / tau, a, (0.0, 0.0), 1e-10)
+
+
+@pytest.mark.parametrize("coord", (
+    pytest.param(Fraction(2 ** 70 + 1, 3), id="numerator-past-2^62"),
+    pytest.param(Fraction(1, 2 ** 30 + 1), id="modulus-past-2^53"),
+))
+def test_smatrix_entry_exact_past_int64(coord):
+    # numerators or moduli that int64 / float64 cannot hold exactly take the
+    # Python-int route and still equal the reference
+    l, k = 2, 2
+    lam = Weight((coord, Fraction(1, 2)))
+    for mu in enumerate_dominant(l, k):
+        for kind in ("aI", "aI_II", "aII_I", "aII"):
+            assert smatrix_entry(kind, k, lam, mu) == \
+                _reference_smatrix_entry(kind, k, lam, mu)
+
+
+# -- the tail certificate against a high-precision oracle ---------------------
+
+# Float rounding allowance, in units of 2^-52 times sum |terms|.  Recursive
+# summation of N terms can lose (N - 1) units in the worst case; over these
+# points the float sums stay within 4 units, and 64 leaves room for sums near
+# 1e8 at Im tau = 1/8 without hiding a missing tail term, which would exceed
+# tol by many orders of magnitude.
+ROUNDING_UNITS = 64
+
+
+def _mp_sum(mpmath, box, term):
+    """(sum, sum of |terms|) of term(point) over the box, in mpmath."""
+    values = [term(p) for p in box]
+    return mpmath.fsum(values), mpmath.fsum(abs(v) for v in values)
+
+
+def _mp_theta_term(mpmath, k, a, y, twisted):
+    tau = mpmath.mpc(y.tau.real, y.tau.imag)
+    z = [mpmath.mpc(c.real, c.imag) for c in y.z]
+    pre = mpmath.exp(2j * mpmath.pi * k * mpmath.mpf(y.t))
+
+    def term(gamma):
+        x = [g + mpmath.mpf(ai) for g, ai in zip(gamma, a)]
+        e = pre * mpmath.exp(1j * mpmath.pi * k * tau * mpmath.fsum(
+            v * v for v in x) + 2j * mpmath.pi * k * mpmath.fsum(
+            v * zi for v, zi in zip(x, z)))
+        return -e if twisted and sum(gamma) % 2 else e
+    return term
+
+
+@pytest.mark.parametrize("im_tau", (1 / 8, 1 / 2, 1.0, 3.0))
+def test_theta_tail_certificate_against_mpmath(im_tau):
+    # eval_theta's box leaves out less than tol (mpmath over the box vs. a
+    # box of twice the radius), and the float sum over it is within tol plus
+    # a rounding allowance of that wide sum
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = random.Random(f"tail {im_tau}")
+    tol = 1e-10
+    for l in (1, 2, 3):
+        for _ in range(2):
+            lam = rng.choice(enumerate_dominant(l, rng.choice((0, 2))))
+            sharp = rng.choice(("I", "II"))
+            twisted = rng.random() < 0.5
+            mu = rng.choice(list(enumerate_finite(l, sharp))).act(
+                (lam + rho(l)).canonical(), sharp)
+            y = YPoint(complex(rng.uniform(-0.5, 0.5), im_tau),
+                       tuple(complex(rng.uniform(-0.5, 0.5),
+                                     rng.uniform(-0.25, 0.25))
+                             for _ in range(l)),
+                       rng.uniform(-0.2, 0.2))
+            k, a, center, radius = _theta_box(mu, sharp, y, tol)
+            term = _mp_theta_term(mpmath, k, a, y, twisted)
+            in_box, abs_sum = _mp_sum(mpmath, _reference_box(center, radius),
+                                      term)
+            exact, _ = _mp_sum(
+                mpmath, _reference_box(center, 2 * radius + 2), term)
+            assert abs(in_box - exact) <= tol
+            got = eval_theta(mu, sharp, twisted, y, tol)
+            err = abs(mpmath.mpc(got.real, got.imag) - exact)
+            assert err <= tol + ROUNDING_UNITS * 2.0 ** -52 * abs_sum
+
+
+def test_gaussian_sums_against_mpmath():
+    # both sides of poisson_check at criterion 10's kind of draws
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = random.Random(11)
+    tol = 1e-10
+    for l in (1, 2):
+        for _ in range(3):
+            a, tau = modular.poisson_args(rng, l)
+            zero = (0.0,) * l
+            for q, shift, lin in ((-1 / tau, a, zero), (tau, zero, a)):
+                center, radius = _gaussian_box(l, q, shift, lin, tol)
+                qm = mpmath.mpc(q.real, q.imag)
+
+                def term(m):
+                    x = [mi + mpmath.mpc(c.real, c.imag)
+                         for mi, c in zip(m, shift)]
+                    return mpmath.exp(
+                        1j * mpmath.pi * qm * mpmath.fsum(v * v for v in x)
+                        + 2j * mpmath.pi * mpmath.fsum(
+                            mpmath.mpc(li.real, li.imag) * mi
+                            for li, mi in zip(lin, m)))
+                _, abs_sum = _mp_sum(mpmath, _reference_box(center, radius),
+                                     term)
+                exact, _ = _mp_sum(
+                    mpmath, _reference_box(center, 2 * radius + 2), term)
+                got = modular._gaussian_sum(l, q, shift, lin, tol)
+                err = abs(mpmath.mpc(got.real, got.imag) - exact)
+                assert err <= tol + ROUNDING_UNITS * 2.0 ** -52 * abs_sum

@@ -26,47 +26,26 @@ from .roots import (RootSystemCtx, dynkin_labels, enumerate_dominant,
 from .weyl import enumerate_finite, enumerate_ker_psi_finite, finite_reflection
 
 
-def is_integral_weight(w: Weight) -> bool:
-    """Member of the weight lattice P (up to the delta coefficient)."""
-    try:
-        fr = [Fraction(c) for c in w.eps]
-        lev = Fraction(2 * w.lambda0)
-    except (TypeError, ValueError):
-        return False
-    if lev.denominator != 1:
-        return False
-    pars = {c % 1 for c in fr}
-    if not pars <= {0, Fraction(1, 2)}:
-        return False
-    if len(pars) > 1:
-        return False
-    # half-integer finite part occurs exactly at odd level
-    if pars == {Fraction(1, 2)} and lev % 2 == 0:
-        return False
-    if pars in ({0}, set()) and lev % 2 == 1:
-        return False
-    return True
-
-
 def is_dominant(w: Weight) -> bool:
     labels = dynkin_labels(w.rank, w)
     return all(Fraction(m).denominator == 1 and m >= 0 for m in labels)
 
 
 def theta_height_bound(l, m, base_norm_sq, depth) -> int:
-    """Total height of any term with q-offset <= depth in a level-m theta
-    orbit below an apex with squared finite norm base_norm_sq."""
+    """A height cap for series built from level-m theta orbits below an apex
+    with squared finite norm base_norm_sq, truncated at q-offset depth: the
+    total height of any such orbit term, plus a margin of 2l + 4."""
     wnorm = math.sqrt(l * (l + 1) * (2 * l + 1) / 6)
     b = math.sqrt(float(base_norm_sq))
     r = math.sqrt(float(base_norm_sq) + 2 * m * depth)
-    return math.ceil((2 * l + 1) * depth + wnorm * (b + r)) + 2
+    return math.ceil((2 * l + 1) * depth + wnorm * (b + r)) + 2 * l + 4
 
 
 def default_height_cap(l, k, depth) -> int:
     m = k + 2 * l + 1
     base = max((norm_sq(lam + rho(l)) for lam in enumerate_dominant(l, k)),
                default=norm_sq(rho(l)))
-    return theta_height_bound(l, m, base, depth) + 2 * l + 2
+    return theta_height_bound(l, m, base, depth)
 
 
 # ---------------------------------------------------------------------------
@@ -136,42 +115,6 @@ def _accumulate_theta(out: QSeries, coset_f, m: int, sign: int, twisted: bool):
     rec(0, [], 0)
 
 
-def alcove_rep(vec, m):
-    """Dominant alcove representative of a finite vector modulo m Z^l and
-    signed permutations: coordinates folded into [0, m/2], sorted descending."""
-    out = []
-    for x in vec:
-        r = Fraction(x) % m
-        if 2 * r > m:
-            r = m - r
-        out.append(r)
-    return tuple(sorted(out, reverse=True))
-
-
-def theta_formal(lam: Weight, sharp="I", twisted=False, depth=8,
-                 height_cap=None) -> QSeries:
-    """The formal level-k theta orbit of lam (k = level(lam) > 0).
-
-    The result does not depend on the numeration: the two translation
-    lattices agree modulo delta, so only the evaluation maps differ."""
-    if sharp not in ("I", "II"):
-        raise ValueError(f"sharp must be 'I' or 'II', got {sharp!r}")
-    k = level(lam)
-    if not (Fraction(k).denominator == 1 and k > 0):
-        raise ValueError(f"theta series requires positive integer level, got {k}")
-    if not is_integral_weight(lam):
-        raise ValueError("theta series requires an integral weight")
-    k = int(k)
-    lam = lam.canonical()
-    l = lam.rank
-    apex_f = alcove_rep(lam.eps, k)
-    apex_nsq = sum(c * c for c in apex_f)
-    apex = Weight(apex_f, -apex_nsq / (2 * k), Fraction(k, 2))
-    out = QSeries(l, apex, {}, height_cap, depth)
-    _accumulate_theta(out, lam.eps, k, 1, twisted)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Anti-invariants
 # ---------------------------------------------------------------------------
@@ -219,7 +162,7 @@ def anti_invariant(lam: Weight, sharp="I", twisted=False, depth=8,
 
 
 # ---------------------------------------------------------------------------
-# Product-form denominators, Verma characters
+# Product-form denominators
 # ---------------------------------------------------------------------------
 
 def denominator_product(l, twisted=False, depth=8, height_cap=None) -> QSeries:
@@ -237,18 +180,6 @@ def denominator_product(l, twisted=False, depth=8, height_cap=None) -> QSeries:
         sign = 1 if twisted and parity == "odd" else -1
         factors += [qs.binomial_factor(w, sign, height_cap, depth)] * mult
     return qs.mul(QSeries.monomial(lead, 1, height_cap, depth), *factors)
-
-
-def verma_character(Lambda: Weight, depth: int) -> QSeries:
-    """ch M(Lambda) = e^Lambda prod (1 - e^{-alpha})^{-mult}, exact up to
-    total height `depth` (delta slices of a Verma character are infinite, so
-    the truncation is by height)."""
-    l = Lambda.rank
-    factors = []
-    for alpha, mult, _ in positive_roots(l, height_cap=depth):
-        factors += [qs.geometric_factor(alpha, depth, None)] * mult
-    return qs.mul(QSeries.monomial(Lambda.canonical(), 1, depth, None),
-                  *factors)
 
 
 # ---------------------------------------------------------------------------

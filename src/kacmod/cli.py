@@ -101,11 +101,21 @@ def _check_args(args):
         raise ValueError(f"--rank must be >= 1, got {args.rank}")
     if not 0 < getattr(args, "tol", 1) < float("inf"):
         raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
+    if getattr(args, "nmax", None) is not None and args.nmax < 2:
+        raise ValueError(f"--nmax must be >= 2, got {args.nmax}")
     if getattr(args, "depth", 0) < 0:
         raise ValueError(f"--depth must be >= 0, got {args.depth}")
     if getattr(args, "tau", None) is None and (
             getattr(args, "z", None) or getattr(args, "t", None)):
         raise ValueError("--z and --t need --tau")
+
+
+def _parse_labels(s):
+    try:
+        return [int(x) for x in s.split(",")]
+    except ValueError:
+        raise ValueError("--labels must be comma-separated integers such as "
+                         f"1,0, got {s!r}") from None
 
 
 def _point_from_args(args, l) -> YPoint:
@@ -169,7 +179,7 @@ def cmd_weights(args):
 
 def cmd_char(args):
     l = args.rank
-    labels = [int(x) for x in args.labels.split(",")]
+    labels = _parse_labels(args.labels)
     lam = from_dynkin_labels(l, labels)
     k = int(level(lam))
     ctx = RootSystemCtx.build(l)

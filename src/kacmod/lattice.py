@@ -102,10 +102,6 @@ class Weight:
     def __rmul__(self, c):
         return self.scale(c)
 
-    def is_zero(self):
-        return all(a == 0 for a in self.eps) and self.delta == 0 \
-            and self.lambda0 == 0
-
     # -- coordinates --------------------------------------------------------
 
     def canonical(self):
@@ -174,18 +170,9 @@ def frac_to_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def frac_from_str(s: str) -> Fraction:
-    return Fraction(s)
-
-
 def weight_to_json(w: Weight) -> dict:
     return {
         "eps": [frac_to_str(x) for x in w.eps],
         "delta": frac_to_str(w.delta),
         "lambda0": frac_to_str(w.lambda0),
     }
-
-
-def weight_from_json(d: dict) -> Weight:
-    return Weight(tuple(frac_from_str(s) for s in d["eps"]),
-                  frac_from_str(d["delta"]), frac_from_str(d["lambda0"]))

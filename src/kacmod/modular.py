@@ -125,12 +125,6 @@ def transition(y: YPoint) -> YPoint:
     return YPoint(y.tau, z, t)
 
 
-def pr(sharp, y: YPoint) -> Weight:
-    """pr^(sharp)(y): the finite projection of (phi^(sharp))^{-1}(y); its
-    eps^(sharp) coefficients are 2*pi*i*z_i."""
-    return point_to_weight(sharp, y).project_finite(sharp)
-
-
 def z_norm_sq(y: YPoint) -> complex:
     """sum z_i^2 = |pr^(sharp)(y)|^2 / (2 pi i)^2; the square norm entering
     the SL2(Z)-action and the transformation laws."""
@@ -417,23 +411,6 @@ def smatrix(kind, k, l) -> SMatrix:
     entries = [[smatrix_entry(kind, k, lam, mu) for mu in index]
                for lam in index]
     return SMatrix(kind, k, index, entries)
-
-
-def smatrix_entry_via_ker_psi(k, lam: Weight, mu: Weight) -> complex:
-    """a^(I) through the index-2 subgroup rewriting (cross-check route)."""
-    from .weyl import enumerate_ker_psi_finite, finite_reflection
-    l = lam.rank
-    m = k + 2 * l + 1
-    rfI = rho_f(l, "I")
-    x = lam.project_finite("I") + rfI
-    yv = mu.project_finite("I") + rfI
-    s_l = finite_reflection(l, Weight.eps_basis(l, l), "I")
-    total = 0.0 + 0.0j
-    for u in enumerate_ker_psi_finite(l):
-        for v in (u, u.compose(s_l)):
-            r = Fraction(inner(v.act(x, "I"), yv), m) % 1
-            total += u.det() * cmath.exp(-TWO_PI_I * float(r))
-    return total
 
 
 # ---------------------------------------------------------------------------

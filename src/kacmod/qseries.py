@@ -9,7 +9,8 @@ discarded.  Both filtrations are multiplicative, so every operation is an
 exact computation in the corresponding quotient ring.  At least one cap must
 be set; the q cap alone suffices whenever all factors are polynomials (theta
 sums, denominator products), while the height cap is required for objects
-with infinite q-slices (Verma characters, unit inversion).
+with infinite q-slices (geometric series along finite roots, graded
+division).
 
 `mul` is the one product kernel: it packs each height vector into one int64
 code (a mixed radix sized per step, coordinate 0 most significant) and keeps
@@ -75,18 +76,6 @@ class QSeries:
 
     def sorted_items(self):
         return sorted(self.terms.items())
-
-    def coefficient(self, w: Weight) -> int:
-        off = root_coords(self.apex - w)
-        if off is None or any(n < 0 for n in off):
-            return 0
-        return self.terms.get(off, 0)
-
-    def set_term(self, vec, c):
-        if c and self._inside(vec):
-            self.terms[vec] = c
-        else:
-            self.terms.pop(vec, None)
 
     def add_term(self, vec, c):
         if not self._inside(vec):
@@ -259,13 +248,6 @@ def _mul_arrays(acc: _Terms, f: _Terms, height_cap, q_cap) -> _Terms:
                   out_coefs, acc.heights[out_i] + f.heights[out_k], span)
 
 
-def scalar_mul(c: int, a: QSeries) -> QSeries:
-    if c == 0:
-        return QSeries(a.rank, a.apex, {}, *a.caps())
-    return QSeries(a.rank, a.apex, {v: c * x for v, x in a.terms.items()},
-                   *a.caps())
-
-
 def divide(num: QSeries, den: QSeries) -> QSeries:
     """Graded long division num/den; den must have coefficient +-1 at its
     apex.  Quotient terms are emitted in increasing total height, which makes
@@ -318,13 +300,6 @@ def divide(num: QSeries, den: QSeries) -> QSeries:
             raise ValueError("division does not terminate within caps; "
                              "set a height cap")
     return out
-
-
-def invert_unit(a: QSeries) -> QSeries:
-    """Inverse of a series with +-1 coefficient at its apex."""
-    if a.height_cap is None:
-        raise ValueError("invert_unit requires a height cap")
-    return divide(QSeries.one(a.rank, *a.caps()), a)
 
 
 def binomial_factor(root: Weight, sign=-1, height_cap=None, q_cap=None) -> QSeries:

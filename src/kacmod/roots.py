@@ -1,7 +1,7 @@
-"""The BC_l^(2) root datum: simple roots in both numerations, root
-classification with multiplicities and super parity, fundamental weights,
-dominant-weight enumeration, special indices, and the involution phi
-exchanging the two coordinate systems.
+"""The BC_l^(2) root datum: simple roots in both numerations, the positive
+roots with multiplicities and super parity, fundamental weights,
+dominant-weight enumeration, and the involution phi exchanging the two
+coordinate systems.
 """
 
 from __future__ import annotations
@@ -35,58 +35,6 @@ def simple_roots_I(l):
 def simple_roots_II(l):
     si = simple_roots_I(l)
     return [si[l - i] for i in range(l + 1)]
-
-
-def cartan_matrix(l):
-    """GCM rows a_{j,i} = (alpha_j^vee, alpha_i)."""
-    si = simple_roots_I(l)
-    return [[inner(coroot(aj), ai) for ai in si] for aj in si]
-
-
-# ---------------------------------------------------------------------------
-# Root classification (real short/middle/long + imaginary, with super parity)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class RootInfo:
-    weight: Weight
-    length_class: str   # "short" | "middle" | "long" | "imaginary"
-    parity: str         # "even" | "odd"
-    multiplicity: int
-
-
-def classify(w: Weight):
-    """Membership test in the BC_l^(2) root set; None if not a root.
-
-    Real roots: +-eps_i + r*delta (short, odd parity),
-    +-eps_i +- eps_j + r*delta (middle), +-2eps_i + (2r+1)*delta (long);
-    imaginary roots are the nonzero integer multiples of delta (mult l).
-    Only exact rational inputs are classified.
-    """
-    l = w.rank
-    if not all(isinstance(c, (int, Fraction)) for c in (*w.eps, w.delta, w.lambda0)):
-        return None
-    if w.lambda0 != 0:
-        return None
-    r = Fraction(w.delta)
-    if r.denominator != 1:
-        return None
-    nz = [(i, c) for i, c in enumerate(w.eps) if c != 0]
-    if not nz:
-        if r != 0:
-            return RootInfo(w, "imaginary", "even", l)
-        return None
-    if len(nz) == 1:
-        c = nz[0][1]
-        if c in (1, -1):
-            return RootInfo(w, "short", "odd", 1)
-        if c in (2, -2) and Fraction(r) % 2 == 1:
-            return RootInfo(w, "long", "even", 1)
-        return None
-    if len(nz) == 2:
-        if all(c in (1, -1) for _, c in nz):
-            return RootInfo(w, "middle", "even", 1)
-    return None
 
 
 def positive_roots(l, q_cap=None, height_cap=None, super_=False):
@@ -154,33 +102,6 @@ def root_coords(w: Weight):
     return tuple(coords)
 
 
-def is_positive(w: Weight):
-    h = height_vector(w)
-    return h is not None and any(n > 0 for n in h)
-
-
-# ---------------------------------------------------------------------------
-# Special indices
-# ---------------------------------------------------------------------------
-
-def special_indices(l):
-    """Indices i0 with delta - a_{i0} alpha_{i0} a positive multiple of a
-    positive root.  Returns {index: (p, root)} with the witness pair."""
-    d = Weight.delta_weight(l)
-    a = labels(l)
-    si = simple_roots_I(l)
-    out = {}
-    for i0 in range(l + 1):
-        target = d - si[i0].scale(a[i0])
-        for p in range(1, 5):
-            cand = target.scale(Fraction(1, p))
-            info = classify(cand)
-            if info is not None and is_positive(cand):
-                out[i0] = (p, cand)
-                break
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Fundamental weights, rho
 # ---------------------------------------------------------------------------
@@ -229,10 +150,9 @@ def fundamental_weights_II(l):
 
 
 def rho(l):
-    w = Weight.zero(l)
-    for fwj in fundamental_weights_I(l):
-        w = w + fwj
-    return w.canonical()
+    """The sum of the fundamental weights Lambda_j^(I), canonical: rho_f^(I)
+    at level 2l+1."""
+    return Weight(rho_f(l, "I").eps, Fraction(0), Fraction(2 * l + 1, 2))
 
 
 def from_dynkin_labels(l, m):

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import qseries as qs
 from .characters import (CharacterRequest, anti_invariant, character,
-                         conformal_anomaly, theta_height_bound)
-from .lattice import Weight, inner, level, norm_sq
+                         conformal_anomaly, is_dominant, theta_height_bound)
+from .lattice import Weight, level, norm_sq
 from .qseries import QSeries
-from .roots import (RootSystemCtx, coroot, positive_roots, rho, root_coords,
-                    simple_roots_I)
+from .roots import (RootSystemCtx, dynkin_labels, positive_roots, rho,
+                    root_coords)
 from .weyl import AffineWeylElement, enumerate_finite, epsilon, psi
 
 # ---------------------------------------------------------------------------
@@ -156,48 +155,16 @@ def osp_action_matrix(generator, lambda_H, i_max):
     return mat
 
 
-# ---------------------------------------------------------------------------
-# The super root datum of B^(1)(0,l)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SuperRootDatum:
-    ctx: RootSystemCtx
-
-    @property
-    def rank(self):
-        return self.ctx.rank
-
-    @staticmethod
-    def build(l):
-        return SuperRootDatum(RootSystemCtx.build(l))
-
-    def parity(self, w: Weight) -> str:
-        """Parity through the root-lattice homomorphism: the alpha_l
-        coefficient mod 2 (tau = {l})."""
-        coords = root_coords(w)
-        if coords is None:
-            raise ValueError("not in the root lattice")
-        return "odd" if coords[-1] % 2 else "even"
-
-
 def integrable(Lambda: Weight) -> bool:
     """L(Lambda) is integrable iff the labels at 0..l-1 are nonnegative
     integers and the label at l is a nonnegative even integer (dominant with
     even level)."""
     l = Lambda.rank
-    labels = [inner(coroot(a), Lambda) for a in simple_roots_I(l)]
-    for i, m in enumerate(labels):
-        m = Fraction(m)
-        if m.denominator != 1 or m < 0:
-            return False
-        if i == l and int(m) % 2 != 0:
-            return False
-    return True
+    return is_dominant(Lambda) and dynkin_labels(l, Lambda)[l] % 2 == 0
 
 
 def super_denominator_height_cap(l, depth):
-    return theta_height_bound(l, 2 * l + 1, norm_sq(rho(l)), depth) + 2 * l + 2
+    return theta_height_bound(l, 2 * l + 1, norm_sq(rho(l)), depth)
 
 
 def super_denominator(l, depth=8, height_cap=None) -> QSeries:
@@ -262,7 +229,7 @@ def super_character(Lambda: Weight, depth=8, height_cap=None) -> QSeries:
     k = int(level(Lambda))
     if height_cap is None:
         height_cap = theta_height_bound(
-            l, k + 2 * l + 1, norm_sq(Lambda + rho(l)), depth) + 2 * l + 2
+            l, k + 2 * l + 1, norm_sq(Lambda + rho(l)), depth)
     base = (Lambda + rho(l)).canonical()
     return qs.mul(QSeries.monomial(-rho(l), 1, height_cap, depth),
                   _psi_weyl_sum(l, base, height_cap, depth),

@@ -15,8 +15,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import Weight, coroot, inner
-from .roots import RANK_CAP, simple_roots_I
+from .lattice import Weight
+from .roots import RANK_CAP
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,6 @@ class FiniteWeylElement:
     @property
     def rank(self):
         return len(self.perm)
-
-    @staticmethod
-    def identity(l):
-        return FiniteWeylElement(tuple(range(l)), (1,) * l)
 
     def apply_vec(self, vec):
         """Image coordinates of a coefficient vector."""
@@ -54,15 +50,6 @@ class FiniteWeylElement:
         signs = tuple(other.signs[i] * self.signs[other.perm[i]]
                       for i in range(self.rank))
         return FiniteWeylElement(perm, signs)
-
-    def inverse(self):
-        l = self.rank
-        perm = [0] * l
-        signs = [1] * l
-        for i in range(l):
-            perm[self.perm[i]] = i
-            signs[self.perm[i]] = self.signs[i]
-        return FiniteWeylElement(tuple(perm), tuple(signs))
 
     def det(self):
         s = 1
@@ -90,36 +77,6 @@ class AffineWeylElement:
 
     finite: FiniteWeylElement
     translation: tuple
-
-    @property
-    def rank(self):
-        return self.finite.rank
-
-    @staticmethod
-    def identity(l):
-        return AffineWeylElement(FiniteWeylElement.identity(l), (0,) * l)
-
-    @staticmethod
-    def from_finite(u: FiniteWeylElement):
-        return AffineWeylElement(u, (0,) * u.rank)
-
-    @staticmethod
-    def translation_by(gamma):
-        l = len(gamma)
-        return AffineWeylElement(FiniteWeylElement.identity(l), tuple(gamma))
-
-    def compose(self, other: "AffineWeylElement") -> "AffineWeylElement":
-        """(u, g)(u', g') = (u u', u'^{-1}(g) + g')."""
-        uinv = other.finite.inverse()
-        g = uinv.apply_vec(self.translation)
-        return AffineWeylElement(
-            self.finite.compose(other.finite),
-            tuple(a + b for a, b in zip(g, other.translation)))
-
-    def inverse(self):
-        uinv = self.finite.inverse()
-        g = self.finite.apply_vec(tuple(-x for x in self.translation))
-        return AffineWeylElement(uinv, g)
 
     def act(self, w: Weight) -> Weight:
         return self.finite.act(translate(self.translation, w))
@@ -201,61 +158,3 @@ def finite_reflection(l, root: Weight, sharp="I") -> FiniteWeylElement:
     else:
         raise ValueError("not a rank-1 reflection datum")
     return FiniteWeylElement(tuple(perm), tuple(signs))
-
-
-def reflection(l, beta: Weight) -> AffineWeylElement:
-    """s_beta for a non-isotropic beta = b_f + n*delta whose reflection lies
-    in W (b_f proportional to a finite root), in type-I semidirect
-    coordinates.  Decomposed via the action on Lambda0."""
-    if beta.lambda0 != 0:
-        raise ValueError("reflection vector must lie in F")
-    if all(c == 0 for c in beta.eps):
-        raise ValueError("reflection requires a non-isotropic vector")
-    b_f = Weight(beta.eps)
-    u = finite_reflection(l, b_f, "I")
-    # w = u . t_gamma; w(Lambda0) = Lambda0 + 2 u(gamma) - |gamma|^2 delta
-    lam0 = Weight.lambda0_I(l)
-    img = reflect_weight(beta, lam0)
-    diff = img - lam0
-    gamma_img = tuple(Fraction(c, 2) for c in diff.eps)
-    gamma = u.inverse().apply_vec(gamma_img)
-    if any(Fraction(g).denominator != 1 for g in gamma):
-        raise ValueError("reflection does not lie in W")
-    w = AffineWeylElement(u, tuple(int(g) for g in gamma))
-    return w
-
-
-def reflect_weight(beta: Weight, v: Weight) -> Weight:
-    """s_beta(v) = v - (v, beta^vee) beta, for any non-isotropic beta."""
-    return v - beta.scale(inner(v, coroot(beta)))
-
-
-def simple_reflection(l, i, sharp="I") -> AffineWeylElement:
-    roots = simple_roots_I(l)
-    if sharp == "II":
-        idx = l - i
-    else:
-        idx = i
-    return reflection(l, roots[idx])
-
-
-def affine_from_action(l, action) -> AffineWeylElement:
-    """Recover type-I semidirect coordinates of a W-element given as a map
-    Weight -> Weight (must fix delta and permute the structure)."""
-    imgs = [action(Weight.eps_basis(l, i)) for i in range(1, l + 1)]
-    perm = [None] * l
-    signs = [1] * l
-    for i, img in enumerate(imgs):
-        nz = [(j, c) for j, c in enumerate(img.eps) if c != 0]
-        if len(nz) != 1 or abs(nz[0][1]) != 1:
-            raise ValueError("action is not signed-permutation-like on eps")
-        perm[i] = nz[0][0]
-        signs[i] = 1 if nz[0][1] > 0 else -1
-    u = FiniteWeylElement(tuple(perm), tuple(signs))
-    lam0 = Weight.lambda0_I(l)
-    diff = action(lam0) - lam0
-    gamma_img = tuple(Fraction(c, 2) for c in diff.eps)
-    gamma = u.inverse().apply_vec(gamma_img)
-    if any(Fraction(g).denominator != 1 for g in gamma):
-        raise ValueError("not an element of W in type-I coordinates")
-    return AffineWeylElement(u, tuple(int(g) for g in gamma))

@@ -1,4 +1,3 @@
-import itertools
 from fractions import Fraction
 
 import pytest
@@ -7,14 +6,72 @@ import kacmod.qseries as qs
 from kacmod.characters import (CharacterRequest, _accumulate_theta,
                                anti_invariant, character,
                                check_denominator_identity, conformal_anomaly,
-                               denominator_product, is_dominant,
-                               theta_formal, verma_character)
+                               denominator_product, is_dominant)
 from kacmod.lattice import Weight, level, norm_sq
 from kacmod.qseries import QSeries
 from kacmod.roots import (RootSystemCtx, enumerate_dominant,
-                          from_dynkin_labels, positive_roots, rho,
-                          root_coords, simple_roots_I)
+                          from_dynkin_labels, rho, root_coords)
 from kacmod.weyl import enumerate_finite, translate
+
+
+# -- the formal theta orbit: the formal-series oracle of modular.eval_theta ---
+
+def is_integral_weight(w: Weight) -> bool:
+    """Member of the weight lattice P (up to the delta coefficient)."""
+    try:
+        fr = [Fraction(c) for c in w.eps]
+        lev = Fraction(2 * w.lambda0)
+    except (TypeError, ValueError):
+        return False
+    if lev.denominator != 1:
+        return False
+    pars = {c % 1 for c in fr}
+    if not pars <= {0, Fraction(1, 2)}:
+        return False
+    if len(pars) > 1:
+        return False
+    # half-integer finite part occurs exactly at odd level
+    if pars == {Fraction(1, 2)} and lev % 2 == 0:
+        return False
+    if pars in ({0}, set()) and lev % 2 == 1:
+        return False
+    return True
+
+
+def alcove_rep(vec, m):
+    """Dominant alcove representative of a finite vector modulo m Z^l and
+    signed permutations: coordinates folded into [0, m/2], sorted descending."""
+    out = []
+    for x in vec:
+        r = Fraction(x) % m
+        if 2 * r > m:
+            r = m - r
+        out.append(r)
+    return tuple(sorted(out, reverse=True))
+
+
+def theta_formal(lam: Weight, sharp="I", twisted=False, depth=8,
+                 height_cap=None) -> QSeries:
+    """The formal level-k theta orbit of lam (k = level(lam) > 0).
+
+    The result does not depend on the numeration: the two translation
+    lattices agree modulo delta, so only the evaluation maps differ."""
+    if sharp not in ("I", "II"):
+        raise ValueError(f"sharp must be 'I' or 'II', got {sharp!r}")
+    k = level(lam)
+    if not (Fraction(k).denominator == 1 and k > 0):
+        raise ValueError(f"theta series requires positive integer level, got {k}")
+    if not is_integral_weight(lam):
+        raise ValueError("theta series requires an integral weight")
+    k = int(k)
+    lam = lam.canonical()
+    l = lam.rank
+    apex_f = alcove_rep(lam.eps, k)
+    apex_nsq = sum(c * c for c in apex_f)
+    apex = Weight(apex_f, -apex_nsq / (2 * k), Fraction(k, 2))
+    out = QSeries(l, apex, {}, height_cap, depth)
+    _accumulate_theta(out, lam.eps, k, 1, twisted)
+    return out
 
 
 def test_theta_small_expansion():
@@ -78,7 +135,7 @@ def test_anti_invariant_antisymmetry():
             v = u0.compose(u)
             _accumulate_theta(twisted_order, v.apply_vec(base.eps), m,
                               u.det(), False)
-        assert twisted_order == qs.scalar_mul(u0.det(), plain)
+        assert twisted_order == (plain if u0.det() == 1 else qs.neg(plain))
 
 
 def test_anti_invariant_requires_dominant():
@@ -114,64 +171,6 @@ def test_remark_products_match_anti_invariants():
     for tw in (False, True):
         assert denominator_product(1, tw, 5, None) == \
             anti_invariant(Weight.zero(1), "I", tw, 5, None)
-
-
-def _kostant_partitions(l, target_vec, roots):
-    """Count multisets of positive roots (with multiplicity) summing to the
-    target height vector; brute force."""
-    roots = [r for r in roots if all(a <= b for a, b in zip(r, target_vec))]
-
-    def rec(idx, remaining):
-        if all(v == 0 for v in remaining):
-            return 1
-        if idx == len(roots):
-            return 0
-        r = roots[idx]
-        total = 0
-        reps = 0
-        cur = remaining
-        while all(v >= 0 for v in cur):
-            total += rec(idx + 1, cur)
-            cur = tuple(a - b for a, b in zip(cur, r))
-            reps += 1
-        return total
-
-    return rec(0, target_vec)
-
-
-def test_verma_character_against_partition_oracle():
-    l = 1
-    Lam = Weight.lambda0_I(l)
-    depth = 5
-    v = verma_character(Lam, depth)
-    assert v.terms[(0, 0)] == 1
-    for i, alpha in enumerate(simple_roots_I(l)):
-        vec = tuple(1 if j == i else 0 for j in range(l + 1))
-        assert v.terms[vec] == 1
-    # oracle: the coefficient at height vector n is the number of multisets
-    # of positive roots summing to sum n_i alpha_i (imaginary roots counted
-    # with multiplicity l)
-    roots = []
-    for w, mult, _ in positive_roots(l, height_cap=depth):
-        roots.extend([root_coords(w)] * mult)
-    for vec in itertools.product(range(depth + 1), repeat=l + 1):
-        if sum(vec) > depth:
-            continue
-        assert v.terms.get(vec, 0) == _kostant_partitions(l, vec, roots), vec
-    # the frozen value from the oracle: coefficient of e^{Lambda - 2 alpha_1}
-    assert v.terms[(0, 2)] == 1
-
-
-def test_verma_character_rank2_spot():
-    Lam = from_dynkin_labels(2, (0, 0, 2))
-    v = verma_character(Lam, 3)
-    roots = []
-    for w, mult, _ in positive_roots(2, height_cap=3):
-        roots.extend([root_coords(w)] * mult)
-    for vec in itertools.product(range(4), repeat=3):
-        if sum(vec) > 3:
-            continue
-        assert v.terms.get(vec, 0) == _kostant_partitions(2, vec, roots), vec
 
 
 def test_conformal_anomaly():
@@ -212,7 +211,8 @@ def test_character_weyl_invariant_slices():
     for vec, c in ch.terms.items():
         w = ch.weight_of(vec)
         for u in gens:
-            assert ch.coefficient(u.act(w, "I")) == c
+            off = root_coords(ch.apex - u.act(w, "I"))
+            assert ch.terms.get(off, 0) == c
 
 
 def test_twisted_coefficients_bounded_by_untwisted():

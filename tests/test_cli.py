@@ -126,6 +126,10 @@ def test_usage_errors():
     pytest.param(("roots", "--rank", "-1"), "--rank", id="rank-negative"),
     pytest.param(("char", "--rank", "1", "--labels", "1,0", "--depth", "-3"),
                  "--depth", id="char-depth-negative"),
+    pytest.param(("char", "--rank", "1", "--labels", "a,b"), "--labels",
+                 id="labels-malformed"),
+    pytest.param(("char", "--rank", "1", "--labels", "1,0,"), "--labels",
+                 id="labels-trailing-comma"),
     pytest.param(("check", "denominator", "--rank", "1", "--depth", "-1"),
                  "--depth", id="check-depth-negative"),
     pytest.param(("verify", "prop", "--rank", "1", "--level", "2",
@@ -171,6 +175,10 @@ def test_usage_errors():
     pytest.param(("verify", "s-lemma", "--tol", "inf"), "--tol",
                  id="tol-inf"),
     pytest.param(("verify", "poisson", "--tol", "0"), "--tol", id="tol-zero"),
+    pytest.param(("verify", "sinprod", "--nmax", "1"), "--nmax",
+                 id="nmax-one"),
+    pytest.param(("verify", "sinprod", "--nmax", "-5"), "--nmax",
+                 id="nmax-negative"),
 ])
 def test_rejected_input_exits_2_with_message(capsys, argv, flag):
     code = main(list(argv))

@@ -2,10 +2,8 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from kacmod.lattice import (Weight, inner, level, norm_sq, weight_from_json,
-                            weight_to_json)
+from kacmod.lattice import Weight, inner, level, norm_sq, weight_to_json
 from kacmod.roots import phi_involution, rho
 
 from conftest import small_fractions, weights
@@ -128,12 +126,6 @@ def test_projection_intertwines_phi(w):
     # pi^(II) o phi = phi o pi^(I)
     assert phi_involution(w).project_finite("II") == \
         phi_involution(w.project_finite("I"))
-
-
-@given(weights(2))
-@settings(max_examples=40)
-def test_json_round_trip(w):
-    assert weight_from_json(weight_to_json(w)) == w
 
 
 def test_json_shape():

@@ -6,20 +6,21 @@ from fractions import Fraction
 import pytest
 
 from kacmod import modular
-from kacmod.characters import (CharacterRequest, anti_invariant, character,
-                               theta_formal)
+from kacmod.characters import CharacterRequest, character
 from kacmod.lattice import Weight, inner, norm_sq
 from kacmod.modular import (DegeneratePointError, S_MAT, T_MAT, YPoint,
                             default_sample, eval_anti_invariant,
                             eval_character, eval_qseries, eval_theta,
-                            point_to_weight, poisson_check, pr, sample_points,
+                            point_to_weight, poisson_check, sample_points,
                             sin_product, sl2_act, smatrix, smatrix_entry,
-                            smatrix_entry_via_ker_psi, transition, verify_S,
-                            verify_T, verify_props, verify_sl2_closure,
-                            weight_to_point)
+                            transition, verify_S, verify_T, verify_props,
+                            verify_sl2_closure, weight_to_point)
 from kacmod.roots import (enumerate_dominant, from_dynkin_labels,
                           phi_involution, rho, rho_f)
-from kacmod.weyl import enumerate_finite
+from kacmod.weyl import (enumerate_finite, enumerate_ker_psi_finite,
+                         finite_reflection)
+
+from test_characters import theta_formal
 
 TOL = 1e-12
 TWO_PI_I = 2j * math.pi
@@ -112,6 +113,22 @@ def _reference_smatrix_entry(kind, k, lam, mu):
     return total
 
 
+def smatrix_entry_via_ker_psi(k, lam, mu):
+    """a^(I) through the index-2 subgroup rewriting (cross-check route)."""
+    l = lam.rank
+    m = k + 2 * l + 1
+    rfI = rho_f(l, "I")
+    x = lam.project_finite("I") + rfI
+    yv = mu.project_finite("I") + rfI
+    s_l = finite_reflection(l, Weight.eps_basis(l, l), "I")
+    total = 0.0 + 0.0j
+    for u in enumerate_ker_psi_finite(l):
+        for v in (u, u.compose(s_l)):
+            r = Fraction(inner(v.act(x, "I"), yv), m) % 1
+            total += u.det() * cmath.exp(-TWO_PI_I * float(r))
+    return total
+
+
 def _gaussian_box(l, q, shift, lin, tol):
     """(center, radius) of the box _gaussian_sum sums over."""
     im_q = q.imag
@@ -191,22 +208,25 @@ def test_chart_round_trip_and_domain():
 
 
 def test_pr_coefficients():
+    # pr^(sharp)(y), the finite projection of the chart weight of y, has
+    # eps^(sharp) coefficients 2 pi i z_i
     y = YPoint(0.5 + 1.1j, (0.25 - 0.3j, 0.4 + 0.05j), 0.6)
-    p = pr("I", y)
+    p = point_to_weight("I", y).project_finite("I")
     for i, zi in enumerate(y.z):
         assert capprox(p.eps[i], 2j * math.pi * zi, TOL)
     assert capprox(complex(p.lambda0), 0, TOL)
     # pr vanishes at z = 0
-    p0 = pr("I", YPoint(1j, (0.0, 0.0), 0.3))
+    p0 = point_to_weight("I", YPoint(1j, (0.0, 0.0), 0.3)).project_finite("I")
     assert all(abs(c) < TOL for c in p0.eps)
     # |pr^(II)|^2 = (2 pi i)^2 sum z_i^2 as well
-    p2 = pr("II", y)
+    p2 = point_to_weight("II", y).project_finite("II")
     got = complex(norm_sq(p2))
     want = (2j * math.pi) ** 2 * sum(c * c for c in y.z)
     assert capprox(got, want, 1e-10)
     # under the transition map, the type-I square norm picks up the basis
     # shift: |pr^(I)(transition y)|^2 = (2 pi i)^2 sum (z_i + tau/2)^2
-    got_t = complex(norm_sq(pr("I", transition(y))))
+    got_t = complex(norm_sq(
+        point_to_weight("I", transition(y)).project_finite("I")))
     want_t = (2j * math.pi) ** 2 * sum((c + y.tau / 2) ** 2 for c in y.z)
     assert capprox(got_t, want_t, 1e-10)
 

@@ -1,22 +1,70 @@
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 
 from kacmod.lattice import Weight, coroot, inner, level
-from kacmod.roots import (RootSystemCtx, cartan_matrix, classify,
-                          dynkin_labels, enumerate_dominant,
+from kacmod.roots import (RootSystemCtx, dynkin_labels, enumerate_dominant,
                           fundamental_weights_I, fundamental_weights_II,
                           height_vector, labels, phi_involution, rho, rho_f,
                           root_coords, simple_roots_I, simple_roots_II,
-                          special_indices, positive_roots)
-from kacmod.weyl import reflection
+                          positive_roots)
 
 from conftest import weights
 
 
+# -- the root set by membership test: the oracle of positive_roots ------------
+
+@dataclass(frozen=True)
+class RootInfo:
+    weight: Weight
+    length_class: str   # "short" | "middle" | "long" | "imaginary"
+    parity: str         # "even" | "odd"
+    multiplicity: int
+
+
+def classify(w: Weight):
+    """Membership test in the BC_l^(2) root set; None if not a root.
+
+    Real roots: +-eps_i + r*delta (short, odd parity),
+    +-eps_i +- eps_j + r*delta (middle), +-2eps_i + (2r+1)*delta (long);
+    imaginary roots are the nonzero integer multiples of delta (mult l).
+    Only exact rational inputs are classified.
+    """
+    l = w.rank
+    if not all(isinstance(c, (int, Fraction)) for c in (*w.eps, w.delta, w.lambda0)):
+        return None
+    if w.lambda0 != 0:
+        return None
+    r = Fraction(w.delta)
+    if r.denominator != 1:
+        return None
+    nz = [(i, c) for i, c in enumerate(w.eps) if c != 0]
+    if not nz:
+        if r != 0:
+            return RootInfo(w, "imaginary", "even", l)
+        return None
+    if len(nz) == 1:
+        c = nz[0][1]
+        if c in (1, -1):
+            return RootInfo(w, "short", "odd", 1)
+        if c in (2, -2) and Fraction(r) % 2 == 1:
+            return RootInfo(w, "long", "even", 1)
+        return None
+    if len(nz) == 2:
+        if all(c in (1, -1) for _, c in nz):
+            return RootInfo(w, "middle", "even", 1)
+    return None
+
+
 def test_cartan_matrices():
+    def cartan_matrix(l):
+        # GCM rows a_{j,i} = (alpha_j^vee, alpha_i) of the shipped simple roots
+        si = simple_roots_I(l)
+        return [[inner(coroot(aj), ai) for ai in si] for aj in si]
+
     assert cartan_matrix(1) == [[2, -1], [-4, 2]]
     a2 = cartan_matrix(2)
     assert a2 == [[2, -1, 0], [-2, 2, -1], [0, -2, 2]]
@@ -56,6 +104,8 @@ def test_classify_examples():
 
 
 def test_root_set_weyl_stable_small_height():
+    from test_weyl import reflection  # test_weyl imports this module
+
     for l in (1, 2):
         roots = [w for w, _, _ in positive_roots(l, height_cap=3)
                  if any(w.eps)]
@@ -68,8 +118,18 @@ def test_root_set_weyl_stable_small_height():
 
 
 def test_special_indices():
+    # indices i0 with delta - a_{i0} alpha_{i0} a positive multiple of a
+    # positive root, with the witness pair (p, root)
     for l in (1, 2, 3):
-        sp = special_indices(l)
+        d = Weight.delta_weight(l)
+        sp = {}
+        for i0, (a, alpha) in enumerate(zip(labels(l), simple_roots_I(l))):
+            for p in range(1, 5):
+                cand = (d - alpha.scale(a)).scale(Fraction(1, p))
+                h = height_vector(cand)
+                if classify(cand) is not None and h is not None and any(h):
+                    sp[i0] = (p, cand)
+                    break
         assert set(sp) == {0, l}
         p0, w0 = sp[0]
         assert p0 == 2 and w0 == Weight.eps_basis(l, 1)
@@ -104,6 +164,12 @@ def test_fundamental_weights_II_match_reversed_I():
 
 
 def test_rho():
+    for l in range(1, 7):
+        # the definition: the sum of the fundamental weights, canonical
+        total = Weight.zero(l)
+        for fw in fundamental_weights_I(l):
+            total = total + fw
+        assert rho(l) == total.canonical()
     for l in (1, 2, 3):
         r = rho(l)
         assert level(r) == 2 * l + 1

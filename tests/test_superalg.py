@@ -5,11 +5,10 @@ import pytest
 from kacmod.characters import (CharacterRequest, anti_invariant, character,
                                conformal_anomaly)
 from kacmod.lattice import Weight, norm_sq
-from kacmod.roots import (RootSystemCtx, classify, enumerate_dominant,
-                          fundamental_weights_I, positive_roots, rho,
-                          root_coords)
-from kacmod.superalg import (SuperRootDatum, check_bracket_relations,
-                             integrable, osp_action, osp_action_matrix,
+from kacmod.roots import (RootSystemCtx, enumerate_dominant,
+                          fundamental_weights_I, positive_roots, rho)
+from kacmod.superalg import (check_bracket_relations, integrable,
+                             osp_action, osp_action_matrix,
                              osp_irreducible_dim, singular_indices,
                              super_character, super_denominator,
                              super_denominator_height_cap, verma_reducible)
@@ -53,20 +52,6 @@ def test_action_matrix_window():
     mat = osp_action_matrix("f", Fraction(4), 3)
     assert mat[1][0] == 1 and mat[2][1] == 2 and mat[3][2] == 3
     assert mat[0][0] == 0
-
-
-def test_parity_decomposition_matches_classify():
-    for l in (1, 2):
-        datum = SuperRootDatum.build(l)
-        for beta, mult, _ in positive_roots(l, height_cap=3):
-            info = classify(beta)
-            if info.length_class == "imaginary":
-                assert datum.parity(beta) == "even"
-            else:
-                assert datum.parity(beta) == info.parity, beta
-        # BCC long roots at even delta offsets are not twisted-system roots
-        w = Weight.eps_basis(l, 1).scale(2)
-        assert classify(w) is None and datum.parity(w) == "even"
 
 
 def test_super_positive_roots_long_family():

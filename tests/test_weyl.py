@@ -4,15 +4,99 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacmod.lattice import Weight, inner
-from kacmod.roots import simple_roots_I
+from kacmod.lattice import Weight, coroot, inner
+from kacmod.roots import positive_roots, root_coords, simple_roots_I
 from kacmod.weyl import (AffineWeylElement, FiniteWeylElement,
-                         affine_from_action, enumerate_finite,
-                         enumerate_ker_psi_finite, epsilon, psi, reflection,
-                         simple_reflection, translate)
-from kacmod.roots import positive_roots, root_coords
+                         enumerate_finite, enumerate_ker_psi_finite, epsilon,
+                         finite_reflection, psi, translate)
 
 from conftest import weights
+from test_roots import classify
+
+
+# -- the affine group law: scaffolding for checking that epsilon and psi are
+# -- homomorphisms and that the action is one
+
+def finite_identity(l):
+    return FiniteWeylElement(tuple(range(l)), (1,) * l)
+
+
+def finite_inverse(u):
+    perm = [0] * u.rank
+    signs = [1] * u.rank
+    for i in range(u.rank):
+        perm[u.perm[i]] = i
+        signs[u.perm[i]] = u.signs[i]
+    return FiniteWeylElement(tuple(perm), tuple(signs))
+
+
+def identity(l):
+    return AffineWeylElement(finite_identity(l), (0,) * l)
+
+
+def from_finite(u):
+    return AffineWeylElement(u, (0,) * u.rank)
+
+
+def translation_by(gamma):
+    return AffineWeylElement(finite_identity(len(gamma)), tuple(gamma))
+
+
+def compose(w1, w2):
+    """(u, g)(u', g') = (u u', u'^{-1}(g) + g')."""
+    g = finite_inverse(w2.finite).apply_vec(w1.translation)
+    return AffineWeylElement(
+        w1.finite.compose(w2.finite),
+        tuple(a + b for a, b in zip(g, w2.translation)))
+
+
+def inverse(w):
+    g = w.finite.apply_vec(tuple(-x for x in w.translation))
+    return AffineWeylElement(finite_inverse(w.finite), g)
+
+
+def reflect_weight(beta: Weight, v: Weight) -> Weight:
+    """s_beta(v) = v - (v, beta^vee) beta, for any non-isotropic beta."""
+    return v - beta.scale(inner(v, coroot(beta)))
+
+
+def _semidirect(l, u, action):
+    """(u, gamma) with action(Lambda0) = Lambda0 + 2 u(gamma) - |gamma|^2
+    delta."""
+    lam0 = Weight.lambda0_I(l)
+    diff = action(lam0) - lam0
+    gamma_img = tuple(Fraction(c, 2) for c in diff.eps)
+    gamma = finite_inverse(u).apply_vec(gamma_img)
+    if any(Fraction(g).denominator != 1 for g in gamma):
+        raise ValueError("not an element of W in type-I coordinates")
+    return AffineWeylElement(u, tuple(int(g) for g in gamma))
+
+
+def reflection(l, beta: Weight) -> AffineWeylElement:
+    """s_beta for a non-isotropic beta = b_f + n*delta whose reflection lies
+    in W (b_f proportional to a finite root), in type-I semidirect
+    coordinates.  Decomposed via the action on Lambda0."""
+    if beta.lambda0 != 0:
+        raise ValueError("reflection vector must lie in F")
+    if all(c == 0 for c in beta.eps):
+        raise ValueError("reflection requires a non-isotropic vector")
+    u = finite_reflection(l, Weight(beta.eps), "I")
+    return _semidirect(l, u, lambda v: reflect_weight(beta, v))
+
+
+def affine_from_action(l, action) -> AffineWeylElement:
+    """Recover type-I semidirect coordinates of a W-element given as a map
+    Weight -> Weight (must fix delta and permute the structure)."""
+    imgs = [action(Weight.eps_basis(l, i)) for i in range(1, l + 1)]
+    perm = [None] * l
+    signs = [1] * l
+    for i, img in enumerate(imgs):
+        nz = [(j, c) for j, c in enumerate(img.eps) if c != 0]
+        if len(nz) != 1 or abs(nz[0][1]) != 1:
+            raise ValueError("action is not signed-permutation-like on eps")
+        perm[i] = nz[0][0]
+        signs[i] = 1 if nz[0][1] > 0 else -1
+    return _semidirect(l, FiniteWeylElement(tuple(perm), tuple(signs)), action)
 
 
 def affine_elements(l):
@@ -46,8 +130,8 @@ def test_affine_reflection_identity():
     l = 2
     beta = Weight.eps_basis(l, 1).scale(2)
     d = Weight.delta_weight(l)
-    w = reflection(l, d - beta).compose(reflection(l, beta))
-    t = AffineWeylElement.translation_by((1, 0))  # beta^vee = eps_1
+    w = compose(reflection(l, d - beta), reflection(l, beta))
+    t = translation_by((1, 0))  # beta^vee = eps_1
     probe = Weight((Fraction(1, 2), Fraction(3)), Fraction(1, 4), Fraction(2))
     assert w.act(probe) == t.act(probe)
     assert w.finite == t.finite and w.translation == t.translation
@@ -62,7 +146,7 @@ def test_action_is_isometry(w, a, b):
 @given(affine_elements(2), affine_elements(2))
 @settings(max_examples=60)
 def test_characters_are_homomorphisms(w1, w2):
-    w = w1.compose(w2)
+    w = compose(w1, w2)
     assert epsilon(w) == epsilon(w1) * epsilon(w2)
     assert psi(w) == psi(w1) * psi(w2)
 
@@ -70,31 +154,31 @@ def test_characters_are_homomorphisms(w1, w2):
 @given(affine_elements(2), affine_elements(2), weights(2))
 @settings(max_examples=50)
 def test_compose_is_action_composition(w1, w2, v):
-    assert w1.compose(w2).act(v) == w1.act(w2.act(v))
+    assert compose(w1, w2).act(v) == w1.act(w2.act(v))
 
 
 @given(affine_elements(2), weights(2))
 @settings(max_examples=40)
 def test_inverse(w, v):
-    assert w.inverse().act(w.act(v)) == v
+    assert inverse(w).act(w.act(v)) == v
 
 
 def test_sign_characters_on_generators():
     for l in (1, 2, 3):
-        assert epsilon(AffineWeylElement.identity(l)) == 1
-        assert psi(AffineWeylElement.identity(l)) == 1
-        for i in range(l + 1):
-            s = simple_reflection(l, i)
+        assert epsilon(identity(l)) == 1
+        assert psi(identity(l)) == 1
+        for i, alpha in enumerate(simple_roots_I(l)):
+            s = reflection(l, alpha)
             assert epsilon(s) == -1
             assert psi(s) == (-1 if i == l else 1)
-    assert psi(AffineWeylElement.translation_by((1, 0))) == -1
-    assert psi(AffineWeylElement.translation_by((1, 1))) == 1
+    assert psi(translation_by((1, 0))) == -1
+    assert psi(translation_by((1, 1))) == 1
 
 
 @given(st.lists(st.integers(-4, 4), min_size=3, max_size=3))
 @settings(max_examples=30)
 def test_translations_have_trivial_epsilon(g):
-    assert epsilon(AffineWeylElement.translation_by(tuple(g))) == 1
+    assert epsilon(translation_by(tuple(g))) == 1
 
 
 def test_enumeration_counts():
@@ -104,15 +188,13 @@ def test_enumeration_counts():
     assert len(list(enumerate_ker_psi_finite(1))) == 1
     ker = list(enumerate_ker_psi_finite(2))
     assert len(ker) == 4
-    assert all(psi(AffineWeylElement.from_finite(u)) == 1 for u in ker)
+    assert all(psi(from_finite(u)) == 1 for u in ker)
     with pytest.raises(ValueError):
         list(enumerate_finite(7))
 
 
 def test_psi_factors_through_root_lattice_parity():
     # psi(s_beta) = (-1)^(alpha_l coefficient of beta) for real roots
-    from kacmod.roots import classify
-
     for l in (1, 2):
         for beta, mult, _ in positive_roots(l, height_cap=3):
             if classify(beta).length_class == "imaginary":
@@ -125,9 +207,9 @@ def test_psi_factors_through_root_lattice_parity():
 @given(affine_elements(2), st.lists(st.integers(-3, 3), min_size=2, max_size=2))
 @settings(max_examples=50)
 def test_conjugation_of_translations(w, mu):
-    lhs = w.compose(AffineWeylElement.translation_by(tuple(mu))).compose(w.inverse())
+    lhs = compose(compose(w, translation_by(tuple(mu))), inverse(w))
     mu_img = w.finite.apply_vec(tuple(mu))
-    rhs = AffineWeylElement.translation_by(mu_img)
+    rhs = translation_by(mu_img)
     assert lhs.finite == rhs.finite and lhs.translation == rhs.translation
 
 
@@ -137,5 +219,5 @@ def test_type_II_group_in_ker_psi():
             aff = affine_from_action(l, lambda v, u=u: u.act(v, "II"))
             assert psi(aff) == 1
         # ... whereas W_f^(I) is not contained in Ker psi
-        assert any(psi(AffineWeylElement.from_finite(u)) == -1
+        assert any(psi(from_finite(u)) == -1
                    for u in enumerate_finite(l, "I"))

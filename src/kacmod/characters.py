@@ -6,10 +6,12 @@ orbit has the normal form
 
     sum_{nu in coset + m Z^l} (sign) e^{nu + (m/2) Lambda0 - (|nu|^2/2m) delta},
 
-independent of the delta representative of its weight; the anti-invariants
-sum such orbits over the finite Weyl group of either numeration (the type-II
-route runs through the type-II signed-permutation action and provides an
-independent grouping of the same W-sum).
+independent of the delta representative of its weight.  The anti-invariants
+sum such orbits over the finite Weyl group of either numeration in one signed
+loop: epsilon(u), times psi(u) = (-1)^{#negative signs} in the twisted type-I
+sum.  W_f^(II) lies in Ker psi, so the type-II route carries plain epsilon
+signs; it runs through the type-II signed-permutation action and provides an
+independent grouping of the same W-sum.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from .lattice import Weight, inner, level, norm_sq
 from .qseries import QSeries
 from .roots import (RootSystemCtx, dynkin_labels, enumerate_dominant,
                     positive_roots, rho)
-from .weyl import enumerate_finite, enumerate_ker_psi_finite, finite_reflection
+from .weyl import enumerate_finite
 
 
 def is_dominant(w: Weight) -> bool:
@@ -139,25 +141,11 @@ def anti_invariant(lam: Weight, sharp="I", twisted=False, depth=8,
     apex = Weight(base.eps, -norm_sq(base) / (2 * m), base.lambda0)
     out = QSeries(l, apex, {}, height_cap, depth)
 
-    if sharp == "I":
-        if not twisted:
-            for u in enumerate_finite(l, "I"):
-                _accumulate_theta(out, u.apply_vec(base.eps), m, u.det(), False)
-        else:
-            # rewriting over W_{f;m}^(I): psi is +1 there and the s_{alpha_l}
-            # coset enters with the same epsilon prefactor
-            s_l = finite_reflection(l, Weight.eps_basis(l, l), "I")
-            for u in enumerate_ker_psi_finite(l):
-                sgn = u.det()
-                _accumulate_theta(out, u.apply_vec(base.eps), m, sgn, True)
-                us = u.compose(s_l)
-                _accumulate_theta(out, us.apply_vec(base.eps), m, sgn, True)
-    else:
-        # W_f^(II) acts by signed permutations of the type-II coordinates and
-        # lies in Ker psi, so the twisted sum carries plain epsilon signs
-        for u in enumerate_finite(l, "II"):
-            mu = u.act(base, "II")
-            _accumulate_theta(out, mu.eps, m, u.det(), twisted)
+    # psi(u) = (-1)^{#negative signs} on W_f^(I); W_f^(II) lies in Ker psi
+    use_psi = twisted and sharp == "I"
+    for u in enumerate_finite(l, sharp):
+        sgn = u.det() * (-1) ** u.neg_count() if use_psi else u.det()
+        _accumulate_theta(out, u.act(base, sharp).eps, m, sgn, twisted)
     return out
 
 

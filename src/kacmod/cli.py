@@ -23,9 +23,9 @@ from .modular import (YPoint, default_sample, poisson_args, poisson_check,
                       verify_props, verify_sl2)
 from .roots import RootSystemCtx, enumerate_dominant, from_dynkin_labels
 from .suite import POISSON_SEED, THETA_TOL, run_suite
-from .superalg import (check_bracket_relations, check_super_character,
-                       check_super_denominator, osp_action_matrix,
-                       osp_irreducible_dim)
+from .superalg import (GENERATORS, check_bracket_relations,
+                       check_super_character, check_super_denominator,
+                       osp_action_matrix, osp_irreducible_dim)
 
 
 def _f(x: float):
@@ -180,10 +180,14 @@ def cmd_weights(args):
 def cmd_char(args):
     l = args.rank
     labels = _parse_labels(args.labels)
-    lam = from_dynkin_labels(l, labels)
-    k = int(level(lam))
     ctx = RootSystemCtx.build(l)
-    req = CharacterRequest(ctx, lam, k, args.sharp, args.twisted, args.depth)
+    try:
+        lam = from_dynkin_labels(l, labels)
+        k = int(level(lam))
+        req = CharacterRequest(ctx, lam, k, args.sharp, args.twisted,
+                               args.depth)
+    except ValueError as exc:
+        raise ValueError(f"--labels {args.labels}: {exc}") from None
     ch = character(req)
     payload = {
         "rank": l, "labels": labels, "level": k, "sharp": args.sharp,
@@ -278,7 +282,7 @@ def cmd_super(args):
         "action_matrices": {
             g: [[frac_to_str(c) for c in row]
                 for row in osp_action_matrix(g, lam, dim - 1)]
-            for g in ("E", "H", "F", "e", "f")},
+            for g in GENERATORS},
     }
     _emit(payload, True)
     return 0

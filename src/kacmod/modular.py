@@ -1,5 +1,5 @@
 """Complex-analytic evaluation on the coordinate domain Y = H x C^l x C,
-the SL2(Z)-action, the four finite transformation matrices, and numerical
+the S- and T-actions, the four finite transformation matrices, and numerical
 verifiers for the S/T transformation laws of (twisted) anti-invariants and
 normalized characters, Poisson resummation, and the SL2(Z) closure of the
 character spans.
@@ -12,7 +12,7 @@ Evaluating e^lambda at such a weight turns a level-k theta orbit into
     e^{2 pi i k t} sum_gamma e^{pi i k tau |gamma + a|^2
                                  + 2 pi i k <gamma + a, z>},   a = pr(lambda)/k,
 
-so the SL2(Z)-action's t-shift is implemented with the plain square norm
+so the S-action's t-shift is implemented with the plain square norm
 sum z_i^2 (the literal projection pr carries one factor of 2*pi*i).
 """
 
@@ -31,9 +31,6 @@ from .roots import (enumerate_dominant, phi_involution, rho, rho_f)
 from .weyl import enumerate_finite
 
 TWO_PI_I = 2j * math.pi
-
-S_MAT = ((0, -1), (1, 0))
-T_MAT = ((1, 1), (0, 1))
 
 
 class DegeneratePointError(ValueError):
@@ -131,25 +128,10 @@ def z_norm_sq(y: YPoint) -> complex:
     return sum(c * c for c in y.z)
 
 
-def sl2_act(g, y: YPoint, sharp="I") -> YPoint:
-    """((a tau + b)/(c tau + d), z/(c tau + d), t - c |z|^2 / 2(c tau + d)).
-
-    `sharp` records which numeration the coordinate tuple is read in; the
-    formula itself uses the tuple's own entries."""
-    (a, b), (c, d) = g
-    if a * d - b * c != 1:
-        raise ValueError("matrix must have determinant 1")
-    den = c * y.tau + d
-    if den == 0:
-        raise ValueError("singular c*tau + d")
-    tau = (a * y.tau + b) / den
-    z = tuple(zi / den for zi in y.z)
-    t = y.t - c * z_norm_sq(y) / (2 * den)
-    return YPoint(tau, z, t)
-
-
-def s_point(y: YPoint, sharp="I") -> YPoint:
-    return sl2_act(S_MAT, y, sharp)
+def s_point(y: YPoint) -> YPoint:
+    """S = ((0, -1), (1, 0)): (-1/tau, z/tau, t - |z|^2 / 2 tau)."""
+    return YPoint(-1 / y.tau, tuple(zi / y.tau for zi in y.z),
+                  y.t - z_norm_sq(y) / (2 * y.tau))
 
 
 def t_point(y: YPoint) -> YPoint:
@@ -491,7 +473,7 @@ def _verify_law(key, law, lam: Weight, k, y: YPoint, tol, theta_tol):
         phase = cmath.exp(1j * math.pi * float(arg % 2))
         rhs = phase * ev(lam, sharp, twisted != (sharp == "II"), y, theta_tol)
     else:
-        lhs = ev(lam, sharp, twisted, s_point(y, sharp), theta_tol)
+        lhs = ev(lam, sharp, twisted, s_point(y), theta_tol)
         pref = _sqrt_tau_over_i(y.tau, l)
         if family == "lemma" and k == 0:
             # the corollary: a constant in place of the mu-sum
@@ -604,7 +586,7 @@ def verify_sl2_closure(l, k, tol=1e-6, theta_tol=1e-10, arrows=SL2_ARROWS,
     all_pass = True
     for mat, src, dst in arrows:
         if mat == "S":
-            gpts = [s_point(y, _FAMILIES[src][0]) for y in points]
+            gpts = [s_point(y) for y in points]
         else:
             gpts = [t_point(y) for y in points]
         transformed = sample(src, gpts)

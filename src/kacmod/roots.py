@@ -106,18 +106,11 @@ def root_coords(w: Weight):
 # Fundamental weights, rho
 # ---------------------------------------------------------------------------
 
-def finite_fundamental_weight(l, i, sharp="I"):
-    """varpi_i^(sharp), 1 <= i <= l."""
-    if sharp == "I":
-        if i < l:
-            v = [Fraction(1)] * i + [Fraction(0)] * (l - i)
-        else:
-            v = [HALF] * l
-        return Weight(tuple(v))
-    w = Weight.zero(l)
-    for j in range(1, i + 1):
-        w = w + Weight.eps_basis_II(l, j)
-    return w
+def finite_fundamental_weight(l, i):
+    """varpi_i^(I), 1 <= i <= l."""
+    if i < l:
+        return Weight((Fraction(1),) * i + (Fraction(0),) * (l - i))
+    return Weight((HALF,) * l)
 
 
 def rho_f(l, sharp="I"):
@@ -221,8 +214,6 @@ class RootSystemCtx:
     fund_weights_I: tuple
     fund_weights_II: tuple
     rho: Weight
-    rho_f_I: Weight
-    rho_f_II: Weight
 
     @staticmethod
     def build(l):
@@ -237,8 +228,6 @@ class RootSystemCtx:
             fund_weights_I=tuple(fundamental_weights_I(l)),
             fund_weights_II=tuple(fundamental_weights_II(l)),
             rho=rho(l),
-            rho_f_I=rho_f(l, "I"),
-            rho_f_II=rho_f(l, "II"),
         )
 
     def level_table(self, sharp="I"):

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from . import qseries as qs
 from .characters import (CharacterRequest, anti_invariant, character,
-                         conformal_anomaly, is_dominant, theta_height_bound)
+                         conformal_anomaly, default_height_cap, is_dominant,
+                         theta_height_bound)
 from .lattice import Weight, level, norm_sq
 from .qseries import QSeries
 from .roots import (RootSystemCtx, dynkin_labels, positive_roots, rho,
@@ -51,19 +52,12 @@ def osp_action(generator, i, lambda_H):
             return [(i - 1, Fraction(-1))]
         c = Fraction(lam - i + 1, i)
         return [(i - 1, c)] if c else []
-    if generator == "E":
-        return _compose_actions("e", "e", i, lam)
-    if generator == "F":
-        return [(j, -c) for j, c in _compose_actions("f", "f", i, lam)]
+    if generator in ("E", "F"):
+        g = generator.lower()
+        twice = apply_op(g, apply_op(g, {i: Fraction(1)}, lam), lam)
+        sign = 1 if generator == "E" else -1
+        return [(j, sign * c) for j, c in sorted(twice.items())]
     raise ValueError(f"unknown generator {generator!r}")
-
-
-def _compose_actions(g1, g2, i, lam):
-    out = {}
-    for j, c in osp_action(g2, i, lam):
-        for j2, c2 in osp_action(g1, j, lam):
-            out[j2] = out.get(j2, Fraction(0)) + c * c2
-    return [(j, c) for j, c in sorted(out.items()) if c != 0]
 
 
 def apply_op(generator, vec, lam):
@@ -163,16 +157,12 @@ def integrable(Lambda: Weight) -> bool:
     return is_dominant(Lambda) and dynkin_labels(l, Lambda)[l] % 2 == 0
 
 
-def super_denominator_height_cap(l, depth):
-    return theta_height_bound(l, 2 * l + 1, norm_sq(rho(l)), depth)
-
-
 def super_denominator(l, depth=8, height_cap=None) -> QSeries:
     """e^rho prod_{even +}(1-e^{-a})^mult / prod_{odd +}(1-e^{-a})^mult,
     expanded from the super parity decomposition (a code path independent of
     the twisted theta route).  Apex e^rho, no delta normalization."""
     if height_cap is None:
-        height_cap = super_denominator_height_cap(l, depth)
+        height_cap = default_height_cap(l, 0, depth)
     return qs.mul(QSeries.monomial(rho(l), 1, height_cap, depth),
                   *_super_factors(l, depth, height_cap, "even"))
 
@@ -243,7 +233,7 @@ def super_character(Lambda: Weight, depth=8, height_cap=None) -> QSeries:
 def check_super_denominator(l, depth=8) -> dict:
     """The super-denominator equals the twisted anti-invariant A^psi_rho,
     shifted by its delta normalization."""
-    hc = super_denominator_height_cap(l, depth)
+    hc = default_height_cap(l, 0, depth)
     sd = super_denominator(l, depth, hc)
     anti = anti_invariant(Weight.zero(l), "I", True, depth, hc)
     shifted = anti.shift_apex_delta(norm_sq(rho(l)) / (2 * (2 * l + 1)))

@@ -44,13 +44,6 @@ class FiniteWeylElement:
         eps2, d2, c2 = w.to_type_II_coords()
         return Weight.from_type_II_coords(w.rank, self.apply_vec(eps2), d2, c2)
 
-    def compose(self, other: "FiniteWeylElement") -> "FiniteWeylElement":
-        """self o other."""
-        perm = tuple(self.perm[other.perm[i]] for i in range(self.rank))
-        signs = tuple(other.signs[i] * self.signs[other.perm[i]]
-                      for i in range(self.rank))
-        return FiniteWeylElement(perm, signs)
-
     def det(self):
         s = 1
         seen = [False] * self.rank
@@ -91,21 +84,17 @@ def translate(gamma, w: Weight) -> Weight:
     return Weight(eps, w.delta - pair - Fraction(nsq, 2) * lev, w.lambda0)
 
 
-def epsilon(w) -> int:
+def epsilon(w: AffineWeylElement) -> int:
     """Sign character (-1)^length; det of the signed permutation part."""
-    u = w.finite if isinstance(w, AffineWeylElement) else w
-    return u.det()
+    return w.finite.det()
 
 
-def psi(w) -> int:
+def psi(w: AffineWeylElement) -> int:
     """The nice map: psi(s_{alpha_i^(I)}) = 1 for i < l and -1 for i = l.
 
     Closed form on semidirect coordinates: parity of the number of negative
     signs of u times parity of the translation coordinate sum."""
-    if isinstance(w, AffineWeylElement):
-        s = w.finite.neg_count() + sum(w.translation)
-    else:
-        s = w.neg_count()
+    s = w.finite.neg_count() + sum(w.translation)
     return -1 if s % 2 else 1
 
 
@@ -120,41 +109,3 @@ def enumerate_finite(l, sharp="I"):
         for signs in itertools.product((1, -1), repeat=l):
             yield FiniteWeylElement(perm, signs)
 
-
-def enumerate_ker_psi_finite(l):
-    """W_{f;m}^(I) = W_f^(I) cap Ker psi: even number of negative signs."""
-    for u in enumerate_finite(l, "I"):
-        if u.neg_count() % 2 == 0:
-            yield u
-
-
-def finite_reflection(l, root: Weight, sharp="I") -> FiniteWeylElement:
-    """s_beta for a finite root beta of Delta_f^(sharp), as a signed
-    permutation of the sharp coordinates."""
-    if sharp == "I":
-        vec = [Fraction(c) for c in root.eps]
-        if root.delta != 0 or root.lambda0 != 0:
-            raise ValueError("not a finite type-I root")
-    else:
-        eps2, d2, c2 = root.to_type_II_coords()
-        if c2 != 0:
-            raise ValueError("not a finite type-II root")
-        vec = [Fraction(c) for c in eps2]
-    nz = [(i, c) for i, c in enumerate(vec) if c != 0]
-    perm = list(range(l))
-    signs = [1] * l
-    if len(nz) == 1:
-        i = nz[0][0]
-        signs[i] = -1
-    elif len(nz) == 2:
-        # eps_i - eps_j reflects by a plain transposition; eps_i + eps_j by a
-        # transposition with both signs flipped
-        (i, ci), (j, cj) = nz
-        if abs(ci) != abs(cj):
-            raise ValueError("not proportional to a finite root")
-        perm[i], perm[j] = j, i
-        if ci * cj > 0:
-            signs[i] = signs[j] = -1
-    else:
-        raise ValueError("not a rank-1 reflection datum")
-    return FiniteWeylElement(tuple(perm), tuple(signs))

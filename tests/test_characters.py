@@ -6,12 +6,16 @@ import kacmod.qseries as qs
 from kacmod.characters import (CharacterRequest, _accumulate_theta,
                                anti_invariant, character,
                                check_denominator_identity, conformal_anomaly,
-                               denominator_product, is_dominant)
+                               default_height_cap, denominator_product,
+                               is_dominant)
 from kacmod.lattice import Weight, level, norm_sq
 from kacmod.qseries import QSeries
 from kacmod.roots import (RootSystemCtx, enumerate_dominant,
                           from_dynkin_labels, rho, root_coords)
 from kacmod.weyl import enumerate_finite, translate
+
+from test_weyl import (enumerate_ker_psi_finite, finite_compose,
+                       finite_reflection)
 
 
 # -- the formal theta orbit: the formal-series oracle of modular.eval_theta ---
@@ -110,6 +114,47 @@ def test_theta_rejects_level_zero():
         theta_formal(Weight.zero(1), "I", False, 4)
 
 
+# -- the Ker psi rewriting: the oracle of anti_invariant's one signed loop ----
+
+def _reference_anti_invariant(lam: Weight, sharp, twisted, depth, height_cap):
+    """A_{lam+rho} (A^psi when twisted) with the twisted type-I sum rewritten
+    over W_{f;m}^(I) = W_f^(I) cap Ker psi and its s_{alpha_l} coset: psi is
+    +1 on the subgroup, and the coset enters with the same epsilon prefactor.
+    W_f^(II) lies in Ker psi, so the type-II sum carries plain epsilon."""
+    lam = lam.canonical()
+    l = lam.rank
+    m = int(level(lam)) + 2 * l + 1
+    base = (lam + rho(l)).canonical()
+    apex = Weight(base.eps, -norm_sq(base) / (2 * m), base.lambda0)
+    out = QSeries(l, apex, {}, height_cap, depth)
+    if sharp == "II":
+        for u in enumerate_finite(l, "II"):
+            _accumulate_theta(out, u.act(base, "II").eps, m, u.det(), twisted)
+    elif not twisted:
+        for u in enumerate_finite(l, "I"):
+            _accumulate_theta(out, u.apply_vec(base.eps), m, u.det(), False)
+    else:
+        s_l = finite_reflection(l, Weight.eps_basis(l, l))
+        for u in enumerate_ker_psi_finite(l):
+            for v in (u, finite_compose(u, s_l)):
+                _accumulate_theta(out, v.apply_vec(base.eps), m, u.det(),
+                                  True)
+    return out
+
+
+@pytest.mark.parametrize("l,depth", ((1, 12), (2, 8), (3, 6)))
+def test_anti_invariant_matches_reference(l, depth):
+    for k in (0, 2, 4):
+        hc = default_height_cap(l, k, depth)
+        for lam in enumerate_dominant(l, k):
+            for sharp in ("I", "II"):
+                for tw in (False, True):
+                    got = anti_invariant(lam, sharp, tw, depth, hc)
+                    want = _reference_anti_invariant(lam, sharp, tw, depth,
+                                                     hc)
+                    assert got == want and got.terms, (l, k, lam, sharp, tw)
+
+
 def test_anti_invariant_sharp_independence():
     for l in (1, 2):
         for lam_labels in ((0,) * l + (2,), (1,) + (0,) * l):
@@ -132,7 +177,7 @@ def test_anti_invariant_antisymmetry():
     for u0 in enumerate_finite(l, "I"):
         twisted_order = QSeries(l, apex, {}, None, 5)
         for u in enumerate_finite(l, "I"):
-            v = u0.compose(u)
+            v = finite_compose(u0, u)
             _accumulate_theta(twisted_order, v.apply_vec(base.eps), m,
                               u.det(), False)
         assert twisted_order == (plain if u0.det() == 1 else qs.neg(plain))

@@ -130,6 +130,12 @@ def test_usage_errors():
                  id="labels-malformed"),
     pytest.param(("char", "--rank", "1", "--labels", "1,0,"), "--labels",
                  id="labels-trailing-comma"),
+    pytest.param(("char", "--rank", "1", "--labels", "1,0,0"), "--labels",
+                 id="labels-count"),
+    pytest.param(("char", "--rank", "1", "--labels", "0,1"), "--labels",
+                 id="labels-odd-level"),
+    pytest.param(("char", "--rank", "1", "--labels", "2,-2"), "--labels",
+                 id="labels-not-dominant"),
     pytest.param(("check", "denominator", "--rank", "1", "--depth", "-1"),
                  "--depth", id="check-depth-negative"),
     pytest.param(("verify", "prop", "--rank", "1", "--level", "2",

@@ -8,19 +8,20 @@ import pytest
 from kacmod import modular
 from kacmod.characters import CharacterRequest, character
 from kacmod.lattice import Weight, inner, norm_sq
-from kacmod.modular import (DegeneratePointError, S_MAT, T_MAT, YPoint,
-                            default_sample, eval_anti_invariant,
-                            eval_character, eval_qseries, eval_theta,
-                            point_to_weight, poisson_check, sample_points,
-                            sin_product, sl2_act, smatrix, smatrix_entry,
-                            transition, verify_S, verify_T, verify_props,
-                            verify_sl2_closure, weight_to_point)
+from kacmod.modular import (DegeneratePointError, YPoint, default_sample,
+                            eval_anti_invariant, eval_character, eval_qseries,
+                            eval_theta, point_to_weight, poisson_check,
+                            s_point, sample_points, sin_product, smatrix,
+                            smatrix_entry, t_point, transition, verify_S,
+                            verify_T, verify_props, verify_sl2_closure,
+                            weight_to_point)
 from kacmod.roots import (enumerate_dominant, from_dynkin_labels,
                           phi_involution, rho, rho_f)
-from kacmod.weyl import (enumerate_finite, enumerate_ker_psi_finite,
-                         finite_reflection)
+from kacmod.weyl import enumerate_finite
 
 from test_characters import theta_formal
+from test_weyl import (enumerate_ker_psi_finite, finite_compose,
+                       finite_reflection)
 
 TOL = 1e-12
 TWO_PI_I = 2j * math.pi
@@ -120,10 +121,10 @@ def smatrix_entry_via_ker_psi(k, lam, mu):
     rfI = rho_f(l, "I")
     x = lam.project_finite("I") + rfI
     yv = mu.project_finite("I") + rfI
-    s_l = finite_reflection(l, Weight.eps_basis(l, l), "I")
+    s_l = finite_reflection(l, Weight.eps_basis(l, l))
     total = 0.0 + 0.0j
     for u in enumerate_ker_psi_finite(l):
-        for v in (u, u.compose(s_l)):
+        for v in (u, finite_compose(u, s_l)):
             r = Fraction(inner(v.act(x, "I"), yv), m) % 1
             total += u.det() * cmath.exp(-TWO_PI_I * float(r))
     return total
@@ -174,14 +175,10 @@ def capprox(a, b, tol=1e-9):
 
 def test_sl2_examples():
     y = YPoint(0.3 + 1.2j, (0.1 + 0.2j, -0.4j), 0.07)
-    ty = sl2_act(T_MAT, y)
+    ty = t_point(y)
     assert ty.tau == y.tau + 1 and ty.z == y.z and ty.t == y.t
-    iy = sl2_act(((1, 0), (0, 1)), y)
-    assert iy == y
-    fix = sl2_act(S_MAT, YPoint(1j, (0.0,), 0.0))
+    fix = s_point(YPoint(1j, (0.0,), 0.0))
     assert capprox(fix.tau, 1j) and capprox(fix.z[0], 0) and capprox(fix.t, 0)
-    with pytest.raises(ValueError):
-        sl2_act(((2, 0), (0, 1)), y)
 
 
 def test_transition_example_and_involution():

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from kacmod.characters import (CharacterRequest, anti_invariant, character,
-                               conformal_anomaly)
+                               conformal_anomaly, default_height_cap)
 from kacmod.lattice import Weight, norm_sq
 from kacmod.roots import (RootSystemCtx, enumerate_dominant,
                           fundamental_weights_I, positive_roots, rho)
@@ -11,7 +11,7 @@ from kacmod.superalg import (check_bracket_relations, integrable,
                              osp_action, osp_action_matrix,
                              osp_irreducible_dim, singular_indices,
                              super_character, super_denominator,
-                             super_denominator_height_cap, verma_reducible)
+                             verma_reducible)
 
 
 def test_osp_action_examples():
@@ -73,7 +73,7 @@ def test_integrable():
 
 def test_super_denominator_matches_twisted_route():
     for l in (1, 2):
-        hc = super_denominator_height_cap(l, 6)
+        hc = default_height_cap(l, 0, 6)
         sd = super_denominator(l, 6, hc)
         anti = anti_invariant(Weight.zero(l), "I", True, 6, hc)
         shifted = anti.shift_apex_delta(norm_sq(rho(l)) / (2 * (2 * l + 1)))

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 from kacmod.lattice import Weight, coroot, inner
 from kacmod.roots import positive_roots, root_coords, simple_roots_I
 from kacmod.weyl import (AffineWeylElement, FiniteWeylElement,
-                         enumerate_finite, enumerate_ker_psi_finite, epsilon,
-                         finite_reflection, psi, translate)
+                         enumerate_finite, epsilon, psi, translate)
 
 from conftest import weights
 from test_roots import classify
@@ -19,6 +18,44 @@ from test_roots import classify
 
 def finite_identity(l):
     return FiniteWeylElement(tuple(range(l)), (1,) * l)
+
+
+def finite_compose(u, v):
+    """u o v."""
+    perm = tuple(u.perm[v.perm[i]] for i in range(u.rank))
+    signs = tuple(v.signs[i] * u.signs[v.perm[i]] for i in range(u.rank))
+    return FiniteWeylElement(perm, signs)
+
+
+def finite_reflection(l, root: Weight) -> FiniteWeylElement:
+    """s_beta for a finite type-I root beta, as a signed permutation of the
+    eps coordinates."""
+    if root.delta != 0 or root.lambda0 != 0:
+        raise ValueError("not a finite type-I root")
+    nz = [(i, Fraction(c)) for i, c in enumerate(root.eps) if c != 0]
+    perm = list(range(l))
+    signs = [1] * l
+    if len(nz) == 1:
+        signs[nz[0][0]] = -1
+    elif len(nz) == 2:
+        # eps_i - eps_j reflects by a plain transposition; eps_i + eps_j by a
+        # transposition with both signs flipped
+        (i, ci), (j, cj) = nz
+        if abs(ci) != abs(cj):
+            raise ValueError("not proportional to a finite root")
+        perm[i], perm[j] = j, i
+        if ci * cj > 0:
+            signs[i] = signs[j] = -1
+    else:
+        raise ValueError("not a rank-1 reflection datum")
+    return FiniteWeylElement(tuple(perm), tuple(signs))
+
+
+def enumerate_ker_psi_finite(l):
+    """W_{f;m}^(I) = W_f^(I) cap Ker psi: even number of negative signs."""
+    for u in enumerate_finite(l, "I"):
+        if u.neg_count() % 2 == 0:
+            yield u
 
 
 def finite_inverse(u):
@@ -46,7 +83,7 @@ def compose(w1, w2):
     """(u, g)(u', g') = (u u', u'^{-1}(g) + g')."""
     g = finite_inverse(w2.finite).apply_vec(w1.translation)
     return AffineWeylElement(
-        w1.finite.compose(w2.finite),
+        finite_compose(w1.finite, w2.finite),
         tuple(a + b for a, b in zip(g, w2.translation)))
 
 
@@ -80,7 +117,7 @@ def reflection(l, beta: Weight) -> AffineWeylElement:
         raise ValueError("reflection vector must lie in F")
     if all(c == 0 for c in beta.eps):
         raise ValueError("reflection requires a non-isotropic vector")
-    u = finite_reflection(l, Weight(beta.eps), "I")
+    u = finite_reflection(l, Weight(beta.eps))
     return _semidirect(l, u, lambda v: reflect_weight(beta, v))
 
 

@@ -143,7 +143,7 @@ def anti_invariant(lam: Weight, sharp="I", twisted=False, depth=8,
 
     # psi(u) = (-1)^{#negative signs} on W_f^(I); W_f^(II) lies in Ker psi
     use_psi = twisted and sharp == "I"
-    for u in enumerate_finite(l, sharp):
+    for u in enumerate_finite(l):
         sgn = u.det() * (-1) ** u.neg_count() if use_psi else u.det()
         _accumulate_theta(out, u.act(base, sharp).eps, m, sgn, twisted)
     return out

@@ -2,14 +2,16 @@
 identity checks, transformation-law verifiers and the acceptance suite.
 
 Exit codes: 0 success / all checks pass, 1 verification failure, 2 usage
-error.  JSON output is deterministic: fixed key order, floats at 15
-significant digits, complex numbers as [re, im] pairs.
+error, 141 stdout closed by the reader.  JSON output is deterministic: fixed
+key order, floats at 15 significant digits, complex numbers as [re, im]
+pairs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from fractions import Fraction
@@ -390,10 +392,17 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         _check_args(args)
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, KeyError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull so the exit-time
+        # flush stays quiet, and exit as a process stopped by SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

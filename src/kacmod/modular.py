@@ -21,6 +21,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -174,10 +175,11 @@ _CHUNK = 4096
 
 
 @functools.lru_cache(maxsize=None)
-def _orbit(l, sharp):
-    """W_f^(sharp) as arrays in enumerate_finite order: u.v = signs[u] *
-    v[gather[u]] on sharp coordinate vectors, with det and neg_count of u."""
-    els = list(enumerate_finite(l, sharp))
+def _orbit(l):
+    """W_f as arrays in enumerate_finite order: u.v = signs[u] * v[gather[u]]
+    on coordinate vectors of either numeration, with det and neg_count of
+    u."""
+    els = list(enumerate_finite(l))
     gather, signs = np.empty((2, len(els), l), np.int64)
     for r, u in enumerate(els):
         gather[r, list(u.perm)], signs[r, list(u.perm)] = range(l), u.signs
@@ -188,9 +190,9 @@ def _orbit(l, sharp):
     return gather, signs, det, neg
 
 
-def _orbit_signs(l, sharp, psi):
-    """epsilon(u), times psi(u) if psi, for u in W_f^(sharp)."""
-    _, _, det, neg = _orbit(l, sharp)
+def _orbit_signs(l, psi):
+    """epsilon(u), times psi(u) if psi, for u in W_f."""
+    _, _, det, neg = _orbit(l)
     return det * (-1) ** neg if psi else det
 
 
@@ -257,6 +259,8 @@ def _lattice_sums(shift, shift_im, center, radius, quad, lin, z,
 
 def _coords(w: Weight, sharp):
     """The sharp eps-coordinates of w: the vector W_f^(sharp) permutes."""
+    if sharp not in ("I", "II"):
+        raise ValueError(f"sharp must be 'I' or 'II', got {sharp!r}")
     return w.eps if sharp == "I" else w.to_type_II_coords()[0]
 
 
@@ -269,7 +273,7 @@ def _theta_rows(lam: Weight, sharp, twisted, y: YPoint, tol, orbit=False):
     k = int(k)
     a = np.array([[float(c) / k for c in _coords(lam, sharp)]])
     if orbit:
-        gather, signs, _, _ = _orbit(lam.rank, sharp)
+        gather, signs, _, _ = _orbit(lam.rank)
         a = signs * a[0, gather]
     tau, z = y.tau, y.z
     im_tau = tau.imag
@@ -305,7 +309,7 @@ def eval_anti_invariant(lam: Weight, sharp="I", twisted=False,
     nw = 2 ** l * math.factorial(l)
     thetas = _theta_rows((lam + rho(l)).canonical(), sharp, twisted, y,
                          tol / nw, orbit=True)
-    return _signed_sum(_orbit_signs(l, sharp, twisted and sharp == "I"),
+    return _signed_sum(_orbit_signs(l, twisted and sharp == "I"),
                        thetas)
 
 
@@ -379,12 +383,12 @@ def smatrix_entry(kind, k, lam: Weight, mu: Weight) -> complex:
     # float64; Python ints otherwise
     small = modulus < 2 ** 53 and abs(shift) + max(1, sum(map(abs, ci))) * \
         max(1, *map(abs, gi)) < 2 ** 62
-    gather, signs, _, _ = _orbit(l, grp)
+    gather, signs, _, _ = _orbit(l)
     ci, gi = (np.array(v, np.int64 if small else object) for v in (ci, gi))
     num = (signs * ci[gather]) @ gi + shift
     frac = (num % modulus / modulus).astype(float)
     phases = np.exp(-TWO_PI_I * frac)
-    return _signed_sum(_orbit_signs(l, grp, kind == "aI"), phases)
+    return _signed_sum(_orbit_signs(l, kind == "aI"), phases)
 
 
 def smatrix(kind, k, l) -> SMatrix:
@@ -546,13 +550,34 @@ SL2_ARROWS = (
 PSI_I_ARROWS = (("S", "psiI", "psiI"), ("T", "psiI", "psiI"))
 
 
+# Im tau in [0.5, 1] and |Im z_j| <= Im(tau)/4 keep the closure's character
+# columns far from dependent.  Criteria 6-8 keep sample_points: on these points
+# the suite's median accuracy drops from 8.47 to 8.12 digits.
+_CLOSURE_SEED = 9001
+
+
+def _closure_points(l, n) -> list:
+    """The first n points of one seeded stream per rank: Im tau ~ U[0.5, 1],
+    Re tau, Re z_j ~ U[-0.5, 0.5], Im z_j = Im tau U[-0.25, 0.25] and
+    t ~ U[-0.2, 0.2]."""
+    rng = random.Random(_CLOSURE_SEED + l)
+    pts = []
+    for _ in range(n):
+        im_tau = rng.uniform(0.5, 1.0)
+        tau = complex(rng.uniform(-0.5, 0.5), im_tau)
+        z = tuple(complex(rng.uniform(-0.5, 0.5),
+                          im_tau * rng.uniform(-0.25, 0.25)) for _ in range(l))
+        pts.append(YPoint(tau, z, rng.uniform(-0.2, 0.2)))
+    return pts
+
+
 def verify_sl2_closure(l, k, tol=1e-6, theta_tol=1e-10, arrows=SL2_ARROWS,
                        include_gram=True) -> dict:
-    """Least-squares closure of the six S/T arrows between the character
-    families, plus the Gram rank of the three families' samples.
-
-    k = 0 collapses every family to the constant 1 and is reported as the
-    degenerate case (not a failure)."""
+    """Closure of the S/T arrows between the character families on the
+    points of _closure_points, each family sampled once: one least-squares
+    solve per arrow (largest column residual, target condition number), and
+    the Gram rank of the three families' samples.  k = 0 collapses every
+    family to the constant 1: the degenerate case, not a failure."""
     lams = enumerate_dominant(l, k)
     dim = len(lams)
     if k == 0:
@@ -566,50 +591,31 @@ def verify_sl2_closure(l, k, tol=1e-6, theta_tol=1e-10, arrows=SL2_ARROWS,
 
     # 3*dim + 2 rows, so the Gram stack of the three families can reach
     # full column rank 3*dim
-    n_points = max(3 * dim + 2, 8)
-    points = sample_points(l, n_points)
-    # family samples at the final points; the first arrow's target family
-    # doubles as the conditioning probe, and is drawn once more on
-    # ill-conditioned points
-    probe = arrows[0][2]
-    cache = {probe: sample(probe, points)}
-    if np.linalg.cond(cache[probe]) > 1e10:
-        points = sample_points(l, n_points + 4)[4:]
-        cache = {}
-
-    def family(fam):
-        if fam not in cache:
-            cache[fam] = sample(fam, points)
-        return cache[fam]
-
+    points = _closure_points(l, max(3 * dim + 2, 8))
+    gram_fams = ("I", "II", "psiII") if include_gram else ()
+    samples = {fam: sample(fam, points) for fam in dict.fromkeys(
+        [dst for _, _, dst in arrows] + list(gram_fams))}
     results = []
-    all_pass = True
     for mat, src, dst in arrows:
-        if mat == "S":
-            gpts = [s_point(y) for y in points]
-        else:
-            gpts = [t_point(y) for y in points]
-        transformed = sample(src, gpts)
-        target = family(dst)
-        res_max = 0.0
-        for col in range(dim):
-            v = transformed[:, col]
-            sol, _, _, _ = np.linalg.lstsq(target, v, rcond=None)
-            resid = float(np.linalg.norm(target @ sol - v) / np.linalg.norm(v))
-            res_max = max(res_max, resid)
-        ok = bool(res_max <= tol)
-        all_pass = all_pass and ok
+        act = s_point if mat == "S" else t_point
+        v = sample(src, [act(y) for y in points])
+        target = samples[dst]
+        sol = np.linalg.lstsq(target, v, rcond=None)[0]
+        res_max = float((np.linalg.norm(target @ sol - v, axis=0)
+                         / np.linalg.norm(v, axis=0)).max())
         results.append({"g": mat, "source": src, "target": dst,
-                        "residual": res_max, "pass": ok})
+                        "residual": res_max,
+                        "cond": float(np.linalg.cond(target)),
+                        "pass": bool(res_max <= tol)})
     out = {"degenerate": False, "rank": l, "k": k, "arrows": results,
-           "pass": all_pass}
+           "pass": all(r["pass"] for r in results)}
     if include_gram:
-        stack = np.hstack([family(f) for f in ("I", "II", "psiII")])
-        svals = np.linalg.svd(stack, compute_uv=False)
-        grank = int((svals > svals[0] * 1e-8).sum())
-        out["gram_rank"] = grank
+        svals = np.linalg.svd(np.hstack([samples[f] for f in gram_fams]),
+                              compute_uv=False)
+        out["gram_rank"] = int((svals > svals[0] * 1e-8).sum())
         out["expected_gram_rank"] = 3 * dim
-        out["pass"] = out["pass"] and grank == 3 * dim
+        out["gram_sigma_ratio"] = float(svals[-1] / svals[0])
+        out["pass"] = out["pass"] and out["gram_rank"] == 3 * dim
     return out
 
 

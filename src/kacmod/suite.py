@@ -162,7 +162,8 @@ def criterion_9(quick=False):
     return {"pass": ok,
             "arrows": rep["arrows"] + rep_psi["arrows"],
             "gram_rank": rep["gram_rank"],
-            "expected_gram_rank": rep["expected_gram_rank"]}
+            "expected_gram_rank": rep["expected_gram_rank"],
+            "gram_sigma_ratio": rep["gram_sigma_ratio"]}
 
 
 def criterion_10(quick=False):

@@ -195,7 +195,7 @@ def _psi_weyl_sum(l, base: Weight, height_cap, depth) -> QSeries:
         hi = math.floor((rad - float(c)) / m)
         ranges.append(range(lo, hi + 1))
     gammas = list(itertools.product(*ranges))
-    for u in enumerate_finite(l, "I"):
+    for u in enumerate_finite(l):
         for g in gammas:
             w = AffineWeylElement(u, g)
             img = w.act(base)

@@ -98,11 +98,9 @@ def psi(w: AffineWeylElement) -> int:
     return -1 if s % 2 else 1
 
 
-def enumerate_finite(l, sharp="I"):
-    """All 2^l l! elements of W_f^(sharp) (as signed permutations of the
-    sharp coordinates); deterministic order."""
-    if sharp not in ("I", "II"):
-        raise ValueError(f"sharp must be 'I' or 'II', got {sharp!r}")
+def enumerate_finite(l):
+    """All 2^l l! signed permutations of l coordinates, in deterministic
+    order: W_f^(I) on the type-I and W_f^(II) on the type-II coordinates."""
     if l > RANK_CAP:
         raise ValueError(f"rank {l} exceeds enumeration cap {RANK_CAP}")
     for perm in itertools.permutations(range(l)):

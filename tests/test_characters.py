@@ -128,10 +128,10 @@ def _reference_anti_invariant(lam: Weight, sharp, twisted, depth, height_cap):
     apex = Weight(base.eps, -norm_sq(base) / (2 * m), base.lambda0)
     out = QSeries(l, apex, {}, height_cap, depth)
     if sharp == "II":
-        for u in enumerate_finite(l, "II"):
+        for u in enumerate_finite(l):
             _accumulate_theta(out, u.act(base, "II").eps, m, u.det(), twisted)
     elif not twisted:
-        for u in enumerate_finite(l, "I"):
+        for u in enumerate_finite(l):
             _accumulate_theta(out, u.apply_vec(base.eps), m, u.det(), False)
     else:
         s_l = finite_reflection(l, Weight.eps_basis(l, l))
@@ -172,11 +172,11 @@ def test_anti_invariant_antisymmetry():
     m = 2 * l + 1
     apex = Weight(base.eps, -norm_sq(base) / (2 * m), base.lambda0)
     plain = QSeries(l, apex, {}, None, 5)
-    for u in enumerate_finite(l, "I"):
+    for u in enumerate_finite(l):
         _accumulate_theta(plain, u.apply_vec(base.eps), m, u.det(), False)
-    for u0 in enumerate_finite(l, "I"):
+    for u0 in enumerate_finite(l):
         twisted_order = QSeries(l, apex, {}, None, 5)
-        for u in enumerate_finite(l, "I"):
+        for u in enumerate_finite(l):
             v = finite_compose(u0, u)
             _accumulate_theta(twisted_order, v.apply_vec(base.eps), m,
                               u.det(), False)
@@ -252,7 +252,7 @@ def test_character_weyl_invariant_slices():
     ctx = RootSystemCtx.build(l)
     lam = enumerate_dominant(l, 2)[1]
     ch = character(CharacterRequest(ctx, lam, 2, "I", False, 6))
-    gens = list(enumerate_finite(l, "I"))
+    gens = list(enumerate_finite(l))
     for vec, c in ch.terms.items():
         w = ch.weight_of(vec)
         for u in gens:

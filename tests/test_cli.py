@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kacmod
 from kacmod.cli import main
 
 
@@ -64,6 +69,8 @@ def test_verify_subcommands(capsys):
     assert code == 0
     code, out = run(capsys, "verify", "sinprod")
     assert code == 0
+    code, out = run(capsys, "verify", "sl2", "--rank", "2", "--level", "4")
+    assert code == 0 and json.loads(out)["pass"] is True
     code, out = run(capsys, "verify", "poisson", "--rank", "1",
                     "--tol", "1e-8")
     assert code == 0
@@ -95,7 +102,7 @@ def test_suite_quick_and_report(capsys, tmp_path):
     assert d["pass"] is True and len(d["results"]) == 12
     # the report file is byte-reproducible; any change to it is deliberate
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-        "78d166acd67955adfdd43ea830b74efcc112049fc177be0181e05fa559712915")
+        "932562dcc679b54a092af30934375535f6d4df37ac3c563a71a3faf654e76eec")
 
 
 def test_deterministic_output(capsys):
@@ -234,7 +241,7 @@ PINNED_STDOUT = {
     "verify prop --which 4.8 --law S --rank 1 --level 2":
         "0e843be6f1b432a83f72341498089da679fc762fe41ef16961067d7a8bb7b245",
     "verify sl2 --rank 1 --level 2":
-        "231b3e579c408a0ffc91ac8dc3e61ff81126b16545471badfee4ba5508b8aafb",
+        "2f475c0df928e79c7ce76d3a4b69552a2bb09f3760d03cc11f5996a533da0a5a",
     "verify poisson --rank 2":
         "1483aa2cbf9a00ccfb2b3bd6caee868628849c11d3583959107d7bd64559183f",
     "verify sinprod":
@@ -266,3 +273,18 @@ def test_lattice_sum_overflow_exits_2(capsys):
     assert captured.err.count("\n") == 1
     assert "floating-point range" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    # 140 kB of JSON, more than a pipe buffers, so the CLI is still writing
+    # when the reader closes its end
+    env = {**os.environ, "PYTHONPATH": str(Path(kacmod.__file__).parents[1])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "kacmod", "char", "--rank", "1", "--labels",
+         "1,0", "--depth", "40", "--json"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 141
+    assert err == ""  # no traceback, no message

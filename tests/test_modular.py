@@ -74,7 +74,7 @@ def _reference_eval_anti_invariant(lam, sharp, twisted, y, tol):
     base = (lam + rho(l)).canonical()
     tol_u = tol / (2 ** l * math.factorial(l))
     total = 0.0 + 0.0j
-    for u in enumerate_finite(l, sharp):
+    for u in enumerate_finite(l):
         sgn = u.det()
         if sharp == "I" and twisted and u.neg_count() % 2:
             sgn = -sgn
@@ -105,7 +105,7 @@ def _reference_smatrix_entry(kind, k, lam, mu):
         yv = mu.project_finite("II") + rfII
         grp, use_psi = "II", False
     total = 0.0 + 0.0j
-    for u in enumerate_finite(l, grp):
+    for u in enumerate_finite(l):
         sgn = u.det()
         if use_psi and u.neg_count() % 2:
             sgn = -sgn
@@ -259,6 +259,13 @@ def test_eval_theta_radius_self_consistency():
     rough = eval_theta(lam, "I", False, y, 1e-6)
     fine = eval_theta(lam, "I", False, y, 1e-14)
     assert abs(rough - fine) < 1e-6
+
+
+def test_analytic_evaluators_reject_unknown_sharp():
+    lam, y = Weight.lambda0_I(2), default_sample(2)
+    for ev in (eval_theta, eval_anti_invariant):
+        with pytest.raises(ValueError, match="sharp must be 'I' or 'II'"):
+            ev(lam, "III", False, y)
 
 
 def test_eval_character_trivial_and_consistency():
@@ -422,17 +429,21 @@ def test_sin_product():
         sin_product(1)
 
 
-@pytest.mark.parametrize("l,k", ((1, 4), (2, 2)))
+@pytest.mark.parametrize("l,k", ((1, 4), (2, 2), (2, 4), (1, 6), (3, 2),
+                                 (2, 6)))
 def test_sl2_closure_full_gram_rank(l, k):
-    # enough sample points for the 3*dim columns of the Gram stack
+    # enough sample points for the 3*dim columns of the Gram stack, and the
+    # closure's points keep every target and the stack well conditioned
     rep = verify_sl2_closure(l, k)
     assert rep["gram_rank"] == rep["expected_gram_rank"]
     assert rep["pass"]
+    assert all(a["cond"] <= 1e3 for a in rep["arrows"])
+    assert rep["gram_sigma_ratio"] >= 1e-6
 
 
 def test_sl2_closure_reuses_the_probe(monkeypatch):
-    # the conditioning probe is the family-II sample: 8 points x 2 weights
-    # for it and the two other families, and 6 arrows x 16 transformed
+    # each family is sampled once: 8 points x 2 weights for each of the
+    # three families, and 6 arrows x 16 transformed
     calls = []
     real = modular.eval_character
 
@@ -445,8 +456,8 @@ def test_sl2_closure_reuses_the_probe(monkeypatch):
 
 
 def test_psi_I_closure_probes_its_own_family(monkeypatch):
-    # the psi^(I) arrows only target psiI, so its sample is the probe: 16
-    # calls for it and 2 arrows x 16 transformed
+    # the psi^(I) arrows only target psiI, which is sampled once: 16 calls
+    # for it and 2 arrows x 16 transformed
     calls = []
     real = modular.eval_character
 
@@ -489,7 +500,7 @@ def test_eval_theta_matches_reference(l):
         for lam in enumerate_dominant(l, k):
             base = (lam + rho(l)).canonical()
             for sharp in ("I", "II"):
-                mu = rng.choice(list(enumerate_finite(l, sharp))).act(base,
+                mu = rng.choice(list(enumerate_finite(l))).act(base,
                                                                       sharp)
                 for y in _grid_points(l, rng.random()):
                     y = YPoint(y.tau, y.z, complex(y.t, 0.1))
@@ -595,7 +606,7 @@ def test_theta_tail_certificate_against_mpmath(im_tau):
             lam = rng.choice(enumerate_dominant(l, rng.choice((0, 2))))
             sharp = rng.choice(("I", "II"))
             twisted = rng.random() < 0.5
-            mu = rng.choice(list(enumerate_finite(l, sharp))).act(
+            mu = rng.choice(list(enumerate_finite(l))).act(
                 (lam + rho(l)).canonical(), sharp)
             y = YPoint(complex(rng.uniform(-0.5, 0.5), im_tau),
                        tuple(complex(rng.uniform(-0.5, 0.5),

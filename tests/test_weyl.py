@@ -53,7 +53,7 @@ def finite_reflection(l, root: Weight) -> FiniteWeylElement:
 
 def enumerate_ker_psi_finite(l):
     """W_{f;m}^(I) = W_f^(I) cap Ker psi: even number of negative signs."""
-    for u in enumerate_finite(l, "I"):
+    for u in enumerate_finite(l):
         if u.neg_count() % 2 == 0:
             yield u
 
@@ -252,9 +252,9 @@ def test_conjugation_of_translations(w, mu):
 
 def test_type_II_group_in_ker_psi():
     for l in (1, 2):
-        for u in enumerate_finite(l, "II"):
+        for u in enumerate_finite(l):
             aff = affine_from_action(l, lambda v, u=u: u.act(v, "II"))
             assert psi(aff) == 1
         # ... whereas W_f^(I) is not contained in Ker psi
         assert any(psi(from_finite(u)) == -1
-                   for u in enumerate_finite(l, "I"))
+                   for u in enumerate_finite(l))

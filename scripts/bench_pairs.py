@@ -6,8 +6,10 @@
         --seconds 30 --out BENCH_5.json
 
 Each `--run WORKLOAD:SEED:PAIRS` runs `bench/run.py --trace 0` PAIRS times in
-each checkout, one process at a time, alternating which side goes first.
-Each `--trace WORKLOAD:SEED` adds one `--trace 1` run per side.  The last
+each checkout, one process at a time, alternating which side goes first;
+PAIRS is at least 2, so each side has quartiles.  Each `--trace WORKLOAD:SEED`
+adds one `--trace 1` run per side.  Every spec is checked against the
+workloads of BENCHMARK.json before the first run.  The last
 stdout line of every run is kept verbatim under `runs`; `summary` gives the
 quartiles of each end-to-end metric per side, the change/parent ratio of the
 medians and the number of pairs the change wins; `same_outputs` says whether
@@ -30,11 +32,17 @@ E2E = {"setup_s": True, "wall_s": True, "peak_rss_mb": True,
        "pass_ratio": False, "accuracy_digits_p50": False,
        "accuracy_digits_low": False}
 # per-layer metrics kept from the traced runs
-LAYERS = ("modular.eval_anti_invariant.self_s",
+LAYERS = ("qseries.divide.self_s", "qseries.divide.calls",
+          "characters.anti_invariant.self_s", "characters.character.self_s",
+          "modular.eval_anti_invariant.self_s",
           "modular.eval_anti_invariant.calls", "modular.eval_theta.calls",
           "modular.smatrix_entry.self_s", "modular.smatrix_entry.calls",
           "modular.poisson_check.self_s", "modular.eval_character.calls",
           "weyl.enumerate_finite.calls", "trace.overhead_ratio")
+# the workloads the benchmark declares
+WORKLOADS = tuple(w["name"] for w in json.loads(
+    (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
+    ["workloads"])
 
 
 def run_bench(root: Path, workload, seed, seconds, trace):
@@ -75,6 +83,26 @@ def summarize(workload, seed, pairs):
             "metrics": metrics}
 
 
+def parse_spec(ap, flag, spec, with_pairs):
+    """(workload, seed, pairs) from WORKLOAD:SEED:PAIRS, or (workload, seed)
+    from WORKLOAD:SEED; a malformed spec ends the program through ap.error."""
+    parts = spec.split(":")
+    shape = "WORKLOAD:SEED:PAIRS" if with_pairs else "WORKLOAD:SEED"
+    if len(parts) != 2 + with_pairs:
+        ap.error(f"{flag} {spec!r}: expected {shape}")
+    if parts[0] not in WORKLOADS:
+        ap.error(f"{flag} {spec!r}: unknown workload {parts[0]!r} "
+                 f"(choose from {', '.join(WORKLOADS)})")
+    try:
+        nums = [int(p) for p in parts[1:]]
+    except ValueError:
+        ap.error(f"{flag} {spec!r}: expected {shape} with integer SEED"
+                 + (" and PAIRS" if with_pairs else ""))
+    if with_pairs and nums[1] < 2:
+        ap.error(f"{flag} {spec!r}: PAIRS must be at least 2 for quartiles")
+    return (parts[0], *nums)
+
+
 def git_head(root: Path):
     try:
         return subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
@@ -89,12 +117,14 @@ def main(argv=None):
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--run", action="append", default=[],
-                    help="WORKLOAD:SEED:PAIRS, repeatable")
+                    help="WORKLOAD:SEED:PAIRS with PAIRS >= 2, repeatable")
     ap.add_argument("--trace", action="append", default=[],
                     help="WORKLOAD:SEED, repeatable")
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
+    runs = [parse_spec(ap, "--run", spec, True) for spec in args.run]
+    traces = [parse_spec(ap, "--trace", spec, False) for spec in args.trace]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     import numpy
     doc = {"what": f"bench/run.py --seconds {args.seconds:g}, parent vs "
@@ -105,12 +135,11 @@ def main(argv=None):
            "machine": {"python": platform.python_version(),
                        "numpy": numpy.__version__, "cpus": os.cpu_count()},
            "summary": [], "traced": [], "runs": []}
-    for spec in args.run:
-        workload, seed, n = spec.split(":")
+    for workload, seed, n in runs:
         pairs = []
-        for i in range(int(n)):
+        for i in range(n):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"workload": workload, "seed": int(seed), "trace": 0,
+            pair = {"workload": workload, "seed": seed, "trace": 0,
                     "first": order[0]}
             marks = {}
             for side in order:
@@ -123,15 +152,14 @@ def main(argv=None):
                   f"{pair['change']['metrics']['wall_s']['value']:.3f}",
                   file=sys.stderr)
         doc["runs"] += pairs
-        doc["summary"].append(summarize(workload, int(seed), pairs))
-    for spec in args.trace:
-        workload, seed = spec.split(":")
-        entry = {"workload": workload, "seed": int(seed)}
+        doc["summary"].append(summarize(workload, seed, pairs))
+    for workload, seed in traces:
+        entry = {"workload": workload, "seed": seed}
         marks = {}
         for side in ("parent", "change"):
             res, marks[side] = run_bench(sides[side], workload, seed,
                                          args.seconds, 1)
-            doc["runs"].append({"workload": workload, "seed": int(seed),
+            doc["runs"].append({"workload": workload, "seed": seed,
                                 "trace": 1, "side": side, side: res})
             entry[side] = {k: res["metrics"][k]["value"] for k in LAYERS
                            if k in res["metrics"]}

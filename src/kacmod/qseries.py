@@ -16,6 +16,14 @@ division).
 code (a mixed radix sized per step, coordinate 0 most significant) and keeps
 coefficients int64 only while max|acc| * sum|factor| < 2^62, switching to
 Python-int object arrays otherwise, so no product ever wraps.
+
+`divide` is graded long division, level by level in total height on the same
+packed codes: each quotient level pulls its remainder from the levels below
+it, with its own radix, a bound on every partial sum that switches to
+Python ints before int64 could wrap, the +-1 apex-coefficient check and a
+cap of _MAX_DIVISION_STEPS quotient terms.  It calls neither `mul` nor its
+kernel, so checking a quotient by re-multiplying runs two independent
+routes.
 """
 
 from __future__ import annotations
@@ -192,6 +200,19 @@ def _as_arrays(s: QSeries) -> _Terms:
     return _Terms(coords, coefs[keep], heights[keep], coords.max(0, initial=0))
 
 
+def _strides(span) -> np.ndarray:
+    """Mixed-radix strides packing height vectors with coordinate j in
+    0..span[j] into int64 codes, coordinate 0 most significant, so code order
+    is lexicographic order and a sum of vectors is a sum of codes."""
+    strides = [1]
+    for r in span[:0:-1]:
+        strides.insert(0, strides[0] * (int(r) + 1))
+    if strides[0] * (int(span[0]) + 1) > _EXACT_INT64:
+        raise ValueError("height vectors too far apart to pack into int64 "
+                         f"codes (coordinate maxima {span.tolist()})")
+    return np.array(strides, dtype=np.int64)
+
+
 def _mul_arrays(acc: _Terms, f: _Terms, height_cap, q_cap) -> _Terms:
     """One product step.  Height vectors are packed into int64 codes with a
     mixed radix just wide enough for the product (coordinate 0 most
@@ -209,13 +230,7 @@ def _mul_arrays(acc: _Terms, f: _Terms, height_cap, q_cap) -> _Terms:
         span = np.minimum(span, height_cap)
     if q_cap is not None:
         span[0] = min(span[0], q_cap)
-    strides = [1]
-    for r in span[:0:-1]:
-        strides.insert(0, strides[0] * (int(r) + 1))
-    if strides[0] * (int(span[0]) + 1) > _EXACT_INT64:
-        raise ValueError("height vectors too far apart to pack into int64 "
-                         f"codes (coordinate maxima {span.tolist()})")
-    strides = np.array(strides, dtype=np.int64)
+    strides = _strides(span)
     codes, fcodes = acc.coords @ strides, f.coords @ strides
     out_codes = np.zeros(0, dtype=np.int64)
     out_coefs = np.zeros(0, dtype=dtype)
@@ -249,57 +264,123 @@ def _mul_arrays(acc: _Terms, f: _Terms, height_cap, q_cap) -> _Terms:
 
 
 def divide(num: QSeries, den: QSeries) -> QSeries:
-    """Graded long division num/den; den must have coefficient +-1 at its
-    apex.  Quotient terms are emitted in increasing total height, which makes
-    every emission final (den has no other height-0 term).  Exact in the
-    truncated ring; raises if the division does not terminate within the caps
-    (the quotient then has unbounded support and a height cap is required)."""
-    import heapq
+    """Graded long division num/den, level by level in total height; den
+    must have coefficient d0 = +-1 at its apex.  Exact in the truncated ring.
 
+    With N_h and D_t the terms of num and of den (apex left out) at one
+    height, the quotient's level h is Q_h = d0 (N_h - sum_t Q_{h-t} D_t).
+    Each level pulls its remainder from the quotient levels below it: the
+    outer products Q_{h-t} x D_t are formed at once and cut to the q cap,
+    packed into int64 codes with that level's own radix and merged with N_h
+    by one sort and np.add.reduceat, so only one level's products are ever
+    held (the sums are exact, so the order of equal codes is free).  A running
+    bound max|N| + sum_h max|Q_h| sum|D| on every partial sum keeps
+    coefficients int64 while it is below 2^62 and switches to Python-int
+    object arrays otherwise.  The loop stops past the height cap, or once no
+    term of num or of a quotient level below can reach h; it raises after
+    _MAX_DIVISION_STEPS quotient terms (the quotient then has unbounded
+    support and a height cap is required)."""
     _check_compatible(num, den)
-    zero_vec = (0,) * (num.rank + 1)
-    d0 = den.terms.get(zero_vec, 0)
+    d0 = den.terms.get((0,) * (num.rank + 1), 0)
     if d0 not in (1, -1):
         raise ValueError("divisor leading coefficient at its apex must be +-1")
-    den_rest = [(v, sum(v), c) for v, c in den.sorted_items() if v != zero_vec]
-    apex = num.apex - den.apex
-    out = QSeries(num.rank, apex, {}, *num.caps())
-    rem = dict(num.terms)
-    heap = [(sum(v), v) for v in rem]
-    heapq.heapify(heap)
+    out = QSeries(num.rank, num.apex - den.apex, {}, *num.caps())
     hcap, qcap = out.height_cap, out.q_cap
-    steps = 0
-    while heap:
-        d, vec = heapq.heappop(heap)
-        c = rem.pop(vec, None)
-        if c is None:
-            continue  # stale heap entry
-        q = c * d0
-        out.add_term(vec, q)
-        if not out._inside(vec):
-            # this quotient contribution and all its den-multiples lie
-            # beyond the caps; dropping it is the truncation congruence
-            continue
-        q0 = vec[0]
-        for dvec, dh, dc in den_rest:
-            if hcap is not None and d + dh > hcap:
-                continue
-            if qcap is not None and q0 + dvec[0] > qcap:
-                continue
-            key = tuple(x + y for x, y in zip(vec, dvec))
-            old = rem.get(key)
-            v2 = (old or 0) - q * dc
-            if v2:
-                rem[key] = v2
-                if old is None:
-                    heapq.heappush(heap, (d + dh, key))
-            elif old is not None:
-                del rem[key]
-        steps += 1
-        if steps > _MAX_DIVISION_STEPS:
-            raise ValueError("division does not terminate within caps; "
-                             "set a height cap")
+    n, d = _as_arrays(num), _as_arrays(den)
+    rest = d.heights > 0
+    # den's other terms negated, so the remainder is N_h + sum_t Q_{h-t} D_t
+    n, d = _levels(n), _levels(_Terms(d.coords[rest], -d.coefs[rest],
+                                      d.heights[rest], d.span))
+    dsum = int(np.abs(d.coefs).sum(dtype=object))
+    bound = int(np.abs(n.coefs).max()) if len(n.coefs) else 0
+    qc = np.zeros((0, num.rank + 1), dtype=np.int64)
+    qv = np.zeros(0, dtype=np.int64)
+    qstart, qmax = [0], []  # quotient level s: rows qstart[s]:qstart[s+1]
+    last, h = None, 0
+    while ((hcap is None or h <= hcap)
+           and (h <= n.top or (last is not None and h - last <= d.top))):
+        dtype = np.int64 if bound < _EXACT_INT64 else object
+        t = np.arange(1, min(h, d.top) + 1)
+        starts = np.array(qstart)
+        qlo, qn = starts[h - t], starts[h - t + 1] - starts[h - t]
+        dn = d.start[t + 1] - d.start[t]
+        live = (qn > 0) & (dn > 0)
+        t, qlo, qn, dn = t[live], qlo[live], qn[live], dn[live]
+        span = n.cmax[h] if h <= n.top else np.zeros(num.rank + 1, np.int64)
+        if len(t):
+            span = np.maximum(span, (np.array(qmax)[h - t] + d.cmax[t]).max(0))
+        span = np.minimum(span, h)
+        if qcap is not None:
+            span[0] = min(span[0], qcap)
+        strides = _strides(span)
+        i, k = _block_pairs(qlo, qn, d.start[t], dn)
+        if qcap is not None:
+            keep = qc[:, 0][i] + d.coords[:, 0][k] <= qcap
+            i, k = i[keep], k[keep]
+        codes = (qc @ strides)[i] + (d.coords @ strides)[k]
+        coefs = (qv[i].astype(dtype, copy=False)
+                 * d.coefs[k].astype(dtype, copy=False))
+        if h <= n.top:
+            rows = slice(n.start[h], n.start[h + 1])
+            codes = np.concatenate([n.coords[rows] @ strides, codes])
+            coefs = np.concatenate([n.coefs[rows].astype(dtype, copy=False),
+                                    coefs])
+        if len(codes):
+            order = np.argsort(codes)
+            codes = codes[order]
+            first = np.flatnonzero(np.r_[True, codes[1:] != codes[:-1]])
+            coefs = np.add.reduceat(coefs[order], first)
+            nonzero = coefs != 0
+            codes, coefs = codes[first[nonzero]], coefs[nonzero]
+        coords = codes[:, None] // strides % (span + 1)
+        qc = np.concatenate([qc, coords])
+        qv = np.concatenate([qv, coefs if d0 == 1 else -coefs])
+        qstart.append(len(qv))
+        qmax.append(coords.max(0, initial=0))
+        if len(coefs):
+            last = h
+            bound += int(np.abs(coefs).max()) * dsum
+            if len(qv) > _MAX_DIVISION_STEPS:
+                raise ValueError("division does not terminate within caps; "
+                                 "set a height cap")
+        h += 1
+    out.terms = dict(zip(map(tuple, qc.tolist()), qv.tolist()))
     return out
+
+
+class _Levels(NamedTuple):
+    coords: np.ndarray  # (n, l+1) height vectors sorted by total height
+    coefs: np.ndarray   # (n,) their coefficients
+    start: np.ndarray   # (top+2,) level h is rows start[h]:start[h+1]
+    cmax: np.ndarray    # (top+1, l+1) coordinate maxima of each level
+    top: int            # the highest height present, -1 if none
+
+
+def _levels(t: _Terms) -> _Levels:
+    """t's terms grouped by total height."""
+    order = np.argsort(t.heights, kind="stable")
+    heights = t.heights[order]
+    top = int(heights[-1]) if len(heights) else -1
+    start = np.searchsorted(heights, np.arange(top + 2))
+    coords = t.coords[order]
+    cmax = np.zeros((top + 1, t.coords.shape[1]), dtype=np.int64)
+    for h in range(top + 1):
+        cmax[h] = coords[start[h]:start[h + 1]].max(0, initial=0)
+    return _Levels(coords, t.coefs[order], start, cmax, top)
+
+
+def _block_pairs(qlo, qn, dlo, dn):
+    """Row indices (i, k) of every pair in the blocks
+    qlo[b]:qlo[b]+qn[b] x dlo[b]:dlo[b]+dn[b], block by block, i major."""
+    qrows = _runs(qlo, qn)
+    size = np.repeat(dn, qn)  # one run of den rows per quotient row
+    return np.repeat(qrows, size), _runs(np.repeat(dlo, qn), size)
+
+
+def _runs(lo, size):
+    """The concatenated ranges lo[j]:lo[j]+size[j]."""
+    return (np.arange(int(size.sum()))
+            + np.repeat(lo - np.cumsum(size) + size, size))
 
 
 def binomial_factor(root: Weight, sign=-1, height_cap=None, q_cap=None) -> QSeries:

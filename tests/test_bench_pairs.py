@@ -1,0 +1,70 @@
+"""scripts/bench_pairs.py: spec checking before any run, and the JSON it
+writes, with the benchmark runs replaced by canned results."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+
+
+@pytest.fixture
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("flag,spec", [
+    ("--run", "suite:1:1"),          # one pair has no quartiles
+    ("--run", "suite:1"),            # PAIRS missing
+    ("--run", "no-such-load:1:3"),   # unknown workload
+    ("--run", "suite:one:3"),        # SEED not an integer
+    ("--trace", "suite:1:2"),        # a trace takes no PAIRS
+    ("--trace", "no-such-load:1"),
+])
+def test_bad_spec_exits_2_before_any_run(bench_pairs, monkeypatch, capsys,
+                                         tmp_path, flag, spec):
+    started = []
+    monkeypatch.setattr(bench_pairs, "run_bench",
+                        lambda *args: started.append(args))
+    out = tmp_path / "pairs.json"
+    # a good spec first: nothing may run before every spec is checked
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", ".", "--change", ".",
+                          "--run", "exact-division:1:2", flag, spec,
+                          "--out", str(out)])
+    assert exc.value.code == 2
+    assert started == [] and not out.exists()
+    err = capsys.readouterr().err
+    assert spec in err and "Traceback" not in err
+
+
+def test_two_pairs_write_summary_and_traced_layers(bench_pairs, monkeypatch,
+                                                   tmp_path):
+    walls = iter([4.0, 1.0, 1.1, 4.2])  # parent, change, change, parent
+
+    def fake_run(root, workload, seed, seconds, trace):
+        metrics = {name: {"value": 1.0} for name in bench_pairs.E2E}
+        metrics["wall_s"] = {"value": next(walls) if not trace else 1.0}
+        if trace:
+            metrics["qseries.divide.self_s"] = {"value": 0.5}
+        res = {"correct": True, "failed": 0, "metrics": metrics}
+        return res, [f"# digest {workload} {seed}"]
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "pairs.json"
+    bench_pairs.main(["--parent", ".", "--change", ".",
+                      "--run", "exact-division:1:2",
+                      "--trace", "exact-division:1", "--out", str(out)])
+    doc = json.loads(out.read_text())
+    (summary,) = doc["summary"]
+    assert summary["pairs"] == 2 and summary["correct"]
+    assert summary["same_outputs"]
+    wall = summary["metrics"]["wall_s"]
+    assert wall["change_wins"] == 2
+    assert wall["change_over_parent_median"] == pytest.approx(1.05 / 4.1)
+    (traced,) = doc["traced"]
+    assert traced["change"] == {"qseries.divide.self_s": 0.5}

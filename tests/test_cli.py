@@ -223,6 +223,8 @@ PINNED_STDOUT = {
         "e8f11b93f442a37ec52cb6fe77f727dc6277cbfc3369ceb3c50b08322eac18e4",
     "char --rank 1 --labels 1,0 --depth 12 --twisted --sharp II --json":
         "975bfdb0f5b7f12ae97579a858502d7d9a751369f5a02d4fdc91a1b9e2a2eb89",
+    "char --rank 3 --labels 0,0,0,2 --depth 7 --json":
+        "45c7730f60ae9378ce15de24e9ae06ed82b950a9c8dd2ee7cfebe3a5cf08e825",
     "check denominator --rank 2 --depth 10":
         "b38fd0606ecba176a41b8a8b3ef9d60a9ca8f624935a0f585b70c06a5edba771",
     "check denominator --rank 2 --depth 10 --twisted":

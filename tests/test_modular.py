@@ -441,7 +441,7 @@ def test_sl2_closure_full_gram_rank(l, k):
     assert rep["gram_sigma_ratio"] >= 1e-6
 
 
-def test_sl2_closure_reuses_the_probe(monkeypatch):
+def test_sl2_closure_samples_each_family_once(monkeypatch):
     # each family is sampled once: 8 points x 2 weights for each of the
     # three families, and 6 arrows x 16 transformed
     calls = []
@@ -455,7 +455,7 @@ def test_sl2_closure_reuses_the_probe(monkeypatch):
     assert len(calls) == 144
 
 
-def test_psi_I_closure_probes_its_own_family(monkeypatch):
+def test_psi_I_closure_samples_only_its_family(monkeypatch):
     # the psi^(I) arrows only target psiI, which is sampled once: 16 calls
     # for it and 2 arrows x 16 transformed
     calls = []

@@ -12,7 +12,7 @@ from kacmod.roots import from_dynkin_labels, rho, simple_roots_I
 CAPS = dict(height_cap=8, q_cap=None)
 
 
-def sparse_series(l=2, height_cap=8):
+def sparse_series(l=2, height_cap=8, q_cap=None):
     """Random sparse series; apexes lie in the root lattice so that sums of
     any two are defined."""
     vec = st.tuples(*([st.integers(0, 3)] * (l + 1)))
@@ -21,7 +21,7 @@ def sparse_series(l=2, height_cap=8):
         apex = Weight.zero(l)
         for n, alpha in zip(apex_coords, simple_roots_I(l)):
             apex = apex + alpha.scale(n)
-        s = QSeries(l, apex, {}, height_cap, None)
+        s = QSeries(l, apex, {}, height_cap, q_cap)
         for v, c in items:
             s.add_term(v, c)
         return s
@@ -55,6 +55,62 @@ def _reference_mul(a: QSeries, b: QSeries) -> QSeries:
                 terms[key] = c
             else:
                 del terms[key]
+    return out
+
+
+def _reference_divide(num: QSeries, den: QSeries) -> QSeries:
+    """The dict-and-heap loop that the level-by-level kernel replaced, kept
+    as its oracle.  Graded long division num/den; den must have coefficient
+    +-1 at its apex.  Quotient terms are emitted in increasing total height,
+    which makes every emission final (den has no other height-0 term).  Exact
+    in the truncated ring; raises if the division does not terminate within
+    the caps (the quotient then has unbounded support and a height cap is
+    required)."""
+    import heapq
+
+    qs._check_compatible(num, den)
+    zero_vec = (0,) * (num.rank + 1)
+    d0 = den.terms.get(zero_vec, 0)
+    if d0 not in (1, -1):
+        raise ValueError("divisor leading coefficient at its apex must be +-1")
+    den_rest = [(v, sum(v), c) for v, c in den.sorted_items() if v != zero_vec]
+    apex = num.apex - den.apex
+    out = QSeries(num.rank, apex, {}, *num.caps())
+    rem = dict(num.terms)
+    heap = [(sum(v), v) for v in rem]
+    heapq.heapify(heap)
+    hcap, qcap = out.height_cap, out.q_cap
+    steps = 0
+    while heap:
+        d, vec = heapq.heappop(heap)
+        c = rem.pop(vec, None)
+        if c is None:
+            continue  # stale heap entry
+        q = c * d0
+        out.add_term(vec, q)
+        if not out._inside(vec):
+            # this quotient contribution and all its den-multiples lie
+            # beyond the caps; dropping it is the truncation congruence
+            continue
+        q0 = vec[0]
+        for dvec, dh, dc in den_rest:
+            if hcap is not None and d + dh > hcap:
+                continue
+            if qcap is not None and q0 + dvec[0] > qcap:
+                continue
+            key = tuple(x + y for x, y in zip(vec, dvec))
+            old = rem.get(key)
+            v2 = (old or 0) - q * dc
+            if v2:
+                rem[key] = v2
+                if old is None:
+                    heapq.heappush(heap, (d + dh, key))
+            elif old is not None:
+                del rem[key]
+        steps += 1
+        if steps > qs._MAX_DIVISION_STEPS:
+            raise ValueError("division does not terminate within caps; "
+                             "set a height cap")
     return out
 
 
@@ -238,6 +294,116 @@ def test_invert_requires_unit():
     s.terms[(0, 0)] = 2
     with pytest.raises(ValueError):
         qs.divide(QSeries.one(l, 6, None), s)
+
+
+# the level-by-level division kernel against the dict-and-heap oracle
+
+def _unit_lead(s: QSeries, sign) -> QSeries:
+    s.terms[(0,) * (s.rank + 1)] = sign
+    return s
+
+
+@given(st.sampled_from([(8, None), (8, 3)]).flatmap(
+    lambda caps: st.tuples(sparse_series(2, *caps), sparse_series(2, *caps))),
+    st.sampled_from([1, -1]))
+@settings(max_examples=150, deadline=None)
+def test_divide_matches_reference(pair, sign):
+    num, den = pair
+    den = _unit_lead(den, sign)
+    quot = qs.divide(num, den)
+    ref = _reference_divide(num, den)
+    assert quot == ref
+    assert list(quot.terms) == list(ref.terms)  # same emission order
+
+
+@given(sparse_series(2, None, 3), sparse_series(2, None, 3),
+       st.sampled_from([1, -1]))
+@settings(max_examples=60, deadline=None)
+def test_divide_exact_product_under_q_cap_alone(a, b, sign):
+    # a finite quotient ends the division with no height cap
+    b = _unit_lead(b, sign)
+    prod = qs.mul(a, b)
+    assert qs.divide(prod, b) == _reference_divide(prod, b) == a
+
+
+@pytest.mark.parametrize("l,k,depth", [(3, 2, 4), (2, 4, 5)])
+def test_characters_match_reference_division(l, k, depth):
+    # every weight of the exact-division benchmark's tables, at reduced depth
+    from kacmod.characters import (CharacterRequest, anti_invariant, character,
+                                   default_height_cap)
+    from kacmod.roots import RootSystemCtx, enumerate_dominant
+
+    ctx = RootSystemCtx.build(l)
+    hcap = default_height_cap(l, k, depth)
+    for sharp in ("I", "II"):
+        den = {tw: anti_invariant(Weight.zero(l), sharp, tw, depth, hcap)
+               for tw in (False, True)}
+        for lam in enumerate_dominant(l, k):
+            for tw in (False, True):
+                req = CharacterRequest(ctx, lam, k, sharp, tw, depth)
+                num = anti_invariant(req.lam, sharp, tw, depth, hcap)
+                assert character(req) == _reference_divide(num, den[tw])
+
+
+def test_divide_exact_beyond_int64():
+    # coefficients near 2^61 over a divisor with coefficients 3: the quotient
+    # grows past 2^63, so only the object path can hold it
+    l = 2
+    alphas = simple_roots_I(l)
+    num = qs.mul(*[qs.binomial_factor(x, 1, 10, 2) for x in alphas])
+    for vec in num.terms:
+        num.terms[vec] *= 2**61 - 1
+    for sign in (1, -1):
+        den = QSeries.one(l, 10, 2)
+        den.terms[(0,) * (l + 1)] = sign
+        for x in alphas:
+            den.add_term(qs.root_coords(x), 3)
+        quot = qs.divide(num, den)
+        assert quot == _reference_divide(num, den)
+        assert max(map(abs, quot.terms.values())) > 2**63
+        assert all(type(c) is int for c in quot.terms.values())
+
+
+def test_divide_caps_its_steps(monkeypatch):
+    l = 1
+    alpha = simple_roots_I(l)[1]
+    # 10 quotient terms under a height cap of 9
+    monkeypatch.setattr(qs, "_MAX_DIVISION_STEPS", 5)
+    with pytest.raises(ValueError, match="does not terminate"):
+        qs.divide(QSeries.one(l, 9, None),
+                  qs.binomial_factor(alpha, -1, 9, None))
+    # a q cap alone cannot stop the geometric series along alpha_1
+    monkeypatch.setattr(qs, "_MAX_DIVISION_STEPS", 50)
+    with pytest.raises(ValueError, match="does not terminate"):
+        qs.divide(QSeries.one(l, None, 2),
+                  qs.binomial_factor(alpha, -1, None, 2))
+
+
+def test_divide_rejects_codes_wider_than_int64():
+    # ten coordinates of one level at 100 each need more than 62 bits
+    l = 9
+    num = QSeries(l, Weight.zero(l), {}, 100, None)
+    for j in range(l + 1):
+        num.add_term(tuple(100 * (i == j) for i in range(l + 1)), 1)
+    den = qs.binomial_factor(simple_roots_I(l)[1], -1, 100, None)
+    with pytest.raises(ValueError, match="int64"):
+        qs.divide(num, den)
+
+
+def test_divide_runs_apart_from_the_product_kernel(monkeypatch):
+    # the benchmark judges a quotient by re-multiplying it with qs.mul, so the
+    # two routes must not share a kernel
+    def refuse(*args):
+        raise AssertionError("divide reached the product kernel")
+
+    l = 2
+    alphas = simple_roots_I(l)
+    num = qs.mul(*[qs.binomial_factor(x, -1, 8, 3) for x in alphas])
+    den = qs.binomial_factor(alphas[1], -1, 8, 3)
+    want = _reference_divide(num, den)
+    monkeypatch.setattr(qs, "mul", refuse)
+    monkeypatch.setattr(qs, "_mul_arrays", refuse)
+    assert qs.divide(num, den) == want
 
 
 def test_add_requires_lattice_apex_difference():

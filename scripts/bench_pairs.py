@@ -38,6 +38,7 @@ LAYERS = ("qseries.divide.self_s", "qseries.divide.calls",
           "modular.eval_anti_invariant.calls", "modular.eval_theta.calls",
           "modular.smatrix_entry.self_s", "modular.smatrix_entry.calls",
           "modular.poisson_check.self_s", "modular.eval_character.calls",
+          "modular.verify.self_s", "modular.verify_sl2_closure.self_s",
           "weyl.enumerate_finite.calls", "trace.overhead_ratio")
 # the workloads the benchmark declares
 WORKLOADS = tuple(w["name"] for w in json.loads(

@@ -202,10 +202,12 @@ def _cmul(ar, ai, br, bi):
     return ar * br - ai * bi, ar * bi + ai * br
 
 
-def _signed_sum(sgn, values) -> complex:
-    """sum_u sgn[u] * values[u], added in order from 0 as a Python loop."""
+def _signed_sums(sgn, values):
+    """sum_u sgn[u] * values[..., u] over the last axis, each sum added in
+    order from 0 as a Python loop."""
     terms = np.where(sgn < 0, -values, values)
-    return complex(np.cumsum(np.concatenate(([0j], terms)))[-1])
+    start = np.zeros(terms.shape[:-1] + (1,), complex)
+    return np.cumsum(np.concatenate((start, terms), axis=-1), axis=-1)[..., -1]
 
 
 def _lattice_sums(shift, shift_im, center, radius, quad, lin, z,
@@ -264,17 +266,40 @@ def _coords(w: Weight, sharp):
     return w.eps if sharp == "I" else w.to_type_II_coords()[0]
 
 
-def _theta_rows(lam: Weight, sharp, twisted, y: YPoint, tol, orbit=False):
-    """eval_theta of lam, or of every u.lam for u in W_f^(sharp) (in orbit
-    order) when orbit is set, as an array."""
+@functools.lru_cache(maxsize=None)
+def _shifted(lam: Weight) -> Weight:
+    """(lam + rho).canonical(): the weight whose W_f-orbit A_{lam+rho}
+    sums."""
+    return (lam + rho(lam.rank)).canonical()
+
+
+@functools.lru_cache(maxsize=None)
+def _theta_shift(lam: Weight, sharp):
+    """(k, a) of eval_theta: the level k of lam, a positive integer, and
+    a = pr^(sharp)(lam)/k as a read-only float array."""
     k = level(lam)
     if Fraction(k).denominator != 1 or k <= 0:
         raise ValueError(f"positive integer level required, got {k}")
     k = int(k)
-    a = np.array([[float(c) / k for c in _coords(lam, sharp)]])
+    a = np.array([float(c) / k for c in _coords(lam, sharp)])
+    a.setflags(write=False)
+    return k, a
+
+
+def _theta_rows(lams, sharp, twisted, y: YPoint, tol, orbit=False):
+    """eval_theta of each weight of lams, all of one level, as the rows of
+    an array: one column, or, when orbit is set, one column per u in
+    W_f^(sharp) (in orbit order) holding the theta orbit of u.lam.  One
+    _lattice_sums call; each row walks its own box."""
+    data = [_theta_shift(lam, sharp) for lam in lams]
+    k = data[0][0]
+    if any(kj != k for kj, _ in data):
+        raise ValueError("the weights of one call must share their level")
+    l = lams[0].rank
+    a = np.array([aj for _, aj in data])
     if orbit:
-        gather, signs, _, _ = _orbit(lam.rank)
-        a = signs * a[0, gather]
+        gather, signs, _, _ = _orbit(l)
+        a = (signs * a[:, gather]).reshape(-1, l)
     tau, z = y.tau, y.z
     im_tau = tau.imag
     if im_tau <= 0:
@@ -282,13 +307,13 @@ def _theta_rows(lam: Weight, sharp, twisted, y: YPoint, tol, orbit=False):
     w = [zi.imag / im_tau for zi in z]
     decay = math.pi * k * im_tau
     log_c = decay * sum(x * x for x in w)
-    radius = _shell_radius(lam.rank, decay, log_c, tol)
+    radius = _shell_radius(l, decay, log_c, tol)
     rows = _lattice_sums(a, None, a + np.array(w), radius,
                          1j * math.pi * k * tau, TWO_PI_I * k, z,
                          twisted=twisted)
     pre = cmath.exp(TWO_PI_I * k * y.t)
     re, im = _cmul(pre.real, pre.imag, rows.real, rows.imag)
-    return re + 1j * im
+    return (re + 1j * im).reshape(len(lams), -1)
 
 
 def eval_theta(lam: Weight, sharp="I", twisted=False, y: YPoint = None,
@@ -297,7 +322,18 @@ def eval_theta(lam: Weight, sharp="I", twisted=False, y: YPoint = None,
     e^{2 pi i k t} sum_gamma [psi(t_gamma)] e^{pi i k tau |gamma+a|^2
     + 2 pi i k <gamma+a, z>} with a = pr^(sharp)(lam)/k; the Gaussian tail is
     bounded below tol."""
-    return complex(_theta_rows(lam, sharp, twisted, y, tol)[0])
+    return complex(_theta_rows((lam,), sharp, twisted, y, tol)[0, 0])
+
+
+def _eval_anti_invariants(lams, sharp, twisted, y: YPoint, tol) -> list:
+    """eval_anti_invariant of each weight of lams, all of one level, from
+    one lattice-sum call."""
+    l = lams[0].rank
+    nw = 2 ** l * math.factorial(l)
+    thetas = _theta_rows([_shifted(lam) for lam in lams], sharp, twisted, y,
+                         tol / nw, orbit=True)
+    sums = _signed_sums(_orbit_signs(l, twisted and sharp == "I"), thetas)
+    return [complex(v) for v in sums]
 
 
 def eval_anti_invariant(lam: Weight, sharp="I", twisted=False,
@@ -305,30 +341,32 @@ def eval_anti_invariant(lam: Weight, sharp="I", twisted=False,
     """A_{lam+rho} (A^psi when twisted) as a function on Y through the sharp
     chart: the epsilon(-psi)-weighted sum of theta orbits over W_f^(sharp)
     (W_f^(II) lies in Ker psi), each to tol / |W_f|."""
-    l = lam.rank
-    nw = 2 ** l * math.factorial(l)
-    thetas = _theta_rows((lam + rho(l)).canonical(), sharp, twisted, y,
-                         tol / nw, orbit=True)
-    return _signed_sum(_orbit_signs(l, twisted and sharp == "I"),
-                       thetas)
+    return _eval_anti_invariants((lam,), sharp, twisted, y, tol)[0]
 
 
 # |A_rho(y)| below this makes eval_character refuse the point
 _DEN_THRESHOLD = 1e-10
 
 
-def eval_character(lam: Weight, sharp="I", twisted=False, y: YPoint = None,
-                   tol=1e-10) -> complex:
-    """chi_lam (chi^psi when twisted) at y: the ratio of anti-invariants.
-    Raises DegeneratePointError when |A_rho(y)| falls below _DEN_THRESHOLD."""
-    l = lam.rank
-    den = eval_anti_invariant(Weight.zero(l), sharp, twisted, y, tol)
+def _eval_characters(lams, sharp, twisted, y: YPoint, tol) -> list:
+    """eval_character of each weight of lams, all of one level: A_rho once,
+    refused below _DEN_THRESHOLD before any numerator, and every numerator
+    from one lattice-sum call."""
+    den = _eval_anti_invariants((Weight.zero(lams[0].rank),), sharp,
+                                twisted, y, tol)[0]
     if abs(den) < _DEN_THRESHOLD:
         raise DegeneratePointError(
             f"denominator {abs(den):.3e} below threshold at tau={y.tau}; "
             "move the sample point")
-    num = eval_anti_invariant(lam, sharp, twisted, y, tol)
-    return num / den
+    return [num / den
+            for num in _eval_anti_invariants(lams, sharp, twisted, y, tol)]
+
+
+def eval_character(lam: Weight, sharp="I", twisted=False, y: YPoint = None,
+                   tol=1e-10) -> complex:
+    """chi_lam (chi^psi when twisted) at y: the ratio of anti-invariants.
+    Raises DegeneratePointError when |A_rho(y)| falls below _DEN_THRESHOLD."""
+    return _eval_characters((lam,), sharp, twisted, y, tol)[0]
 
 
 def eval_qseries(series, sharp, y: YPoint) -> complex:
@@ -359,44 +397,54 @@ class SMatrix:
     entries: list  # row-major complex
 
 
-def smatrix_entry(kind, k, lam: Weight, mu: Weight) -> complex:
-    """Entry a^(kind)(lam, mu); lam may be any exact weight (the lemmas feed
-    phi-images of dominant weights into the mixed kinds)."""
+def _smatrix_rows(kind, k, lams, mus) -> list:
+    """The rows [a^(kind)(lam, mu) for mu in mus], lam in lams, each entry a
+    signed W_f-sum of exact phases; the integer data of every row and
+    column is prepared once."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {tuple(_KINDS)}, got {kind!r}")
-    l = lam.rank
+    l = lams[0].rank
     m = k + 2 * l + 1
     src, grp = _KINDS[kind]
     rf = rho_f(l, src)
-    x = lam.project_finite(grp) + (rf if src == grp else phi_involution(rf))
-    yv = mu.project_finite(grp) + rho_f(l, grp)
-    # inner(u.x, yv) = sum_j (u.c)_j g_j + const with c the grp coordinates
-    # of x, in integers over den^2
-    basis = Weight.eps_basis if grp == "I" else Weight.eps_basis_II
-    c = [Fraction(v) for v in _coords(x, grp)]
-    g = [Fraction(inner(basis(l, j), yv)) for j in range(1, l + 1)]
-    const = inner(x, yv) - sum(cj * gj for cj, gj in zip(c, g))
-    den = math.lcm(*(Fraction(v).denominator for v in (*c, *g, const)))
-    ci, gi = [int(v * den) for v in c], [int(v * den) for v in g]
-    shift, modulus = int(const * den * den), den * den * m
+    # x = pr(lam) + rf (phi(rf) when src != grp) and y = pr(mu) + rho_f
+    # have no Lambda0 part, so (u.x, y) = sum_j (u.c)_j g_j with c, g their
+    # grp coordinates: those of lam and mu (pr keeps them) plus the shifts'
+    xr = _coords(rf if src == grp else phi_involution(rf), grp)
+    yr = _coords(rho_f(l, grp), grp)
+    c = [[Fraction(v + r) for v, r in zip(_coords(lam, grp), xr, strict=True)]
+         for lam in lams]
+    g = [[Fraction(v + r) for v, r in zip(_coords(mu, grp), yr, strict=True)]
+         for mu in mus]
+    den = math.lcm(*(v.denominator for row in (*c, *g) for v in row))
+    ci = [[int(v * den) for v in row] for row in c]
+    gi = [[int(v * den) for v in row] for row in g]
+    modulus = den * den * m
     # int64 while no numerator passes 2^62 and r / modulus is exact in
     # float64; Python ints otherwise
-    small = modulus < 2 ** 53 and abs(shift) + max(1, sum(map(abs, ci))) * \
-        max(1, *map(abs, gi)) < 2 ** 62
-    gather, signs, _, _ = _orbit(l)
+    small = modulus < 2 ** 53 and \
+        max(1, *(sum(map(abs, row)) for row in ci)) * \
+        max(1, *(abs(v) for row in gi for v in row)) < 2 ** 62
     ci, gi = (np.array(v, np.int64 if small else object) for v in (ci, gi))
-    num = (signs * ci[gather]) @ gi + shift
+    gather, signs, _, _ = _orbit(l)
+    # num[a, b, u] = (u.x_a, y_b) in integers over den^2
+    num = np.swapaxes((signs * ci[:, gather]) @ gi.T, 1, 2)
     frac = (num % modulus / modulus).astype(float)
     phases = np.exp(-TWO_PI_I * frac)
-    return _signed_sum(_orbit_signs(l, kind == "aI"), phases)
+    sums = _signed_sums(_orbit_signs(l, kind == "aI"), phases)
+    return [[complex(v) for v in row] for row in sums]
+
+
+def smatrix_entry(kind, k, lam: Weight, mu: Weight) -> complex:
+    """Entry a^(kind)(lam, mu); lam may be any exact weight (the lemmas feed
+    phi-images of dominant weights into the mixed kinds)."""
+    return _smatrix_rows(kind, k, (lam,), (mu,))[0][0]
 
 
 def smatrix(kind, k, l) -> SMatrix:
     """The full table over the canonical ordering of P_{k,+} mod C.delta."""
     index = enumerate_dominant(l, k)
-    entries = [[smatrix_entry(kind, k, lam, mu) for mu in index]
-               for lam in index]
-    return SMatrix(kind, k, index, entries)
+    return SMatrix(kind, k, index, _smatrix_rows(kind, k, index, index))
 
 
 # ---------------------------------------------------------------------------
@@ -464,32 +512,34 @@ _LAWS = {
 def _verify_law(key, law, lam: Weight, k, y: YPoint, tol, theta_tol):
     """The S- or T-law `law` of lemma or proposition `key` at one point."""
     family, sharp, twisted, kind, tsharp, ttwisted, i_exp = _LAWS[key]
-    ev = eval_character if family == "prop" else eval_anti_invariant
+    ev = _eval_characters if family == "prop" else _eval_anti_invariants
     l = lam.rank
     m = k + 2 * l + 1
     if law == "T":
-        lhs = ev(lam, sharp, twisted, t_point(y), theta_tol)
-        nsq = norm_sq((lam + rho(l)).canonical().project_finite(sharp))
+        lhs = ev((lam,), sharp, twisted, t_point(y), theta_tol)[0]
+        nsq = norm_sq(_shifted(lam).project_finite(sharp))
         arg = Fraction(nsq, m)
         if family == "prop":
             # conformal anomaly of the normalization
             arg -= Fraction(norm_sq(rho(l).project_finite(sharp)), 2 * l + 1)
         phase = cmath.exp(1j * math.pi * float(arg % 2))
-        rhs = phase * ev(lam, sharp, twisted != (sharp == "II"), y, theta_tol)
+        rhs = phase * ev((lam,), sharp, twisted != (sharp == "II"), y,
+                         theta_tol)[0]
     else:
-        lhs = ev(lam, sharp, twisted, s_point(y), theta_tol)
+        lhs = ev((lam,), sharp, twisted, s_point(y), theta_tol)[0]
         pref = _sqrt_tau_over_i(y.tau, l)
         if family == "lemma" and k == 0:
             # the corollary: a constant in place of the mu-sum
             law = "S-corollary"
             rhs = pref * i_power(i_exp(l)) * ev(
-                Weight.zero(l), tsharp, ttwisted, y, theta_tol)
+                (Weight.zero(l),), tsharp, ttwisted, y, theta_tol)[0]
         else:
             first = phi_involution(lam) if sharp != tsharp else lam
+            mus = enumerate_dominant(l, k)
             acc = 0.0 + 0.0j
-            for mu in enumerate_dominant(l, k):
-                acc += smatrix_entry(kind, k, first, mu) * ev(
-                    mu, tsharp, ttwisted, y, theta_tol)
+            for a, v in zip(_smatrix_rows(kind, k, (first,), mus)[0],
+                            ev(mus, tsharp, ttwisted, y, theta_tol)):
+                acc += a * v
             const = i_power(i_exp(l)) if family == "prop" else pref
             rhs = m ** (-l / 2) * const * acc
     return make_report(lhs, rhs, tol, lam=lam, y=y, **{family: key}, law=law,
@@ -586,8 +636,8 @@ def verify_sl2_closure(l, k, tol=1e-6, theta_tol=1e-10, arrows=SL2_ARROWS,
 
     def sample(fam, pts):
         sharp, twisted = _FAMILIES[fam]
-        return np.array([[eval_character(lam, sharp, twisted, y, theta_tol)
-                          for lam in lams] for y in pts])
+        return np.array([_eval_characters(lams, sharp, twisted, y, theta_tol)
+                         for y in pts])
 
     # 3*dim + 2 rows, so the Gram stack of the three families can reach
     # full column rank 3*dim

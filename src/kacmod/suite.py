@@ -269,10 +269,10 @@ CRITERIA = (
 def run_suite(quick=False, echo=print):
     results = []
     for name, fn in CRITERIA:
-        t0 = time.time()
+        t0 = time.perf_counter()
         out = fn(quick=quick)
         out["name"] = name
-        out["seconds"] = round(time.time() - t0, 3)
+        out["seconds"] = round(time.perf_counter() - t0, 3)
         results.append(out)
         if echo:
             status = "PASS" if out["pass"] else "FAIL"

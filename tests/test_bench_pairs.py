@@ -43,6 +43,12 @@ def test_bad_spec_exits_2_before_any_run(bench_pairs, monkeypatch, capsys,
     assert spec in err and "Traceback" not in err
 
 
+def test_layers_are_per_layer_metrics_of_the_benchmark(bench_pairs):
+    # a misspelt name would drop out of every traced entry unnoticed
+    doc = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
+    assert set(bench_pairs.LAYERS) <= {m["name"] for m in doc["per_layer"]}
+
+
 def test_two_pairs_write_summary_and_traced_layers(bench_pairs, monkeypatch,
                                                    tmp_path):
     walls = iter([4.0, 1.0, 1.1, 4.2])  # parent, change, change, parent

@@ -430,7 +430,7 @@ def test_sin_product():
 
 
 @pytest.mark.parametrize("l,k", ((1, 4), (2, 2), (2, 4), (1, 6), (3, 2),
-                                 (2, 6)))
+                                 (2, 6), (3, 4)))
 def test_sl2_closure_full_gram_rank(l, k):
     # enough sample points for the 3*dim columns of the Gram stack, and the
     # closure's points keep every target and the stack well conditioned
@@ -441,35 +441,46 @@ def test_sl2_closure_full_gram_rank(l, k):
     assert rep["gram_sigma_ratio"] >= 1e-6
 
 
-def test_sl2_closure_samples_each_family_once(monkeypatch):
-    # each family is sampled once: 8 points x 2 weights for each of the
-    # three families, and 6 arrows x 16 transformed
-    calls = []
-    real = modular.eval_character
+def _count_batches(monkeypatch):
+    """Record (weights, sharp, twisted) of every _eval_characters call, and
+    every A_rho evaluation: an _eval_anti_invariants call on the zero
+    weight alone."""
+    batches, dens = [], []
+    chars, antis = modular._eval_characters, modular._eval_anti_invariants
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(modular, "eval_character", counting)
+    def counting_chars(lams, sharp, twisted, *args):
+        batches.append((tuple(lams), sharp, twisted))
+        return chars(lams, sharp, twisted, *args)
+
+    def counting_antis(lams, *args):
+        if tuple(lams) == (Weight.zero(lams[0].rank),):
+            dens.append(args)
+        return antis(lams, *args)
+    monkeypatch.setattr(modular, "_eval_characters", counting_chars)
+    monkeypatch.setattr(modular, "_eval_anti_invariants", counting_antis)
+    return batches, dens
+
+
+def test_sl2_closure_samples_each_family_once(monkeypatch):
+    # one batched call per family and point, each over the whole P_{2,+}:
+    # 3 families x 8 points and 6 arrows x 8 transformed points, with one
+    # A_rho evaluation each
+    batches, dens = _count_batches(monkeypatch)
     assert verify_sl2_closure(1, 2)["pass"]
-    assert len(calls) == 144
+    assert len(batches) == 72 and len(dens) == 72
+    assert {b[0] for b in batches} == {tuple(enumerate_dominant(1, 2))}
 
 
 def test_psi_I_closure_samples_only_its_family(monkeypatch):
-    # the psi^(I) arrows only target psiI, which is sampled once: 16 calls
-    # for it and 2 arrows x 16 transformed
-    calls = []
-    real = modular.eval_character
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-    monkeypatch.setattr(modular, "eval_character", counting)
+    # the psi^(I) arrows only target psiI, which is sampled once: 8 calls
+    # for it and 2 arrows x 8 transformed points
+    batches, dens = _count_batches(monkeypatch)
     rep = verify_sl2_closure(1, 2, arrows=modular.PSI_I_ARROWS,
                              include_gram=False)
     assert rep["pass"]
-    assert len(calls) == 48
-    assert {(a[1], a[2]) for a in calls} == {("I", True)}
+    assert len(batches) == 24 and len(dens) == 24
+    assert {b[0] for b in batches} == {tuple(enumerate_dominant(1, 2))}
+    assert {b[1:] for b in batches} == {("I", True)}
 
 
 # -- the batched orbit kernel against the reference loops --------------------
@@ -511,15 +522,47 @@ def test_eval_theta_matches_reference(l):
 
 @pytest.mark.parametrize("l", (1, 2, 3))
 def test_smatrix_entry_matches_reference(l):
+    # entry by entry, as the one-row tables of the S-sums and as whole tables
     for k in (2, 4) if l < 3 else (2,):
         lams = enumerate_dominant(l, k)
         for kind in ("aI", "aI_II", "aII_I", "aII"):
+            table = []
             for lam in lams:
                 # the lemmas feed phi-images into the mixed kinds
-                for first in {lam, phi_involution(lam)}:
-                    for mu in lams:
-                        assert smatrix_entry(kind, k, first, mu) == \
-                            _reference_smatrix_entry(kind, k, first, mu)
+                rows = {first: [_reference_smatrix_entry(kind, k, first, mu)
+                                for mu in lams]
+                        for first in (lam, phi_involution(lam))}
+                for first, want in rows.items():
+                    assert [smatrix_entry(kind, k, first, mu)
+                            for mu in lams] == want
+                    assert modular._smatrix_rows(kind, k, (first,),
+                                                 lams) == [want]
+                table.append(rows[lam])
+            assert smatrix(kind, k, l).entries == table
+
+
+@pytest.mark.parametrize("l", (1, 2, 3))
+def test_eval_characters_match_reference(monkeypatch, l):
+    # every weight of P_{k,+} in one call, bit for bit the ratio of the
+    # reference anti-invariants; with _CHUNK = 1 the rows of different
+    # weights share every block
+    points = iter(modular._closure_points(l, 8))
+    chunks = (modular._CHUNK, 1)
+    for k in (2, 4):
+        lams = enumerate_dominant(l, k)
+        for sharp in ("I", "II"):
+            for twisted in (False, True):
+                y = next(points)
+                den = _reference_eval_anti_invariant(Weight.zero(l), sharp,
+                                                     twisted, y, 1e-10)
+                want = [_reference_eval_anti_invariant(lam, sharp, twisted,
+                                                       y, 1e-10) / den
+                        for lam in lams]
+                for chunk in chunks:
+                    monkeypatch.setattr(modular, "_CHUNK", chunk)
+                    assert modular._eval_characters(
+                        lams, sharp, twisted, y, 1e-10) == want, \
+                        (k, sharp, twisted, chunk)
 
 
 def test_gaussian_sums_match_reference():
@@ -556,10 +599,14 @@ def test_smatrix_entry_exact_past_int64(coord):
     # Python-int route and still equal the reference
     l, k = 2, 2
     lam = Weight((coord, Fraction(1, 2)))
-    for mu in enumerate_dominant(l, k):
-        for kind in ("aI", "aI_II", "aII_I", "aII"):
-            assert smatrix_entry(kind, k, lam, mu) == \
-                _reference_smatrix_entry(kind, k, lam, mu)
+    mus = enumerate_dominant(l, k)
+    for kind in ("aI", "aI_II", "aII_I", "aII"):
+        want = [[_reference_smatrix_entry(kind, k, first, mu) for mu in mus]
+                for first in (lam, mus[0])]
+        assert [smatrix_entry(kind, k, lam, mu) for mu in mus] == want[0]
+        # in a table, the wide weight moves every row onto its route
+        assert modular._smatrix_rows(kind, k, (lam,), mus) == want[:1]
+        assert modular._smatrix_rows(kind, k, (lam, mus[0]), mus) == want
 
 
 # -- the tail certificate against a high-precision oracle ---------------------

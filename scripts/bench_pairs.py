@@ -3,7 +3,7 @@
 
     python3 scripts/bench_pairs.py --parent ../kacmod-parent --change . \
         --run analytic-laws:1:10 --run suite:1:5 --trace analytic-laws:1 \
-        --seconds 30 --out BENCH_5.json
+        --cli "verify sl2 --rank 4 --level 2" --seconds 30 --out BENCH_5.json
 
 Each `--run WORKLOAD:SEED:PAIRS` runs `bench/run.py --trace 0` PAIRS times in
 each checkout, one process at a time, alternating which side goes first;
@@ -13,18 +13,25 @@ workloads of BENCHMARK.json before the first run.  The last
 stdout line of every run is kept verbatim under `runs`; `summary` gives the
 quartiles of each end-to-end metric per side, the change/parent ratio of the
 medians and the number of pairs the change wins; `same_outputs` says whether
-every `# digest` and `# failed` line of each pair agreed.
+every `# digest` and `# failed` line of each pair agreed.  Each `--cli ARGV`
+times CLI_PAIRS pairs of whole `python -m kacmod ARGV` processes, one per
+checkout, alternating which goes first, and records them under `cli` with
+the same quartiles, ratio and wins, the exit codes, and whether each pair
+printed the same stdout.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
+import shlex
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 # end-to-end metrics and whether lower is better
@@ -39,7 +46,10 @@ LAYERS = ("qseries.divide.self_s", "qseries.divide.calls",
           "modular.smatrix_entry.self_s", "modular.smatrix_entry.calls",
           "modular.poisson_check.self_s", "modular.eval_character.calls",
           "modular.verify.self_s", "modular.verify_sl2_closure.self_s",
-          "weyl.enumerate_finite.calls", "trace.overhead_ratio")
+          "weyl.enumerate_finite.calls", "roots.enumerate_dominant.self_s",
+          "roots.enumerate_dominant.calls", "trace.overhead_ratio")
+# pairs of processes per --cli command: as many as a gain claim needs
+CLI_PAIRS = 10
 # the workloads the benchmark declares
 WORKLOADS = tuple(w["name"] for w in json.loads(
     (Path(__file__).resolve().parents[1] / "BENCHMARK.json").read_text())
@@ -56,6 +66,44 @@ def run_bench(root: Path, workload, seed, seconds, trace):
     lines = out.strip().splitlines()
     marks = [ln for ln in lines if ln.startswith(("# digest", "# failed"))]
     return json.loads(lines[-1]), marks
+
+
+def run_cli(root: Path, argv):
+    """(wall seconds, exit code, sha256 of stdout) of one `python -m kacmod`
+    process on the sources of the checkout at root."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "kacmod", *argv], cwd=root,
+                          env=env, capture_output=True)
+    return (time.perf_counter() - start, proc.returncode,
+            hashlib.sha256(proc.stdout).hexdigest())
+
+
+def time_cli(sides, argv, n):
+    """n alternating pairs of run_cli, summarized like a workload."""
+    secs, codes = {"parent": [], "change": []}, {"parent": [], "change": []}
+    same = []
+    for i in range(n):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        digests = {}
+        for side in order:
+            s, code, digests[side] = run_cli(sides[side], argv)
+            secs[side].append(s)
+            codes[side].append(code)
+        same.append(digests["parent"] == digests["change"])
+        print(f"kacmod {shlex.join(argv)} pair {i + 1}/{n}: "
+              f"{secs['parent'][-1]:.3f} -> {secs['change'][-1]:.3f} s",
+              file=sys.stderr)
+    return {"argv": shlex.join(argv), "pairs": n,
+            "parent_s": secs["parent"], "change_s": secs["change"],
+            "parent_q1_med_q3": quartiles(secs["parent"]),
+            "change_q1_med_q3": quartiles(secs["change"]),
+            "change_over_parent_median": statistics.median(secs["change"])
+            / statistics.median(secs["parent"]),
+            "change_wins": sum(c < p for p, c in zip(secs["parent"],
+                                                     secs["change"])),
+            "exit_parent": codes["parent"], "exit_change": codes["change"],
+            "same_stdout": same}
 
 
 def quartiles(xs):
@@ -104,6 +152,18 @@ def parse_spec(ap, flag, spec, with_pairs):
     return (parts[0], *nums)
 
 
+def parse_cli(ap, argv):
+    """The words of one --cli command; an empty or unbalanced one ends the
+    program through ap.error."""
+    try:
+        words = shlex.split(argv)
+    except ValueError as exc:
+        ap.error(f"--cli {argv!r}: {exc}")
+    if not words:
+        ap.error(f"--cli {argv!r}: expected the arguments of a kacmod command")
+    return words
+
+
 def git_head(root: Path):
     try:
         return subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
@@ -121,21 +181,26 @@ def main(argv=None):
                     help="WORKLOAD:SEED:PAIRS with PAIRS >= 2, repeatable")
     ap.add_argument("--trace", action="append", default=[],
                     help="WORKLOAD:SEED, repeatable")
+    ap.add_argument("--cli", action="append", default=[],
+                    help="the arguments of one kacmod command, quoted; "
+                         "repeatable")
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
     runs = [parse_spec(ap, "--run", spec, True) for spec in args.run]
     traces = [parse_spec(ap, "--trace", spec, False) for spec in args.trace]
+    clis = [parse_cli(ap, argv) for argv in args.cli]
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     import numpy
     doc = {"what": f"bench/run.py --seconds {args.seconds:g}, parent vs "
                    "change, pairs alternating which side runs first; every "
                    "run's last stdout line is kept verbatim under "
-                   "runs[].parent / runs[].change",
+                   "runs[].parent / runs[].change; cli[] times whole "
+                   "`python -m kacmod` processes in pairs the same way",
            "parent_commit": git_head(sides["parent"]),
            "machine": {"python": platform.python_version(),
                        "numpy": numpy.__version__, "cpus": os.cpu_count()},
-           "summary": [], "traced": [], "runs": []}
+           "summary": [], "traced": [], "cli": [], "runs": []}
     for workload, seed, n in runs:
         pairs = []
         for i in range(n):
@@ -166,6 +231,8 @@ def main(argv=None):
                            if k in res["metrics"]}
         entry["same_outputs"] = marks["parent"] == marks["change"]
         doc["traced"].append(entry)
+    for argv in clis:
+        doc["cli"].append(time_cli(sides, argv, CLI_PAIRS))
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
 
 

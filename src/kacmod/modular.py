@@ -169,8 +169,8 @@ def _shell_radius(l, decay, log_c, tol):
     return 1
 
 
-# lattice points per block of _lattice_sums (at least one per orbit row);
-# bounds its temporaries
+# lattice points per block of _lattice_sums (at least one per row); bounds
+# its temporaries
 _CHUNK = 4096
 
 
@@ -210,6 +210,20 @@ def _signed_sums(sgn, values):
     return np.cumsum(np.concatenate((start, terms), axis=-1), axis=-1)[..., -1]
 
 
+def _box(center, radius):
+    """(lo, hi): the first and last lattice coordinates of the box of
+    radius `radius` about each row of center."""
+    return (np.ceil(-radius - center).astype(np.int64),
+            np.floor(radius - center).astype(np.int64))
+
+
+def _finite_sums(totals):
+    if not np.isfinite(totals).all():
+        raise ValueError("the lattice sum exceeds the floating-point range "
+                         "at this point")
+    return totals
+
+
 def _lattice_sums(shift, shift_im, center, radius, quad, lin, z,
                   lin_on_gamma=False, twisted=False):
     """Row u: the sum over gamma in the box of radius `radius` about
@@ -221,8 +235,7 @@ def _lattice_sums(shift, shift_im, center, radius, quad, lin, z,
     complex products use _cmul, and the terms of a row are added in box
     order (cumsum, blocks carrying the running total)."""
     n, l = center.shape
-    lo = np.ceil(-radius - center).astype(np.int64)
-    hi = np.floor(radius - center).astype(np.int64)
+    lo, hi = _box(center, radius)
     side = int((hi - lo).max()) + 1
     step = max(1, _CHUNK // n)  # box points per block, for all n rows
     totals = np.zeros(n, complex)
@@ -253,10 +266,31 @@ def _lattice_sums(shift, shift_im, center, radius, quad, lin, z,
         terms[~inside] = 0.0
         totals = np.cumsum(np.concatenate((totals[:, None], terms), axis=1),
                            axis=1)[:, -1]
-    if not np.isfinite(totals).all():
-        raise ValueError("the lattice sum exceeds the floating-point range "
-                         "at this point")
-    return totals
+    return _finite_sums(totals)
+
+
+def _det_sums(a, radius, quad, lin, z, sign, twisted):
+    """Row r: the sum over x in a[r] + Z^l with every |x_i| <= radius of
+    det[f(x_i, z_j)] (i, j = 1..l), f(x, z) = exp(quad x^2 + lin x z)
+    + sign exp(quad x^2 - lin x z), negated at odd sum(x - a[r]) when
+    twisted.  Row i of the matrix and its share (-1)^(x_i - a_i) of the
+    twist depend on x_i alone, and the box is a product of ranges, so by
+    multilinearity the sum is the determinant of the row sums.  Every
+    entry carries its own Gaussian factor, so no factor leaves the float
+    range alone.  The temporaries hold n * l^2 * side complex values (side
+    the widest row of the box, about 2 radius): linear in the box side, not
+    side^l, which is why this kernel walks no _CHUNK blocks."""
+    lo, hi = _box(a, radius)
+    gamma = lo[..., None] + np.arange(int((hi - lo).max()) + 1)
+    x = (gamma + a[..., None])[..., None]
+    xz = x * (lin * np.asarray(z))
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = np.exp(quad * x * x + xz) + sign * np.exp(quad * x * x - xz)
+        if twisted:
+            rows[gamma % 2 == 1] *= -1
+        rows[gamma > hi[..., None]] = 0.0  # past the row's box
+        dets = np.linalg.det(rows.sum(axis=2))
+    return _finite_sums(dets)
 
 
 def _coords(w: Weight, sharp):
@@ -286,34 +320,22 @@ def _theta_shift(lam: Weight, sharp):
     return k, a
 
 
-def _theta_rows(lams, sharp, twisted, y: YPoint, tol, orbit=False):
-    """eval_theta of each weight of lams, all of one level, as the rows of
-    an array: one column, or, when orbit is set, one column per u in
-    W_f^(sharp) (in orbit order) holding the theta orbit of u.lam.  One
-    _lattice_sums call; each row walks its own box."""
+def _theta_box(lams, sharp, y: YPoint, tol):
+    """(k, a, w, radius) of the theta orbits of lams, all of one level k:
+    the rows a of their shifts, w = Im z / Im tau and the shell radius that
+    bounds each orbit's Gaussian tail below tol."""
     data = [_theta_shift(lam, sharp) for lam in lams]
     k = data[0][0]
     if any(kj != k for kj, _ in data):
         raise ValueError("the weights of one call must share their level")
-    l = lams[0].rank
-    a = np.array([aj for _, aj in data])
-    if orbit:
-        gather, signs, _, _ = _orbit(l)
-        a = (signs * a[:, gather]).reshape(-1, l)
-    tau, z = y.tau, y.z
-    im_tau = tau.imag
+    im_tau = y.tau.imag
     if im_tau <= 0:
         raise ValueError("Im(tau) must be positive")
-    w = [zi.imag / im_tau for zi in z]
+    w = [zi.imag / im_tau for zi in y.z]
     decay = math.pi * k * im_tau
     log_c = decay * sum(x * x for x in w)
-    radius = _shell_radius(l, decay, log_c, tol)
-    rows = _lattice_sums(a, None, a + np.array(w), radius,
-                         1j * math.pi * k * tau, TWO_PI_I * k, z,
-                         twisted=twisted)
-    pre = cmath.exp(TWO_PI_I * k * y.t)
-    re, im = _cmul(pre.real, pre.imag, rows.real, rows.imag)
-    return (re + 1j * im).reshape(len(lams), -1)
+    radius = _shell_radius(y.rank, decay, log_c, tol)
+    return k, np.array([aj for _, aj in data]), w, radius
 
 
 def eval_theta(lam: Weight, sharp="I", twisted=False, y: YPoint = None,
@@ -322,25 +344,44 @@ def eval_theta(lam: Weight, sharp="I", twisted=False, y: YPoint = None,
     e^{2 pi i k t} sum_gamma [psi(t_gamma)] e^{pi i k tau |gamma+a|^2
     + 2 pi i k <gamma+a, z>} with a = pr^(sharp)(lam)/k; the Gaussian tail is
     bounded below tol."""
-    return complex(_theta_rows((lam,), sharp, twisted, y, tol)[0, 0])
+    k, a, w, radius = _theta_box((lam,), sharp, y, tol)
+    row = _lattice_sums(a, None, a + np.array(w), radius,
+                        1j * math.pi * k * y.tau, TWO_PI_I * k, y.z,
+                        twisted=twisted)[0]
+    pre = cmath.exp(TWO_PI_I * k * y.t)
+    re, im = _cmul(pre.real, pre.imag, row.real, row.imag)
+    return complex(re, im)
 
 
 def _eval_anti_invariants(lams, sharp, twisted, y: YPoint, tol) -> list:
-    """eval_anti_invariant of each weight of lams, all of one level, from
-    one lattice-sum call."""
+    """eval_anti_invariant of each weight of lams, all of one level, as one
+    determinant each.  Substituting gamma -> u.gamma in the theta orbit of
+    u.(lam + rho) (|u.x| = |x|, and u keeps the parity of sum(gamma)) turns
+    the signed W_f-sum of orbits into one sum over x in a + Z^l of
+    e^{pi i k tau |x|^2} times the type-B/C Weyl denominator
+    det[e^{c x_i z_j} -+ e^{-c x_i z_j}], c = 2 pi i k, with + for the
+    psi-weighted type-I sum (epsilon psi(u) is the sign of u's
+    permutation); _det_sums sums it as a determinant of one-variable theta
+    sums.  Every orbit's box of radius R about u.a + w lies in the image of
+    the box |x_i| <= R + max |w_j|, so its tail bound, to tol / |W_f|,
+    still certifies the sum."""
     l = lams[0].rank
     nw = 2 ** l * math.factorial(l)
-    thetas = _theta_rows([_shifted(lam) for lam in lams], sharp, twisted, y,
-                         tol / nw, orbit=True)
-    sums = _signed_sums(_orbit_signs(l, twisted and sharp == "I"), thetas)
-    return [complex(v) for v in sums]
+    k, a, w, radius = _theta_box([_shifted(lam) for lam in lams], sharp, y,
+                                 tol / nw)
+    sums = _det_sums(a, radius + max(map(abs, w)), 1j * math.pi * k * y.tau,
+                     TWO_PI_I * k, y.z, 1 if twisted and sharp == "I" else -1,
+                     twisted)
+    pre = cmath.exp(TWO_PI_I * k * y.t)
+    return [pre * complex(v) for v in sums]
 
 
 def eval_anti_invariant(lam: Weight, sharp="I", twisted=False,
                         y: YPoint = None, tol=1e-10) -> complex:
     """A_{lam+rho} (A^psi when twisted) as a function on Y through the sharp
     chart: the epsilon(-psi)-weighted sum of theta orbits over W_f^(sharp)
-    (W_f^(II) lies in Ker psi), each to tol / |W_f|."""
+    (W_f^(II) lies in Ker psi), each to tol / |W_f|, summed in the
+    determinant form of _eval_anti_invariants."""
     return _eval_anti_invariants((lam,), sharp, twisted, y, tol)[0]
 
 

@@ -6,6 +6,7 @@ coordinate systems.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -165,13 +166,16 @@ def dynkin_labels(l, w: Weight):
 
 def enumerate_dominant(l, k):
     """P_{k,+} mod C.delta for even k >= 0, ordered lexicographically by the
-    type-I Dynkin label vector (m_0, ..., m_l)."""
+    type-I Dynkin label vector (m_0, ..., m_l); a fresh list per call."""
+    return list(_dominant(l, k))
+
+
+@functools.lru_cache(maxsize=None)
+def _dominant(l, k):
+    """enumerate_dominant as a tuple, built once per (l, k)."""
     if k % 2 != 0 or k < 0:
         raise ValueError(f"level must be even and nonnegative, got {k}")
-    out = []
-    for m in _label_vectors(l, k):
-        out.append(from_dynkin_labels(l, m))
-    return out
+    return tuple(from_dynkin_labels(l, m) for m in _label_vectors(l, k))
 
 
 def _label_vectors(l, k):

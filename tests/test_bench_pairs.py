@@ -25,18 +25,22 @@ def bench_pairs():
     ("--run", "suite:one:3"),        # SEED not an integer
     ("--trace", "suite:1:2"),        # a trace takes no PAIRS
     ("--trace", "no-such-load:1"),
+    ("--cli", ""),                   # no command
+    ("--cli", "verify 'sl2"),        # unbalanced quote
 ])
 def test_bad_spec_exits_2_before_any_run(bench_pairs, monkeypatch, capsys,
                                          tmp_path, flag, spec):
     started = []
     monkeypatch.setattr(bench_pairs, "run_bench",
                         lambda *args: started.append(args))
+    monkeypatch.setattr(bench_pairs, "run_cli",
+                        lambda *args: started.append(args))
     out = tmp_path / "pairs.json"
     # a good spec first: nothing may run before every spec is checked
     with pytest.raises(SystemExit) as exc:
         bench_pairs.main(["--parent", ".", "--change", ".",
-                          "--run", "exact-division:1:2", flag, spec,
-                          "--out", str(out)])
+                          "--run", "exact-division:1:2", "--cli", "roots",
+                          flag, spec, "--out", str(out)])
     assert exc.value.code == 2
     assert started == [] and not out.exists()
     err = capsys.readouterr().err
@@ -74,3 +78,32 @@ def test_two_pairs_write_summary_and_traced_layers(bench_pairs, monkeypatch,
     assert wall["change_over_parent_median"] == pytest.approx(1.05 / 4.1)
     (traced,) = doc["traced"]
     assert traced["change"] == {"qseries.divide.self_s": 0.5}
+
+
+def test_cli_pairs_time_whole_processes(bench_pairs, monkeypatch, tmp_path):
+    # pairs alternate which checkout goes first; stdout is compared per pair
+    calls = []
+    secs = {"parent": iter([6.0, 7.0, 6.5]), "change": iter([1.0, 0.5, 0.8])}
+    monkeypatch.setattr(bench_pairs, "CLI_PAIRS", 3)
+
+    def fake_cli(root, argv):
+        side = "parent" if root.name == "p" else "change"
+        calls.append((side, argv))
+        return next(secs[side]), 0, "same" if len(calls) < 5 else side
+    monkeypatch.setattr(bench_pairs, "run_cli", fake_cli)
+    out = tmp_path / "pairs.json"
+    bench_pairs.main(["--parent", str(tmp_path / "p"),
+                      "--change", str(tmp_path / "c"),
+                      "--cli", "verify sl2 --rank 4 --level 2",
+                      "--out", str(out)])
+    argv = ["verify", "sl2", "--rank", "4", "--level", "2"]
+    assert calls == [("parent", argv), ("change", argv), ("change", argv),
+                     ("parent", argv), ("parent", argv), ("change", argv)]
+    (entry,) = json.loads(out.read_text())["cli"]
+    assert entry["argv"] == "verify sl2 --rank 4 --level 2"
+    assert entry["parent_s"] == [6.0, 7.0, 6.5]
+    assert entry["change_q1_med_q3"] == [0.65, 0.8, 0.9]
+    assert entry["change_wins"] == 3
+    assert entry["change_over_parent_median"] == pytest.approx(0.8 / 6.5)
+    assert entry["exit_change"] == [0, 0, 0]
+    assert entry["same_stdout"] == [True, True, False]

@@ -102,7 +102,7 @@ def test_suite_quick_and_report(capsys, tmp_path):
     assert d["pass"] is True and len(d["results"]) == 12
     # the report file is byte-reproducible; any change to it is deliberate
     assert hashlib.sha256(report.read_bytes()).hexdigest() == (
-        "932562dcc679b54a092af30934375535f6d4df37ac3c563a71a3faf654e76eec")
+        "3c6883f9e8b23d656092790ce294636e6c6925b97656c3822f306aafad18cb0b")
 
 
 def test_deterministic_output(capsys):
@@ -234,16 +234,16 @@ PINNED_STDOUT = {
     "smatrix --kind aII --rank 1 --level 2 --json":
         "27112f1fa9b7a85b61ed2cef2feca4cf7abc6dab002471ce0a2804e6587ce857",
     "verify s-lemma --which 4.3 --rank 1 --level 2 --tol 1e-6":
-        "52cad7c636447bb4abe7d2198257a1b045ae089adb0ac28dd5672f4d4f9e0dba",
+        "3c6f621d23566709e75412ef664feb921d507f34628ab3c33d5716fa39c9a6e9",
     "verify s-lemma --which 4.3 --rank 1 --level 2 --tol 1e-6 "
     "--tau 0.37+1.13i --z 0.11+0.07i --t 0.05":
-        "52cad7c636447bb4abe7d2198257a1b045ae089adb0ac28dd5672f4d4f9e0dba",
+        "3c6f621d23566709e75412ef664feb921d507f34628ab3c33d5716fa39c9a6e9",
     "verify t-lemma --which 4.4 --rank 1 --level 2":
-        "b76f14c73aba06f3c4a563b389a782336a07f20fe444b3414ef5ca1447fb4eec",
+        "5257aef70fbdc8ee6cafc41c9bd681a6e3a52b225c90fa5e2d6fb8b970e39b50",
     "verify prop --which 4.8 --law S --rank 1 --level 2":
-        "0e843be6f1b432a83f72341498089da679fc762fe41ef16961067d7a8bb7b245",
+        "de1127706743574de3ad94d946aeea9f32123ccf85eec7a122d4f0747b5e2f4d",
     "verify sl2 --rank 1 --level 2":
-        "2f475c0df928e79c7ce76d3a4b69552a2bb09f3760d03cc11f5996a533da0a5a",
+        "14b56cb915c647393fe81b292aae59b4803a7dcd8484323d129f6ed393472488",
     "verify poisson --rank 2":
         "1483aa2cbf9a00ccfb2b3bd6caee868628849c11d3583959107d7bd64559183f",
     "verify sinprod":

@@ -1,4 +1,5 @@
 import cmath
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -54,33 +55,58 @@ def _theta_box(lam, sharp, y, tol):
     return k, a, [ai + wi for ai, wi in zip(a, w)], radius
 
 
+def _reference_theta_term(k, a, y, twisted, gamma):
+    """The term of the level-k theta orbit with shift a at gamma, without
+    the factor e^{2 pi i k t}."""
+    x = [g + ai for g, ai in zip(gamma, a)]
+    expo = (1j * math.pi * k * y.tau * sum(v * v for v in x)
+            + TWO_PI_I * k * sum(v * zi for v, zi in zip(x, y.z)))
+    term = cmath.exp(expo)
+    return -term if twisted and sum(gamma) % 2 else term
+
+
 def _reference_eval_theta(lam, sharp, twisted, y, tol):
     k, a, center, radius = _theta_box(lam, sharp, y, tol)
-    tau, z, t = y.tau, y.z, y.t
     total = 0.0 + 0.0j
     for gamma in _reference_box(center, radius):
-        x = [g + ai for g, ai in zip(gamma, a)]
-        expo = (1j * math.pi * k * tau * sum(v * v for v in x)
-                + TWO_PI_I * k * sum(v * zi for v, zi in zip(x, z)))
-        term = cmath.exp(expo)
-        if twisted and sum(gamma) % 2:
-            term = -term
-        total += term
-    return cmath.exp(TWO_PI_I * k * t) * total
+        total += _reference_theta_term(k, a, y, twisted, gamma)
+    return cmath.exp(TWO_PI_I * k * y.t) * total
 
 
 def _reference_eval_anti_invariant(lam, sharp, twisted, y, tol):
+    """(A_{lam+rho}, sum |terms|): the signed sum of one theta orbit per u
+    in W_f, each over the u-image of the determinant form's box |x_i| <= R
+    + max |w_j| (R to tol / |W_f|, w = Im z / Im tau), which holds the
+    orbit's own box; the terms are added exactly (fsum), so only their own
+    rounding is left.  With it, the absolute sum of those terms."""
     l = lam.rank
     base = (lam + rho(l)).canonical()
     tol_u = tol / (2 ** l * math.factorial(l))
-    total = 0.0 + 0.0j
+    w = max(abs(zi.imag / y.tau.imag) for zi in y.z)
+    values = []
     for u in enumerate_finite(l):
         sgn = u.det()
         if sharp == "I" and twisted and u.neg_count() % 2:
             sgn = -sgn
-        total += sgn * _reference_eval_theta(u.act(base, sharp), sharp,
-                                             twisted, y, tol_u)
-    return total
+        k, a, _, radius = _theta_box(u.act(base, sharp), sharp, y, tol_u)
+        values += [sgn * _reference_theta_term(k, a, y, twisted, g)
+                   for g in _reference_box(a, radius + w)]
+    pre = cmath.exp(TWO_PI_I * k * y.t)
+    total = complex(math.fsum(v.real for v in values),
+                    math.fsum(v.imag for v in values))
+    return pre * total, abs(pre) * math.fsum(abs(v) for v in values)
+
+
+# Float rounding allowance, in units of 2^-52 times sum |terms|.  Recursive
+# summation of N terms can lose (N - 1) units in the worst case; over the
+# mpmath tests' points the float sums stay within 4 units, and 64 leaves room
+# for sums near 1e8 at Im tau = 1/8 without hiding a missing tail term,
+# which would exceed tol by many orders of magnitude.
+ROUNDING_UNITS = 64
+
+
+def _rounding(abs_sum):
+    return ROUNDING_UNITS * 2.0 ** -52 * abs_sum
 
 
 def _reference_smatrix_entry(kind, k, lam, mu):
@@ -430,7 +456,7 @@ def test_sin_product():
 
 
 @pytest.mark.parametrize("l,k", ((1, 4), (2, 2), (2, 4), (1, 6), (3, 2),
-                                 (2, 6), (3, 4)))
+                                 (2, 6), (3, 4), (4, 2)))
 def test_sl2_closure_full_gram_rank(l, k):
     # enough sample points for the 3*dim columns of the Gram stack, and the
     # closure's points keep every target and the stack well conditioned
@@ -483,7 +509,11 @@ def test_psi_I_closure_samples_only_its_family(monkeypatch):
     assert {b[1:] for b in batches} == {("I", True)}
 
 
-# -- the batched orbit kernel against the reference loops --------------------
+# -- the batched kernels against the reference loops --------------------------
+
+# The determinant form sums the anti-invariants in another order than the
+# orbit rows, so it matches the reference over the same box to within
+# rounding of sum |terms|, not bit for bit.
 
 @pytest.mark.parametrize("l", (1, 2, 3))
 def test_anti_invariant_matches_reference(l):
@@ -496,11 +526,24 @@ def test_anti_invariant_matches_reference(l):
                 for y in _grid_points(l, f"{l}{k}{sharp}{twisted}"):
                     lam = rng.choice(lams)
                     got = eval_anti_invariant(lam, sharp, twisted, y, 1e-10)
-                    want = _reference_eval_anti_invariant(lam, sharp, twisted,
-                                                          y, 1e-10)
-                    assert got == want, (k, sharp, twisted, y, lam)
+                    want, abs_sum = _reference_eval_anti_invariant(
+                        lam, sharp, twisted, y, 1e-10)
+                    assert abs(got - want) <= _rounding(abs_sum), \
+                        (k, sharp, twisted, y, lam)
                     n += 1
     assert n == 60
+
+
+def test_rank_4_anti_invariants_match_reference():
+    # 384 orbit rows against one determinant sum, at two closure points
+    for y, lam, sharp, twisted in zip(
+            modular._closure_points(4, 2), enumerate_dominant(4, 2)[::4],
+            ("I", "II"), (True, False)):
+        got = eval_anti_invariant(lam, sharp, twisted, y, 1e-10)
+        want, abs_sum = _reference_eval_anti_invariant(lam, sharp, twisted,
+                                                       y, 1e-10)
+        assert abs(got - want) <= _rounding(abs_sum), \
+            (sharp, twisted, lam)
 
 
 @pytest.mark.parametrize("l", (1, 2, 3))
@@ -543,9 +586,9 @@ def test_smatrix_entry_matches_reference(l):
 
 @pytest.mark.parametrize("l", (1, 2, 3))
 def test_eval_characters_match_reference(monkeypatch, l):
-    # every weight of P_{k,+} in one call, bit for bit the ratio of the
-    # reference anti-invariants; with _CHUNK = 1 the rows of different
-    # weights share every block
+    # every weight of P_{k,+} in one call, the ratio of the reference
+    # anti-invariants to within the rounding of both; the determinant
+    # form has no blocks, so _CHUNK = 1 must change nothing
     points = iter(modular._closure_points(l, 8))
     chunks = (modular._CHUNK, 1)
     for k in (2, 4):
@@ -553,15 +596,25 @@ def test_eval_characters_match_reference(monkeypatch, l):
         for sharp in ("I", "II"):
             for twisted in (False, True):
                 y = next(points)
-                den = _reference_eval_anti_invariant(Weight.zero(l), sharp,
-                                                     twisted, y, 1e-10)
-                want = [_reference_eval_anti_invariant(lam, sharp, twisted,
-                                                       y, 1e-10) / den
-                        for lam in lams]
+                den, abs_sum = _reference_eval_anti_invariant(
+                    Weight.zero(l), sharp, twisted, y, 1e-10)
+                den_err = _rounding(abs_sum)
+                want = []
+                for lam in lams:
+                    num, abs_sum = _reference_eval_anti_invariant(
+                        lam, sharp, twisted, y, 1e-10)
+                    # to first order, the quotient's error from those of
+                    # num and den
+                    want.append((num / den, (_rounding(abs_sum)
+                                             + abs(num / den) * den_err)
+                                 / abs(den)))
                 for chunk in chunks:
                     monkeypatch.setattr(modular, "_CHUNK", chunk)
-                    assert modular._eval_characters(
-                        lams, sharp, twisted, y, 1e-10) == want, \
+                    got = modular._eval_characters(lams, sharp, twisted, y,
+                                                   1e-10)
+                    assert all(abs(g - w) <= allow
+                               for g, (w, allow) in zip(got, want,
+                                                        strict=True)), \
                         (k, sharp, twisted, chunk)
 
 
@@ -577,14 +630,17 @@ def test_gaussian_sums_match_reference():
 
 
 def test_lattice_sums_across_block_boundaries(monkeypatch):
-    # one box point per block: every row's running sum crosses blocks
+    # one box point per block: the Gaussian sum's running total crosses
+    # blocks, and the anti-invariants, which have none, stay put
     monkeypatch.setattr(modular, "_CHUNK", 1)
     y = YPoint(0.3 + 0.5j, (0.2 - 0.1j, -0.3 + 0.2j), -0.1)
     for sharp in ("I", "II"):
         for twisted in (False, True):
             lam = enumerate_dominant(2, 2)[1]
-            assert eval_anti_invariant(lam, sharp, twisted, y, 1e-8) == \
-                _reference_eval_anti_invariant(lam, sharp, twisted, y, 1e-8)
+            want, abs_sum = _reference_eval_anti_invariant(
+                lam, sharp, twisted, y, 1e-8)
+            assert abs(eval_anti_invariant(lam, sharp, twisted, y, 1e-8)
+                       - want) <= _rounding(abs_sum)
     a, tau = (0.3 - 0.2j, 0.1 + 0.4j), 0.2 + 0.9j
     assert modular._gaussian_sum(2, -1 / tau, a, (0.0, 0.0), 1e-10) == \
         _reference_gaussian_sum(2, -1 / tau, a, (0.0, 0.0), 1e-10)
@@ -610,14 +666,6 @@ def test_smatrix_entry_exact_past_int64(coord):
 
 
 # -- the tail certificate against a high-precision oracle ---------------------
-
-# Float rounding allowance, in units of 2^-52 times sum |terms|.  Recursive
-# summation of N terms can lose (N - 1) units in the worst case; over these
-# points the float sums stay within 4 units, and 64 leaves room for sums near
-# 1e8 at Im tau = 1/8 without hiding a missing tail term, which would exceed
-# tol by many orders of magnitude.
-ROUNDING_UNITS = 64
-
 
 def _mp_sum(mpmath, box, term):
     """(sum, sum of |terms|) of term(point) over the box, in mpmath."""
@@ -669,7 +717,81 @@ def test_theta_tail_certificate_against_mpmath(im_tau):
             assert abs(in_box - exact) <= tol
             got = eval_theta(mu, sharp, twisted, y, tol)
             err = abs(mpmath.mpc(got.real, got.imag) - exact)
-            assert err <= tol + ROUNDING_UNITS * 2.0 ** -52 * abs_sum
+            assert err <= tol + _rounding(abs_sum)
+
+
+def _mp_anti_invariant(mpmath, k, a, y, sign, twisted, radius):
+    """(A, sum |terms|) over x in a + Z^l with every |x_i| <= radius, in
+    mpmath: the signed W_f-orbit sum, point by point in the determinant
+    form, and the absolute sum of its orbit terms."""
+    l = len(a)
+    tau = mpmath.mpc(y.tau.real, y.tau.imag)
+    z = [mpmath.mpc(c.real, c.imag) for c in y.z]
+    # per coordinate and value of x_i: the entries f(x_i, z_j) and the
+    # absolute values of their two orbit terms
+    rows, sizes = [], []
+    for ai in a:
+        gammas = range(math.ceil(-radius - ai), math.floor(radius - ai) + 1)
+        row, size = [], []
+        for g in gammas:
+            x = g + mpmath.mpf(ai)
+            twist = -1 if twisted and g % 2 else 1
+            gauss = 1j * mpmath.pi * k * tau * x * x
+            pairs = [(mpmath.exp(gauss + 2j * mpmath.pi * k * x * zj),
+                      mpmath.exp(gauss - 2j * mpmath.pi * k * x * zj))
+                     for zj in z]
+            row.append([twist * (p + sign * m) for p, m in pairs])
+            size.append([abs(p) + abs(m) for p, m in pairs])
+        rows.append(row)
+        sizes.append(size)
+    perms = [(p, math.prod(-1 for i in range(l) for j in range(i)
+                           if p[j] > p[i]))
+             for p in itertools.permutations(range(l))]
+    values, abs_values = [], []
+    for point in itertools.product(*(range(len(r)) for r in rows)):
+        values.append(mpmath.fsum(
+            sgn * mpmath.fprod(rows[i][g][p[i]] for i, g in enumerate(point))
+            for p, sgn in perms))
+        abs_values.append(mpmath.fsum(
+            mpmath.fprod(sizes[i][g][p[i]] for i, g in enumerate(point))
+            for p, _ in perms))
+    pre = mpmath.exp(2j * mpmath.pi * k * mpmath.mpf(y.t))
+    return pre * mpmath.fsum(values), abs(pre) * mpmath.fsum(abs_values)
+
+
+@pytest.mark.parametrize("im_tau", (1 / 8, 1 / 2, 1.0, 3.0))
+def test_anti_invariant_tail_certificate_against_mpmath(im_tau):
+    # the determinant form's box leaves out less than tol (mpmath over the
+    # box vs. a box of twice the radius), and the float sum is within tol
+    # plus a rounding allowance of the orbit terms in the box; across the
+    # four values of Im tau every rank meets both numerations and twists
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 30
+    rng = random.Random(f"anti tail {im_tau}")
+    tol = 1e-10
+    turn = (1 / 8, 1 / 2, 1.0, 3.0).index(im_tau)
+    for l in (1, 2, 3):
+        sharp, twisted = [("I", False), ("I", True), ("II", False),
+                          ("II", True)][(turn + l) % 4]
+        lam = rng.choice(enumerate_dominant(l, rng.choice((0, 2))))
+        y = YPoint(complex(rng.uniform(-0.5, 0.5), im_tau),
+                   tuple(complex(rng.uniform(-0.5, 0.5),
+                                 rng.uniform(-0.25, 0.25))
+                         for _ in range(l)),
+                   rng.uniform(-0.2, 0.2))
+        shifted = (lam + rho(l)).canonical()
+        k, a, center, radius = _theta_box(
+            shifted, sharp, y, tol / (2 ** l * math.factorial(l)))
+        box = radius + max(abs(c - ai) for c, ai in zip(center, a))
+        sign = 1 if twisted and sharp == "I" else -1
+        in_box, abs_sum = _mp_anti_invariant(mpmath, k, a, y, sign, twisted,
+                                             box)
+        exact, _ = _mp_anti_invariant(mpmath, k, a, y, sign, twisted,
+                                      2 * box + 2)
+        assert abs(in_box - exact) <= tol, (l, sharp, twisted)
+        got = eval_anti_invariant(lam, sharp, twisted, y, tol)
+        err = abs(mpmath.mpc(got.real, got.imag) - exact)
+        assert err <= tol + _rounding(abs_sum), (l, sharp, twisted)
 
 
 def test_gaussian_sums_against_mpmath():
@@ -700,4 +822,4 @@ def test_gaussian_sums_against_mpmath():
                     mpmath, _reference_box(center, 2 * radius + 2), term)
                 got = modular._gaussian_sum(l, q, shift, lin, tol)
                 err = abs(mpmath.mpc(got.real, got.imag) - exact)
-                assert err <= tol + ROUNDING_UNITS * 2.0 ** -52 * abs_sum
+                assert err <= tol + _rounding(abs_sum)

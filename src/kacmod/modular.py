@@ -169,11 +169,6 @@ def _shell_radius(l, decay, log_c, tol):
     return 1
 
 
-# lattice points per block of _lattice_sums (at least one per row); bounds
-# its temporaries
-_CHUNK = 4096
-
-
 @functools.lru_cache(maxsize=None)
 def _orbit(l):
     """W_f as arrays in enumerate_finite order: u.v = signs[u] * v[gather[u]]
@@ -194,12 +189,6 @@ def _orbit_signs(l, psi):
     """epsilon(u), times psi(u) if psi, for u in W_f."""
     _, _, det, neg = _orbit(l)
     return det * (-1) ** neg if psi else det
-
-
-def _cmul(ar, ai, br, bi):
-    """Python's complex product formula in real arithmetic, so numpy arrays
-    round as Python complex scalars do."""
-    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _signed_sums(sgn, values):
@@ -224,73 +213,36 @@ def _finite_sums(totals):
     return totals
 
 
-def _lattice_sums(shift, shift_im, center, radius, quad, lin, z,
-                  lin_on_gamma=False, twisted=False):
-    """Row u: the sum over gamma in the box of radius `radius` about
-    center[u], in lexicographic order, of exp(quad sum_j x_j^2
-    + lin sum_j v_j z_j), x = gamma + shift[u] + i shift_im (None: real)
-    and v = gamma if lin_on_gamma else x; a term at odd sum(gamma) is
-    negated when twisted.  Each row is bit-identical to a scalar loop over
-    the box with Python complex arithmetic: the sums run left to right,
-    complex products use _cmul, and the terms of a row are added in box
-    order (cumsum, blocks carrying the running total)."""
-    n, l = center.shape
+def _row_sums(a, center, radius, quad, lin, z, sign=0, twisted=False):
+    """S[r, i, j]: the sum over gamma in the box of radius `radius` about
+    center[r], coordinate i alone, of f(x, z[j]), x = gamma + a[r, i] and
+    f(x, z) = exp(quad x^2 + lin x z) + sign exp(quad x^2 - lin x z) (the
+    second term only when sign is nonzero), negated at odd gamma when
+    twisted.  This is the one kernel of every Gaussian lattice sum: the form
+    |x|^2 is diagonal and the box a product of ranges, so a theta orbit or a
+    Poisson sum is the product over i of S[r, i, i], and an anti-invariant
+    is det S[r] by multilinearity.  Every term carries its own Gaussian
+    factor, so no factor leaves the float range alone.  The temporaries hold
+    n * l^2 * side complex values (side the widest range of the box, about 2
+    radius), linear in the box side."""
     lo, hi = _box(center, radius)
-    side = int((hi - lo).max()) + 1
-    step = max(1, _CHUNK // n)  # box points per block, for all n rows
-    totals = np.zeros(n, complex)
-    for c0 in range(0, side ** l, step):
-        offsets = np.unravel_index(
-            np.arange(c0, min(c0 + step, side ** l)), (side,) * l)
-        inside, parity = True, 0
-        sq_re = sq_im = lin_re = lin_im = 0.0
-        for j in range(l):
-            gamma = lo[:, j, None] + offsets[j]
-            inside = inside & (gamma <= hi[:, j, None])
-            parity = parity + gamma
-            x = gamma + shift[:, j, None]
-            if shift_im is None:
-                sq_re = sq_re + x * x
-            else:
-                re, im = _cmul(x, 0.0 + shift_im[j], x, 0.0 + shift_im[j])
-                sq_re, sq_im = sq_re + re, sq_im + im
-            re, im = _cmul(gamma if lin_on_gamma else x, 0.0,
-                           z[j].real, z[j].imag)
-            lin_re, lin_im = lin_re + re, lin_im + im
-        e1 = _cmul(quad.real, quad.imag, sq_re, sq_im)
-        e2 = _cmul(lin.real, lin.imag, lin_re, lin_im)
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = np.exp(e1[0] + e2[0] + 1j * (e1[1] + e2[1]))
-        if twisted:
-            np.negative(terms, out=terms, where=parity % 2 == 1)
-        terms[~inside] = 0.0
-        totals = np.cumsum(np.concatenate((totals[:, None], terms), axis=1),
-                           axis=1)[:, -1]
-    return _finite_sums(totals)
-
-
-def _det_sums(a, radius, quad, lin, z, sign, twisted):
-    """Row r: the sum over x in a[r] + Z^l with every |x_i| <= radius of
-    det[f(x_i, z_j)] (i, j = 1..l), f(x, z) = exp(quad x^2 + lin x z)
-    + sign exp(quad x^2 - lin x z), negated at odd sum(x - a[r]) when
-    twisted.  Row i of the matrix and its share (-1)^(x_i - a_i) of the
-    twist depend on x_i alone, and the box is a product of ranges, so by
-    multilinearity the sum is the determinant of the row sums.  Every
-    entry carries its own Gaussian factor, so no factor leaves the float
-    range alone.  The temporaries hold n * l^2 * side complex values (side
-    the widest row of the box, about 2 radius): linear in the box side, not
-    side^l, which is why this kernel walks no _CHUNK blocks."""
-    lo, hi = _box(a, radius)
     gamma = lo[..., None] + np.arange(int((hi - lo).max()) + 1)
     x = (gamma + a[..., None])[..., None]
     xz = x * (lin * np.asarray(z))
     with np.errstate(over="ignore", invalid="ignore"):
-        rows = np.exp(quad * x * x + xz) + sign * np.exp(quad * x * x - xz)
+        terms = np.exp(quad * x * x + xz)
+        if sign:
+            terms += sign * np.exp(quad * x * x - xz)
         if twisted:
-            rows[gamma % 2 == 1] *= -1
-        rows[gamma > hi[..., None]] = 0.0  # past the row's box
-        dets = np.linalg.det(rows.sum(axis=2))
-    return _finite_sums(dets)
+            terms[gamma % 2 == 1] *= -1
+        terms[gamma > hi[..., None]] = 0.0  # past the row's range
+        return terms.sum(axis=2)
+
+
+def _diagonal_product(sums):
+    """prod_i S[0, i, i]: a product-form lattice sum from _row_sums."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return complex(_finite_sums(np.prod(np.diagonal(sums[0]))))
 
 
 def _coords(w: Weight, sharp):
@@ -345,12 +297,9 @@ def eval_theta(lam: Weight, sharp="I", twisted=False, y: YPoint = None,
     + 2 pi i k <gamma+a, z>} with a = pr^(sharp)(lam)/k; the Gaussian tail is
     bounded below tol."""
     k, a, w, radius = _theta_box((lam,), sharp, y, tol)
-    row = _lattice_sums(a, None, a + np.array(w), radius,
-                        1j * math.pi * k * y.tau, TWO_PI_I * k, y.z,
-                        twisted=twisted)[0]
-    pre = cmath.exp(TWO_PI_I * k * y.t)
-    re, im = _cmul(pre.real, pre.imag, row.real, row.imag)
-    return complex(re, im)
+    sums = _row_sums(a, a + np.array(w), radius, 1j * math.pi * k * y.tau,
+                     TWO_PI_I * k, y.z, twisted=twisted)
+    return cmath.exp(TWO_PI_I * k * y.t) * _diagonal_product(sums)
 
 
 def _eval_anti_invariants(lams, sharp, twisted, y: YPoint, tol) -> list:
@@ -361,19 +310,21 @@ def _eval_anti_invariants(lams, sharp, twisted, y: YPoint, tol) -> list:
     e^{pi i k tau |x|^2} times the type-B/C Weyl denominator
     det[e^{c x_i z_j} -+ e^{-c x_i z_j}], c = 2 pi i k, with + for the
     psi-weighted type-I sum (epsilon psi(u) is the sign of u's
-    permutation); _det_sums sums it as a determinant of one-variable theta
-    sums.  Every orbit's box of radius R about u.a + w lies in the image of
-    the box |x_i| <= R + max |w_j|, so its tail bound, to tol / |W_f|,
-    still certifies the sum."""
+    permutation), the determinant of _row_sums' one-variable sums.  Every
+    orbit's box of radius R about u.a + w lies in the image of the box
+    |x_i| <= R + max |w_j|, so its tail bound, to tol / |W_f|, still
+    certifies the sum."""
     l = lams[0].rank
     nw = 2 ** l * math.factorial(l)
     k, a, w, radius = _theta_box([_shifted(lam) for lam in lams], sharp, y,
                                  tol / nw)
-    sums = _det_sums(a, radius + max(map(abs, w)), 1j * math.pi * k * y.tau,
-                     TWO_PI_I * k, y.z, 1 if twisted and sharp == "I" else -1,
-                     twisted)
+    sums = _row_sums(a, a, radius + max(map(abs, w)),
+                     1j * math.pi * k * y.tau, TWO_PI_I * k, y.z,
+                     1 if twisted and sharp == "I" else -1, twisted)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dets = _finite_sums(np.linalg.det(sums))
     pre = cmath.exp(TWO_PI_I * k * y.t)
-    return [pre * complex(v) for v in sums]
+    return [pre * complex(v) for v in dets]
 
 
 def eval_anti_invariant(lam: Weight, sharp="I", twisted=False,
@@ -745,10 +696,12 @@ def _gaussian_sum(l, q, shift, lin, tol):
     log_c = e0.real + math.pi * im_q * sum(
         (a + b) ** 2 for a, b in zip(m0, center))
     radius = _shell_radius(l, math.pi * im_q, log_c, tol)
-    rows = _lattice_sums(np.array([re_s]), [c.imag for c in shift],
-                         np.array([center]), radius + 1, 1j * math.pi * q,
-                         TWO_PI_I, lin, lin_on_gamma=True)
-    return complex(rows[0])
+    # 2 pi i <lin, m> = 2 pi i <lin, m + shift> - 2 pi i <lin, shift>: the
+    # complex shift is the kernel's offset, and the constant leaves the sum
+    sums = _row_sums(np.array([shift], complex), np.array([center]),
+                     radius + 1, 1j * math.pi * q, TWO_PI_I, lin)
+    pre = cmath.exp(-TWO_PI_I * sum(li * c for li, c in zip(lin, shift)))
+    return pre * _diagonal_product(sums)
 
 
 def poisson_args(rng, l):
@@ -777,21 +730,23 @@ def poisson_check(l, a, tau, tol=1e-8) -> VerificationReport:
 
 
 def sin_product(n: int):
-    """prod_{k=1}^{n-1} sin(k pi / n) and its closed form n / 2^(n-1)."""
+    """The logarithms of prod_{k=1}^{n-1} sin(k pi / n) and of its closed
+    form n / 2^(n-1): sum_k log sin(k pi / n) and log n - (n-1) log 2.  Both
+    products underflow (the sine product is subnormal from n = 1040 on, the
+    closed form 0.0 at n = 1087); their logarithms do not."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    prod = 1.0
-    for k in range(1, n):
-        prod *= math.sin(k * math.pi / n)
-    return prod, n / 2 ** (n - 1)
+    return (math.fsum(math.log(math.sin(k * math.pi / n))
+                      for k in range(1, n)),
+            math.log(n) - (n - 1) * math.log(2))
 
 
 def sin_product_failures(nmax, tol) -> list:
-    """The n in 2..nmax where sin_product misses its closed form by a
+    """The n in 2..nmax where the sine product misses its closed form by a
     relative error above tol."""
     bad = []
     for n in range(2, nmax + 1):
-        prod, closed = sin_product(n)
-        if abs(prod / closed - 1) > tol:
+        log_prod, log_closed = sin_product(n)
+        if abs(math.expm1(log_prod - log_closed)) > tol:
             bad.append(n)
     return bad

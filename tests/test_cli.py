@@ -76,6 +76,16 @@ def test_verify_subcommands(capsys):
     assert code == 0
 
 
+def test_verify_sinprod_past_float_underflow(capsys):
+    # the closed form n / 2^(n-1) is 0.0 in floats from n = 1087 on, and
+    # the sine product subnormal from about n = 1040
+    code = main(["verify", "sinprod", "--nmax", "1100"])
+    captured = capsys.readouterr()
+    assert code == 0 and captured.err == ""
+    d = json.loads(captured.out)
+    assert d["pass"] is True and d["failures"] == []
+
+
 def test_verify_custom_point(capsys):
     code, out = run(capsys, "verify", "s-lemma", "--which", "4.2",
                     "--rank", "1", "--level", "2",
@@ -245,7 +255,7 @@ PINNED_STDOUT = {
     "verify sl2 --rank 1 --level 2":
         "14b56cb915c647393fe81b292aae59b4803a7dcd8484323d129f6ed393472488",
     "verify poisson --rank 2":
-        "1483aa2cbf9a00ccfb2b3bd6caee868628849c11d3583959107d7bd64559183f",
+        "07b0b1c077df02a08b186081b8400f465d76ed714a834c82b0078c3383036b3a",
     "verify sinprod":
         "72a58aaa4b24bc0d15a84341efb2ac9ebbca00738306d3f633a66ed6a31cfc0c",
     "super verify --rank 2 --level 2 --depth 8":

@@ -65,12 +65,22 @@ def _reference_theta_term(k, a, y, twisted, gamma):
     return -term if twisted and sum(gamma) % 2 else term
 
 
+def _exact_sum(values):
+    """(sum, sum |values|) of complex floats, each added exactly (fsum), so
+    only the rounding of the values themselves is left."""
+    return (complex(math.fsum(v.real for v in values),
+                    math.fsum(v.imag for v in values)),
+            math.fsum(abs(v) for v in values))
+
+
 def _reference_eval_theta(lam, sharp, twisted, y, tol):
+    """(theta orbit, sum |terms|) over eval_theta's box."""
     k, a, center, radius = _theta_box(lam, sharp, y, tol)
-    total = 0.0 + 0.0j
-    for gamma in _reference_box(center, radius):
-        total += _reference_theta_term(k, a, y, twisted, gamma)
-    return cmath.exp(TWO_PI_I * k * y.t) * total
+    total, abs_sum = _exact_sum([
+        _reference_theta_term(k, a, y, twisted, gamma)
+        for gamma in _reference_box(center, radius)])
+    pre = cmath.exp(TWO_PI_I * k * y.t)
+    return pre * total, abs(pre) * abs_sum
 
 
 def _reference_eval_anti_invariant(lam, sharp, twisted, y, tol):
@@ -92,9 +102,8 @@ def _reference_eval_anti_invariant(lam, sharp, twisted, y, tol):
         values += [sgn * _reference_theta_term(k, a, y, twisted, g)
                    for g in _reference_box(a, radius + w)]
     pre = cmath.exp(TWO_PI_I * k * y.t)
-    total = complex(math.fsum(v.real for v in values),
-                    math.fsum(v.imag for v in values))
-    return pre * total, abs(pre) * math.fsum(abs(v) for v in values)
+    total, abs_sum = _exact_sum(values)
+    return pre * total, abs(pre) * abs_sum
 
 
 # Float rounding allowance, in units of 2^-52 times sum |terms|.  Recursive
@@ -107,6 +116,13 @@ ROUNDING_UNITS = 64
 
 def _rounding(abs_sum):
     return ROUNDING_UNITS * 2.0 ** -52 * abs_sum
+
+
+def _both_roundings(abs_sum):
+    """The allowance between two float sums of the same terms, the kernel's
+    and a reference's, each within _rounding of the exact sum: the terms
+    themselves round differently on the two sides."""
+    return 2 * _rounding(abs_sum)
 
 
 def _reference_smatrix_entry(kind, k, lam, mu):
@@ -175,13 +191,14 @@ def _gaussian_box(l, q, shift, lin, tol):
 
 
 def _reference_gaussian_sum(l, q, shift, lin, tol):
-    total = 0.0 + 0.0j
+    """(Gaussian sum, sum |terms|) over _gaussian_sum's box."""
+    values = []
     for m in _reference_box(*_gaussian_box(l, q, shift, lin, tol)):
         x = [mi + ci for mi, ci in zip(m, shift)]
         e = 1j * math.pi * q * sum(v * v for v in x) \
             + TWO_PI_I * sum(li * mi for li, mi in zip(lin, m))
-        total += cmath.exp(e)
-    return total
+        values.append(cmath.exp(e))
+    return _exact_sum(values)
 
 
 def _grid_points(l, seed):
@@ -449,8 +466,9 @@ def test_poisson():
 
 
 def test_sin_product():
-    prod, closed = sin_product(4)
-    assert abs(prod - 0.5) < 1e-14 and closed == 0.5
+    log_prod, log_closed = sin_product(4)
+    assert abs(math.exp(log_prod) - 0.5) < 1e-14
+    assert abs(math.exp(log_closed) - 0.5) < 1e-15
     with pytest.raises(ValueError):
         sin_product(1)
 
@@ -511,9 +529,10 @@ def test_psi_I_closure_samples_only_its_family(monkeypatch):
 
 # -- the batched kernels against the reference loops --------------------------
 
-# The determinant form sums the anti-invariants in another order than the
-# orbit rows, so it matches the reference over the same box to within
-# rounding of sum |terms|, not bit for bit.
+# The kernel sums one coordinate at a time and multiplies the sums (a
+# product, or the determinant form of the anti-invariants), so it matches
+# the point-by-point reference over the same box to within rounding of
+# sum |terms|, not bit for bit.
 
 @pytest.mark.parametrize("l", (1, 2, 3))
 def test_anti_invariant_matches_reference(l):
@@ -559,8 +578,11 @@ def test_eval_theta_matches_reference(l):
                 for y in _grid_points(l, rng.random()):
                     y = YPoint(y.tau, y.z, complex(y.t, 0.1))
                     for twisted in (False, True):
-                        assert eval_theta(mu, sharp, twisted, y, 1e-12) == \
-                            _reference_eval_theta(mu, sharp, twisted, y, 1e-12)
+                        want, abs_sum = _reference_eval_theta(
+                            mu, sharp, twisted, y, 1e-12)
+                        got = eval_theta(mu, sharp, twisted, y, 1e-12)
+                        assert abs(got - want) <= _both_roundings(abs_sum), \
+                            (k, sharp, twisted, y, mu)
 
 
 @pytest.mark.parametrize("l", (1, 2, 3))
@@ -585,12 +607,10 @@ def test_smatrix_entry_matches_reference(l):
 
 
 @pytest.mark.parametrize("l", (1, 2, 3))
-def test_eval_characters_match_reference(monkeypatch, l):
+def test_eval_characters_match_reference(l):
     # every weight of P_{k,+} in one call, the ratio of the reference
-    # anti-invariants to within the rounding of both; the determinant
-    # form has no blocks, so _CHUNK = 1 must change nothing
+    # anti-invariants to within the rounding of both
     points = iter(modular._closure_points(l, 8))
-    chunks = (modular._CHUNK, 1)
     for k in (2, 4):
         lams = enumerate_dominant(l, k)
         for sharp in ("I", "II"):
@@ -608,42 +628,29 @@ def test_eval_characters_match_reference(monkeypatch, l):
                     want.append((num / den, (_rounding(abs_sum)
                                              + abs(num / den) * den_err)
                                  / abs(den)))
-                for chunk in chunks:
-                    monkeypatch.setattr(modular, "_CHUNK", chunk)
-                    got = modular._eval_characters(lams, sharp, twisted, y,
-                                                   1e-10)
-                    assert all(abs(g - w) <= allow
-                               for g, (w, allow) in zip(got, want,
-                                                        strict=True)), \
-                        (k, sharp, twisted, chunk)
+                got = modular._eval_characters(lams, sharp, twisted, y,
+                                               1e-10)
+                assert all(abs(g - w) <= allow
+                           for g, (w, allow) in zip(got, want, strict=True)), \
+                    (k, sharp, twisted)
 
 
 def test_gaussian_sums_match_reference():
+    # both sides of poisson_check, and a shift and a linear term together,
+    # which only the constant e^{-2 pi i <lin, shift>} of the kernel's
+    # offset form brings back to the sum over m
     rng = random.Random(5)
-    for l in (1, 2, 3):
-        for _ in range(20):
+    for l, draws in ((1, 20), (2, 20), (3, 20), (4, 5)):
+        for _ in range(draws):
             a, tau = modular.poisson_args(rng, l)
             zero = (0.0,) * l
-            for q, shift, lin in ((-1 / tau, a, zero), (tau, zero, a)):
-                assert modular._gaussian_sum(l, q, shift, lin, 1e-10) == \
-                    _reference_gaussian_sum(l, q, shift, lin, 1e-10)
-
-
-def test_lattice_sums_across_block_boundaries(monkeypatch):
-    # one box point per block: the Gaussian sum's running total crosses
-    # blocks, and the anti-invariants, which have none, stay put
-    monkeypatch.setattr(modular, "_CHUNK", 1)
-    y = YPoint(0.3 + 0.5j, (0.2 - 0.1j, -0.3 + 0.2j), -0.1)
-    for sharp in ("I", "II"):
-        for twisted in (False, True):
-            lam = enumerate_dominant(2, 2)[1]
-            want, abs_sum = _reference_eval_anti_invariant(
-                lam, sharp, twisted, y, 1e-8)
-            assert abs(eval_anti_invariant(lam, sharp, twisted, y, 1e-8)
-                       - want) <= _rounding(abs_sum)
-    a, tau = (0.3 - 0.2j, 0.1 + 0.4j), 0.2 + 0.9j
-    assert modular._gaussian_sum(2, -1 / tau, a, (0.0, 0.0), 1e-10) == \
-        _reference_gaussian_sum(2, -1 / tau, a, (0.0, 0.0), 1e-10)
+            for q, shift, lin in ((-1 / tau, a, zero), (tau, zero, a),
+                                  (tau, a, a)):
+                want, abs_sum = _reference_gaussian_sum(l, q, shift, lin,
+                                                        1e-10)
+                got = modular._gaussian_sum(l, q, shift, lin, 1e-10)
+                assert abs(got - want) <= _both_roundings(abs_sum), \
+                    (l, q, shift, lin)
 
 
 @pytest.mark.parametrize("coord", (
@@ -687,7 +694,7 @@ def _mp_theta_term(mpmath, k, a, y, twisted):
     return term
 
 
-@pytest.mark.parametrize("im_tau", (1 / 8, 1 / 2, 1.0, 3.0))
+@pytest.mark.parametrize("im_tau", (1 / 8, 1 / 2, 1.0, 3.0, 8.0))
 def test_theta_tail_certificate_against_mpmath(im_tau):
     # eval_theta's box leaves out less than tol (mpmath over the box vs. a
     # box of twice the radius), and the float sum over it is within tol plus
@@ -759,17 +766,17 @@ def _mp_anti_invariant(mpmath, k, a, y, sign, twisted, radius):
     return pre * mpmath.fsum(values), abs(pre) * mpmath.fsum(abs_values)
 
 
-@pytest.mark.parametrize("im_tau", (1 / 8, 1 / 2, 1.0, 3.0))
+@pytest.mark.parametrize("im_tau", (1 / 8, 1 / 2, 1.0, 3.0, 8.0))
 def test_anti_invariant_tail_certificate_against_mpmath(im_tau):
     # the determinant form's box leaves out less than tol (mpmath over the
     # box vs. a box of twice the radius), and the float sum is within tol
     # plus a rounding allowance of the orbit terms in the box; across the
-    # four values of Im tau every rank meets both numerations and twists
+    # five values of Im tau every rank meets both numerations and twists
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 30
     rng = random.Random(f"anti tail {im_tau}")
     tol = 1e-10
-    turn = (1 / 8, 1 / 2, 1.0, 3.0).index(im_tau)
+    turn = (1 / 8, 1 / 2, 1.0, 3.0, 8.0).index(im_tau)
     for l in (1, 2, 3):
         sharp, twisted = [("I", False), ("I", True), ("II", False),
                           ("II", True)][(turn + l) % 4]

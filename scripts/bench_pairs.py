@@ -38,16 +38,22 @@ from pathlib import Path
 E2E = {"setup_s": True, "wall_s": True, "peak_rss_mb": True,
        "pass_ratio": False, "accuracy_digits_p50": False,
        "accuracy_digits_low": False}
-# per-layer metrics kept from the traced runs
-LAYERS = ("qseries.divide.self_s", "qseries.divide.calls",
-          "characters.anti_invariant.self_s", "characters.character.self_s",
+# per-layer metrics kept from the traced runs, with each suite criterion's
+# time
+LAYERS = ("qseries.mul.self_s", "qseries.divide.self_s",
+          "qseries.divide.calls", "characters.anti_invariant.self_s",
+          "characters.denominator_product.self_s",
+          "characters.character.self_s", "superalg.super_denominator.self_s",
+          "superalg.super_character.self_s",
+          "superalg.check_bracket_relations.self_s",
           "modular.eval_anti_invariant.self_s",
           "modular.eval_anti_invariant.calls", "modular.eval_theta.calls",
           "modular.smatrix_entry.self_s", "modular.smatrix_entry.calls",
           "modular.poisson_check.self_s", "modular.eval_character.calls",
           "modular.verify.self_s", "modular.verify_sl2_closure.self_s",
           "weyl.enumerate_finite.calls", "roots.enumerate_dominant.self_s",
-          "roots.enumerate_dominant.calls", "trace.overhead_ratio")
+          "roots.enumerate_dominant.calls", "trace.overhead_ratio",
+          *(f"suite.criterion_{i}.s" for i in range(1, 13)))
 # pairs of processes per --cli command: as many as a gain claim needs
 CLI_PAIRS = 10
 # the workloads the benchmark declares

@@ -8,8 +8,9 @@ Usage: python scripts/smatrix_tables.py --rank 1 --level 2
 import argparse
 import sys
 
+from kacmod.lattice import phi_involution
 from kacmod.modular import smatrix, smatrix_entry
-from kacmod.roots import enumerate_dominant, phi_involution
+from kacmod.roots import enumerate_dominant
 
 
 def main():

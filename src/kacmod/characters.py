@@ -16,6 +16,7 @@ independent grouping of the same W-sum.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,8 +30,8 @@ from .weyl import enumerate_finite
 
 
 def is_dominant(w: Weight) -> bool:
-    labels = dynkin_labels(w.rank, w)
-    return all(Fraction(m).denominator == 1 and m >= 0 for m in labels)
+    return all(m.denominator == 1 and m >= 0
+               for m in dynkin_labels(w.rank, w))
 
 
 def theta_height_bound(l, m, base_norm_sq, depth) -> int:
@@ -54,19 +55,24 @@ def default_height_cap(l, k, depth) -> int:
 # Theta orbits
 # ---------------------------------------------------------------------------
 
-def _accumulate_theta(out: QSeries, coset_f, m: int, sign: int, twisted: bool):
-    """Add one level-m theta orbit (coset coset_f) into out, whose apex must
-    dominate the orbit.  Twisted orbits weight nu = coset + m*gamma by
-    (-1)^(sum gamma_i).  Works in doubled integer coordinates."""
+def _doubled_eps(w: Weight, what):
+    """Twice the eps-coefficients of w, as ints."""
+    den = w.den
+    out = [2 * n // den for n in w.nums[:-2]]
+    if any(2 * n % den for n in w.nums[:-2]):
+        raise ValueError(f"{what} finite part not in the half-integer lattice")
+    return out
+
+
+def _accumulate_theta(out: QSeries, coset: Weight, m: int, sign: int,
+                      twisted: bool):
+    """Add one level-m theta orbit (the coset of the finite part of coset)
+    into out, whose apex must dominate the orbit.  Twisted orbits weight
+    nu = coset + m*gamma by (-1)^(sum gamma_i).  Works in doubled integer
+    coordinates."""
     l = out.rank
-    apex2 = [2 * Fraction(c) for c in out.apex.eps]
-    if any(a.denominator != 1 for a in apex2):
-        raise ValueError("apex finite part not in the half-integer lattice")
-    apex2 = [int(a) for a in apex2]
-    cos2 = [2 * Fraction(c) for c in coset_f]
-    if any(c.denominator != 1 for c in cos2):
-        raise ValueError("coset not in the half-integer lattice")
-    cos2 = [int(c) for c in cos2]
+    apex2 = _doubled_eps(out.apex, "apex")
+    cos2 = _doubled_eps(coset, "coset")
     base_nsq = sum(a * a for a in apex2)  # 4 |apex_f|^2
     qeff = out.q_cap if out.q_cap is not None else out.height_cap
     r2 = base_nsq + 8 * m * qeff  # 4 (|apex|^2 + 2 m qeff)
@@ -138,14 +144,14 @@ def anti_invariant(lam: Weight, sharp="I", twisted=False, depth=8,
         raise ValueError("lambda is not dominant")
     m = int(k) + 2 * l + 1
     base = (lam + rho(l)).canonical()
-    apex = Weight(base.eps, -norm_sq(base) / (2 * m), base.lambda0)
+    apex = base + Weight.delta_weight(l).scale(-norm_sq(base) / (2 * m))
     out = QSeries(l, apex, {}, height_cap, depth)
 
     # psi(u) = (-1)^{#negative signs} on W_f^(I); W_f^(II) lies in Ker psi
     use_psi = twisted and sharp == "I"
     for u in enumerate_finite(l):
         sgn = u.det() * (-1) ** u.neg_count() if use_psi else u.det()
-        _accumulate_theta(out, u.act(base, sharp).eps, m, sgn, twisted)
+        _accumulate_theta(out, u.act(base, sharp), m, sgn, twisted)
     return out
 
 
@@ -159,14 +165,14 @@ def denominator_product(l, twisted=False, depth=8, height_cap=None) -> QSeries:
     over imaginary, short, middle and long families.  Short (odd) binomials
     flip sign in the twisted case."""
     r = rho(l)
-    lead = Weight(r.eps, -norm_sq(r) / (2 * (2 * l + 1)), r.lambda0)
+    lead = r + Weight.delta_weight(l).scale(-norm_sq(r) / (2 * (2 * l + 1)))
     # high delta offset first, which keeps the partial products small
     roots = sorted(positive_roots(l, depth, height_cap),
-                   key=lambda root: -root[0].delta)
+                   key=lambda root: -root[0][0])
     factors = []
-    for w, mult, parity in roots:
+    for vec, mult, parity in roots:
         sign = 1 if twisted and parity == "odd" else -1
-        factors += [qs.binomial_factor(w, sign, height_cap, depth)] * mult
+        factors += [qs.binomial_factor(vec, sign, height_cap, depth)] * mult
     return qs.mul(QSeries.monomial(lead, 1, height_cap, depth), *factors)
 
 
@@ -212,9 +218,16 @@ def character(req: CharacterRequest, height_cap=None) -> QSeries:
     if height_cap is None:
         height_cap = default_height_cap(l, req.k, req.depth)
     num = anti_invariant(req.lam, req.sharp, req.twisted, req.depth, height_cap)
-    den = anti_invariant(Weight.zero(l), req.sharp, req.twisted, req.depth,
-                         height_cap)
+    den = _denominator(l, req.sharp, req.twisted, req.depth, height_cap)
     return qs.divide(num, den)
+
+
+@functools.lru_cache(maxsize=32)
+def _denominator(l, sharp, twisted, depth, height_cap) -> QSeries:
+    """A_rho (A^psi_rho when twisted), the divisor of every character with
+    these parameters, built once; qs.divide only reads it, and it is never
+    handed to a caller."""
+    return anti_invariant(Weight.zero(l), sharp, twisted, depth, height_cap)
 
 
 def check_denominator_identity(l, depth=10, twisted=False) -> dict:

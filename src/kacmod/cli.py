@@ -76,6 +76,9 @@ _VERIFY_FLAGS = {
     "poisson": {"rank": 1},
     "sinprod": {"nmax": 50},
 }
+# verify sinprod does O(nmax^2) work, about a second at this cap on one core;
+# a larger --nmax is refused rather than run for hours
+_NMAX_CAP = 4000
 _VERIFY_ALL_FLAGS = tuple(dict.fromkeys(
     flag for taken in _VERIFY_FLAGS.values() for flag in taken))
 
@@ -103,8 +106,10 @@ def _check_args(args):
         raise ValueError(f"--rank must be >= 1, got {args.rank}")
     if not 0 < getattr(args, "tol", 1) < float("inf"):
         raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
-    if getattr(args, "nmax", None) is not None and args.nmax < 2:
-        raise ValueError(f"--nmax must be >= 2, got {args.nmax}")
+    if getattr(args, "nmax", None) is not None and not \
+            2 <= args.nmax <= _NMAX_CAP:
+        raise ValueError(f"--nmax must be in 2..{_NMAX_CAP} (the check costs "
+                         f"O(nmax^2)), got {args.nmax}")
     if getattr(args, "depth", 0) < 0:
         raise ValueError(f"--depth must be >= 0, got {args.depth}")
     if getattr(args, "tau", None) is None and (

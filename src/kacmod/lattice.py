@@ -7,97 +7,174 @@ where Lambda0 = 2*gamma is the type-I basic weight.  The form satisfies
     (eps_i, eps_j) = delta_ij,   (delta, delta) = (Lambda0, Lambda0) = 0,
     (delta, Lambda0) = 2,        (eps_i, delta) = (eps_i, Lambda0) = 0.
 
-Scalars are exact ``fractions.Fraction`` throughout the algebraic layer; the
-same class carries complex coefficients in the analytic layer (modular module).
+A weight is held on integers: the numerators `nums` = (eps_1..eps_l, delta,
+Lambda0) over one positive denominator `den`, with gcd(nums, den) = 1.  That
+form is unique, so equality and hashing compare int tuples and the linear
+structure and the form are integer arithmetic; `.eps`, `.delta` and
+`.lambda0` read the coefficients back as exact Fractions.  Only exact
+rationals enter a weight: the analytic layer's complex chart weights have
+their own coordinates (modular module).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import operator
 from fractions import Fraction
+from numbers import Rational
 
 HALF = Fraction(1, 2)
 
 
-def _as_scalar(x):
-    if isinstance(x, (Fraction, int)):
-        return Fraction(x)
-    return x  # complex / float layer
+def _ratio(x):
+    """(numerator, denominator) of an exact rational as Python ints."""
+    if isinstance(x, int):
+        return int(x), 1
+    if isinstance(x, Rational):
+        return int(x.numerator), int(x.denominator)
+    raise TypeError(f"weight coefficients must be exact rationals, got {x!r}")
 
 
-@dataclass(frozen=True)
+def _make(nums, den):
+    """The weight nums/den, reduced; den must be positive."""
+    if den != 1:
+        g = math.gcd(den, *nums)
+        if g != 1:
+            nums = tuple(n // g for n in nums)
+            den //= g
+    w = object.__new__(Weight)
+    _SET_NUMS(w, nums)
+    _SET_DEN(w, den)
+    _SET_HASH(w, None)
+    return w
+
+
 class Weight:
-    """An element of the (complexified) dual space in type-I coordinates."""
+    """An element of the dual space in type-I coordinates.
+    Weight(eps, delta, lambda0) takes exact rationals (ints, Fractions) and
+    keeps them as integer numerators `nums` over one denominator `den`."""
 
-    eps: tuple
-    delta: object = Fraction(0)
-    lambda0: object = Fraction(0)
+    __slots__ = ("nums", "den", "_hash")
+
+    def __new__(cls, eps, delta=0, lambda0=0):
+        pairs = [_ratio(x) for x in (*eps, delta, lambda0)]
+        den = math.lcm(*(d for _, d in pairs))
+        return _make(tuple(n * (den // d) for n, d in pairs), den)
+
+    @staticmethod
+    def from_numerators(nums, den=1):
+        """The weight with coefficients nums/den, nums = (eps_1..eps_l,
+        delta, Lambda0) as integers and den a positive integer; numpy
+        integers become Python ints, anything else is refused."""
+        den = operator.index(den)
+        if den < 1:
+            raise ValueError(f"denominator must be positive, got {den}")
+        return _make(tuple(map(operator.index, nums)), den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Weight is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Weight is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, Weight):
+            return NotImplemented
+        return self.den == other.den and self.nums == other.nums
+
+    def __hash__(self):
+        h = self._hash
+        if h is None:
+            h = hash((self.nums, self.den))
+            _SET_HASH(self, h)
+        return h
+
+    def __repr__(self):
+        return (f"Weight(eps={self.eps!r}, delta={self.delta!r}, "
+                f"lambda0={self.lambda0!r})")
 
     @property
     def rank(self):
-        return len(self.eps)
+        return len(self.nums) - 2
+
+    @property
+    def eps(self):
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.nums[:-2])
+
+    @property
+    def delta(self):
+        return Fraction(self.nums[-2], self.den)
+
+    @property
+    def lambda0(self):
+        return Fraction(self.nums[-1], self.den)
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(l):
-        return Weight((Fraction(0),) * l)
+        return _make((0,) * (l + 2), 1)
 
     @staticmethod
     def eps_basis(l, i):
         """eps_i, 1-based index."""
         if not 1 <= i <= l:
             raise ValueError(f"eps index {i} out of range 1..{l}")
-        v = [Fraction(0)] * l
-        v[i - 1] = Fraction(1)
-        return Weight(tuple(v))
+        v = [0] * (l + 2)
+        v[i - 1] = 1
+        return _make(tuple(v), 1)
 
     @staticmethod
     def delta_weight(l):
-        return Weight((Fraction(0),) * l, Fraction(1), Fraction(0))
+        return _make((0,) * l + (1, 0), 1)
 
     @staticmethod
     def lambda0_I(l):
-        return Weight((Fraction(0),) * l, Fraction(0), Fraction(1))
-
-    @staticmethod
-    def lambda0_II(l):
-        # Lambda0^(II) = gamma + (eps_1+..+eps_l)/2 - (l/8) delta
-        #             = Lambda0^(I)/2 + (1/2) sum eps_i - (l/8) delta.
-        return Weight((HALF,) * l, -Fraction(l, 8), HALF)
+        return _make((0,) * l + (0, 1), 1)
 
     @staticmethod
     def eps_basis_II(l, i):
         """eps_i^(II) = -eps_{l+1-i} + delta/2, expressed in type-I storage."""
         if not 1 <= i <= l:
             raise ValueError(f"eps index {i} out of range 1..{l}")
-        v = [Fraction(0)] * l
-        v[l - i] = Fraction(-1)
-        return Weight(tuple(v), HALF, Fraction(0))
+        v = [0] * (l + 2)
+        v[l - i] = -2
+        v[l] = 1
+        return _make(tuple(v), 2)
 
     # -- linear structure ---------------------------------------------------
 
     def _chk(self, other):
-        if self.rank != other.rank:
+        if len(self.nums) != len(other.nums):
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
 
     def __add__(self, other):
         self._chk(other)
-        return Weight(tuple(a + b for a, b in zip(self.eps, other.eps)),
-                      self.delta + other.delta, self.lambda0 + other.lambda0)
+        p, q = self.den, other.den
+        if p == q:
+            return _make(tuple(map(operator.add, self.nums, other.nums)), p)
+        g = math.gcd(p, q)
+        x, y = q // g, p // g
+        return _make(tuple(a * x + b * y
+                           for a, b in zip(self.nums, other.nums)), p * x)
 
     def __sub__(self, other):
         self._chk(other)
-        return Weight(tuple(a - b for a, b in zip(self.eps, other.eps)),
-                      self.delta - other.delta, self.lambda0 - other.lambda0)
+        p, q = self.den, other.den
+        if p == q:
+            return _make(tuple(map(operator.sub, self.nums, other.nums)), p)
+        g = math.gcd(p, q)
+        x, y = q // g, p // g
+        return _make(tuple(a * x - b * y
+                           for a, b in zip(self.nums, other.nums)), p * x)
 
     def __neg__(self):
-        return Weight(tuple(-a for a in self.eps), -self.delta, -self.lambda0)
+        return _make(tuple(-a for a in self.nums), self.den)
 
     def scale(self, c):
-        c = _as_scalar(c)
-        return Weight(tuple(c * a for a in self.eps), c * self.delta,
-                      c * self.lambda0)
+        n, d = _ratio(c)
+        return _make(tuple(n * a for a in self.nums), d * self.den)
 
     def __rmul__(self, c):
         return self.scale(c)
@@ -106,36 +183,47 @@ class Weight:
 
     def canonical(self):
         """Representative modulo C.delta: force the delta coefficient to 0."""
-        return Weight(self.eps, Fraction(0), self.lambda0)
+        nums = self.nums
+        return _make(nums[:-2] + (0, nums[-1]), self.den)
 
     def to_type_II_coords(self):
         """Coefficients (eps^(II) vector, delta, Lambda0^(II)) of this weight.
 
         Inverts eps_i^(II) = -eps_{l+1-i} + delta/2 and
-        Lambda0^(II) = Lambda0^(I)/2 + (1/2) sum eps_i - (l/8) delta.
+        Lambda0^(II) = Lambda0^(I)/2 + (1/2) sum eps_i - (l/8) delta: they
+        are the eps and delta coefficients of phi(w) and twice its Lambda0
+        one.
         """
-        l = self.rank
-        c2 = 2 * self.lambda0
-        eps2 = tuple(self.lambda0 - self.eps[l - i] for i in range(1, l + 1))
-        d2 = self.delta + HALF * sum(self.eps) - Fraction(l, 4) * self.lambda0
-        return eps2, d2, c2
-
-    @staticmethod
-    def from_type_II_coords(l, eps2, delta2=Fraction(0), lambda02=Fraction(0)):
-        w = Weight.zero(l) + _as_scalar(delta2) * Weight.delta_weight(l) \
-            + _as_scalar(lambda02) * Weight.lambda0_II(l)
-        for i, c in enumerate(eps2, start=1):
-            w = w + _as_scalar(c) * Weight.eps_basis_II(l, i)
-        return w
+        p = phi_involution(self)
+        return p.eps, p.delta, 2 * p.lambda0
 
     def project_finite(self, sharp):
         """Component in F_f^(sharp): kill delta and Lambda0^(sharp) parts."""
         if sharp == "I":
-            return Weight(self.eps)
+            return _make(self.nums[:-2] + (0, 0), self.den)
         if sharp == "II":
-            eps2, _, _ = self.to_type_II_coords()
-            return Weight.from_type_II_coords(self.rank, eps2)
+            p = phi_involution(self)
+            return phi_involution(_make(p.nums[:-2] + (0, 0), p.den))
         raise ValueError(f"sharp must be 'I' or 'II', got {sharp!r}")
+
+
+_SET_NUMS = Weight.nums.__set__
+_SET_DEN = Weight.den.__set__
+_SET_HASH = Weight._hash.__set__
+
+
+def phi_involution(w: Weight) -> Weight:
+    """phi = t_{(eps_1+..+eps_l)/2} o w_0^{A_l} o zeta, the isometry with
+    phi(eps_i^(I)) = eps_i^(II), phi(delta) = delta and
+    phi(Lambda0^(I)) = 2 Lambda0^(II); an involution.  With Lambda0
+    coefficient c it maps eps_i -> c - eps_{l+1-i} and
+    delta -> delta + (1/2) sum eps - (l/4) c, here on numerators over
+    4 den."""
+    nums = w.nums
+    c, l = nums[-1], len(nums) - 2
+    eps = nums[:-2]
+    return _make(tuple(4 * (c - e) for e in reversed(eps))
+                 + (4 * nums[-2] + 2 * sum(eps) - l * c, 4 * c), 4 * w.den)
 
 
 # -- bilinear form and derived quantities -----------------------------------
@@ -143,24 +231,18 @@ class Weight:
 def inner(a: Weight, b: Weight):
     """The nondegenerate symmetric form; (delta, Lambda0^(I)) = 2."""
     a._chk(b)
-    s = sum(x * y for x, y in zip(a.eps, b.eps))
-    return s + 2 * (a.delta * b.lambda0 + a.lambda0 * b.delta)
+    x, y = a.nums, b.nums
+    s = sum(p * q for p, q in zip(x[:-2], y[:-2]))
+    return Fraction(s + 2 * (x[-2] * y[-1] + x[-1] * y[-2]), a.den * b.den)
 
 
 def level(w: Weight):
     """(delta, w); 2 * lambda0 coefficient."""
-    return 2 * w.lambda0
+    return Fraction(2 * w.nums[-1], w.den)
 
 
 def norm_sq(w: Weight):
     return inner(w, w)
-
-
-def coroot(alpha: Weight) -> Weight:
-    n = inner(alpha, alpha)
-    if n == 0:
-        raise ValueError("coroot of an isotropic vector")
-    return alpha.scale(Fraction(2) / n)
 
 
 # -- JSON serialization ------------------------------------------------------

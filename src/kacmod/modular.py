@@ -24,11 +24,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
-from .lattice import Weight, inner, level, norm_sq
-from .roots import (enumerate_dominant, phi_involution, rho, rho_f)
+from .lattice import Weight, level, norm_sq, phi_involution
+from .roots import enumerate_dominant, rho, rho_f
 from .weyl import enumerate_finite
 
 TWO_PI_I = 2j * math.pi
@@ -76,43 +77,74 @@ def sample_points(l, n) -> list:
 # Coordinate maps
 # ---------------------------------------------------------------------------
 
-def point_to_weight(sharp, y: YPoint) -> Weight:
-    """(phi^(sharp))^{-1}: the complexified weight of a Y-point."""
+class ChartWeight(NamedTuple):
+    """The complexified weight of a Y-point: its eps-vector, delta and
+    Lambda0 coefficients in type-I storage as complex numbers.  Exact
+    weights are lattice.Weight; these are made by point_to_weight and read
+    by weight_to_point."""
+
+    eps: tuple
+    delta: complex
+    lambda0: complex
+
+    def phi(self) -> "ChartWeight":
+        """phi_involution on complex coordinates: eps_i -> c - eps_{l+1-i},
+        delta -> delta + (1/2) sum eps - (l/4) c, Lambda0 coefficient c."""
+        c = self.lambda0
+        return ChartWeight(tuple(c - e for e in reversed(self.eps)),
+                           self.delta + sum(self.eps) * 0.5
+                           - len(self.eps) / 4 * c, c)
+
+
+def point_to_weight(sharp, y: YPoint) -> ChartWeight:
+    """(phi^(sharp))^{-1}: the complexified weight of a Y-point,
+    2 pi i (-(tau/2) Lambda0^(I) + sum z_i eps_i + t delta) in numeration I
+    and 2 pi i (-tau Lambda0^(II) + sum z_i eps_i^(II) + t delta) in II."""
     l = y.rank
+    half_tau = -y.tau / 2
     if sharp == "I":
-        w = Weight.lambda0_I(l).scale(-y.tau / 2)
-        for i in range(1, l + 1):
-            w = w + Weight.eps_basis(l, i).scale(y.z[i - 1])
+        eps, delta = y.z, y.t
     elif sharp == "II":
-        w = Weight.lambda0_II(l).scale(-y.tau)
-        for i in range(1, l + 1):
-            w = w + Weight.eps_basis_II(l, i).scale(y.z[i - 1])
+        # Lambda0^(II) = Lambda0^(I)/2 + sum eps_i / 2 - (l/8) delta and
+        # eps_i^(II) = -eps_{l+1-i} + delta/2
+        eps = tuple(half_tau - y.z[l - 1 - i] for i in range(l))
+        delta = y.tau * (l / 8)
+        for zi in y.z:
+            delta = delta + zi * 0.5
+        delta = delta + y.t
     else:
         raise ValueError(f"sharp must be 'I' or 'II', got {sharp!r}")
-    w = w + Weight.delta_weight(l).scale(y.t)
-    return w.scale(TWO_PI_I)
+    return ChartWeight(tuple(TWO_PI_I * e for e in eps), TWO_PI_I * delta,
+                       TWO_PI_I * half_tau)
 
 
-def weight_to_point(sharp, v: Weight) -> YPoint:
-    """phi^(sharp), defined on the domain Re (v, delta) > 0."""
-    l = v.rank
-    d = Weight.delta_weight(l)
-    pairing = complex(inner(v, d))
+def weight_to_point(sharp, v: ChartWeight) -> YPoint:
+    """phi^(sharp), defined on the domain Re (v, delta) > 0: tau, z_i and t
+    are (v, -delta), (v, eps_i^(sharp)) and (v, Lambda0^(I)/2) in
+    numeration I or (v, Lambda0^(II)) in II, each over 2 pi i."""
+    l = len(v.eps)
+    pairing = 2 * v.lambda0
     if not pairing.real > 0:
         raise ValueError("weight outside the domain: Re (v, delta) <= 0")
     tau = -pairing / TWO_PI_I
     if sharp == "I":
-        z = tuple(complex(inner(v, Weight.eps_basis(l, i))) / TWO_PI_I
-                  for i in range(1, l + 1))
-        lam0 = Weight.lambda0_I(l).scale(Fraction(1, 2))
+        z = tuple(e / TWO_PI_I for e in v.eps)
+        t = v.delta / TWO_PI_I
     elif sharp == "II":
-        z = tuple(complex(inner(v, Weight.eps_basis_II(l, i))) / TWO_PI_I
+        z = tuple((v.lambda0 - v.eps[l - i]) / TWO_PI_I
                   for i in range(1, l + 1))
-        lam0 = Weight.lambda0_II(l)
+        t = (sum(e * 0.5 for e in v.eps)
+             + 2 * (v.delta * 0.5 + v.lambda0 * (-l / 8))) / TWO_PI_I
     else:
         raise ValueError(f"sharp must be 'I' or 'II', got {sharp!r}")
-    t = complex(inner(v, lam0)) / TWO_PI_I
     return YPoint(tau, z, t)
+
+
+def _pair(w: Weight, v: ChartWeight) -> complex:
+    """The form (w, v) of an exact weight w and a chart weight v."""
+    nums, den = w.nums, w.den
+    s = sum(n / den * e for n, e in zip(nums, v.eps))
+    return s + 2 * (nums[-2] / den * v.lambda0 + nums[-1] / den * v.delta)
 
 
 def transition(y: YPoint) -> YPoint:
@@ -367,7 +399,7 @@ def eval_qseries(series, sharp, y: YPoint) -> complex:
     v = point_to_weight(sharp, y)
     total = 0.0 + 0.0j
     for vec, c in series.sorted_items():
-        total += c * cmath.exp(complex(inner(series.weight_of(vec), v)))
+        total += c * cmath.exp(_pair(series.weight_of(vec), v))
     return total
 
 

@@ -35,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import Weight, frac_to_str, weight_to_json
-from .roots import root_coords, simple_roots_I
+from .roots import from_root_coords, root_coords
 
 _MAX_DIVISION_STEPS = 2_000_000
 _EXACT_INT64 = 1 << 62  # int64 coefficients and codes stay below this
@@ -76,11 +76,7 @@ class QSeries:
         return not self.terms
 
     def weight_of(self, vec) -> Weight:
-        w = self.apex
-        for n, alpha in zip(vec, simple_roots_I(self.rank)):
-            if n:
-                w = w - alpha.scale(n)
-        return w
+        return self.apex - from_root_coords(vec)
 
     def sorted_items(self):
         return sorted(self.terms.items())
@@ -96,8 +92,7 @@ class QSeries:
 
     def shift_apex_delta(self, s) -> "QSeries":
         """Multiply by e^{s delta}: the apex delta coefficient moves by s."""
-        apex = Weight(self.apex.eps, self.apex.delta + Fraction(s),
-                      self.apex.lambda0)
+        apex = self.apex + Weight.delta_weight(self.rank).scale(s)
         return QSeries(self.rank, apex, dict(self.terms),
                        self.height_cap, self.q_cap)
 
@@ -383,23 +378,21 @@ def _runs(lo, size):
             + np.repeat(lo - np.cumsum(size) + size, size))
 
 
-def binomial_factor(root: Weight, sign=-1, height_cap=None, q_cap=None) -> QSeries:
-    """1 + sign * e^{-root} for a positive root."""
-    l = root.rank
-    vec = root_coords(root)
-    if vec is None or any(n < 0 for n in vec):
-        raise ValueError("expected a positive root-lattice element")
-    s = QSeries.one(l, height_cap, q_cap)
+def binomial_factor(vec, sign=-1, height_cap=None, q_cap=None) -> QSeries:
+    """1 + sign * e^{-root} for a positive root with height vector vec."""
+    vec = _height_vector(vec)
+    s = QSeries.one(len(vec) - 1, height_cap, q_cap)
     s.add_term(vec, sign)
     return s
 
 
-def geometric_factor(root: Weight, height_cap=None, q_cap=None) -> QSeries:
-    """(1 - e^{-root})^{-1} = sum_j e^{-j root}, truncated."""
-    l = root.rank
-    vec = root_coords(root)
-    if vec is None or any(n < 0 for n in vec) or all(n == 0 for n in vec):
-        raise ValueError("expected a nonzero positive root-lattice element")
+def geometric_factor(vec, height_cap=None, q_cap=None) -> QSeries:
+    """(1 - e^{-root})^{-1} = sum_j e^{-j root}, truncated, for a nonzero
+    positive root with height vector vec."""
+    vec = _height_vector(vec)
+    if not any(vec):
+        raise ValueError("expected a nonzero height vector")
+    l = len(vec) - 1
     if height_cap is None and (q_cap is None or vec[0] == 0):
         raise ValueError("geometric series needs a height cap in this direction")
     s = QSeries.one(l, height_cap, q_cap)
@@ -411,6 +404,15 @@ def geometric_factor(root: Weight, height_cap=None, q_cap=None) -> QSeries:
         s.terms[key] = 1
         j += 1
     return s
+
+
+def _height_vector(vec) -> tuple:
+    """vec as a tuple of nonnegative Python ints (n_0..n_l), l >= 1."""
+    vec = tuple(vec)
+    if len(vec) < 2 or not all(type(n) is int and n >= 0 for n in vec):
+        raise ValueError(
+            f"expected a height vector of nonnegative ints, got {vec}")
+    return vec
 
 
 def delta_expansion(a: QSeries) -> dict:

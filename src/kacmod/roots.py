@@ -1,7 +1,6 @@
 """The BC_l^(2) root datum: simple roots in both numerations, the positive
-roots with multiplicities and super parity, fundamental weights,
-dominant-weight enumeration, and the involution phi exchanging the two
-coordinate systems.
+roots with multiplicities and super parity as height vectors, fundamental
+weights and dominant-weight enumeration.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import HALF, Weight, coroot, inner, level
+from .lattice import HALF, Weight, level
 
 RANK_CAP = 6
 
@@ -39,16 +38,26 @@ def simple_roots_II(l):
 
 
 def positive_roots(l, q_cap=None, height_cap=None, super_=False):
-    """Yield (root, multiplicity, parity) for the positive roots with delta
-    offset <= q_cap and total height <= height_cap, by increasing offset n.
+    """Yield (height vector, multiplicity, parity) for the positive roots
+    with delta offset <= q_cap and total height <= height_cap, by increasing
+    offset n.
 
     At each n: the imaginary root n delta (multiplicity l, n >= 1); for each
     eps_i and sign s the short root n delta + s eps_i (odd) and the long root
     n delta + 2s eps_i (even; at odd n only, or at every n with super_ for
     the system B^(1)(0,l)); then the middle roots n delta + s eps_i + s' eps_j
-    (i < j, even).  Without caps the generator does not end."""
-    delta = Weight.delta_weight(l)
-    eps = [Weight.eps_basis(l, i) for i in range(1, l + 1)]
+    (i < j, even).  The root n delta + sum c_i eps_i has height vector
+    (n, 2n + c_1, 2n + c_1 + c_2, ..), so each finite part c is kept as its
+    partial sums.  Without caps the generator does not end."""
+    finite = []  # (partial sums of c, their minimum and sum, parity, long)
+    for i in range(l):
+        for s in (1, -1):
+            finite.append(_finite_part(l, {i: s}, "odd", False))
+            finite.append(_finite_part(l, {i: 2 * s}, "even", True))
+    for i, j in itertools.combinations(range(l), 2):
+        for si in (1, -1):
+            for sj in (1, -1):
+                finite.append(_finite_part(l, {i: si, j: sj}, "even", False))
     offsets = itertools.count()
     if height_cap is not None:
         # the lowest root at offset n >= 1, n delta - 2 eps_1, has height
@@ -57,50 +66,43 @@ def positive_roots(l, q_cap=None, height_cap=None, super_=False):
     for n in offsets:
         if q_cap is not None and n > q_cap:
             return
-        d = delta.scale(n)
-        cands = [(d, l, "even")] if n else []
-        for e in eps:
-            for s in (1, -1):
-                cands.append((d + e.scale(s), 1, "odd"))
-                if super_ or n % 2:
-                    cands.append((d + e.scale(2 * s), 1, "even"))
-        for ei, ej in itertools.combinations(eps, 2):
-            for si in (1, -1):
-                for sj in (1, -1):
-                    cands.append((d + ei.scale(si) + ej.scale(sj), 1, "even"))
-        for w, mult, parity in cands:
-            h = height_vector(w)
-            if h is not None and any(h) and (
-                    height_cap is None or sum(h) <= height_cap):
-                yield w, mult, parity
+        d, base = 2 * n, (2 * l + 1) * n
+        if n and (height_cap is None or base <= height_cap):
+            yield (n,) + (d,) * l, l, "even"
+        for part, low, total, parity, long in finite:
+            if (low + d < 0 or (long and not (super_ or n % 2))
+                    or (height_cap is not None and base + total > height_cap)):
+                continue
+            yield (n,) + tuple(d + p for p in part), 1, parity
 
 
-def height_vector(w: Weight):
-    """Coordinates (n_0..n_l) of w in the simple-root basis of type I, or
-    None if w is not a nonnegative integer combination.
-
-    n_0 is the delta coefficient; n_j = 2 n_0 + (eps_1 + .. + eps_j)."""
-    v = root_coords(w)
-    if v is None:
-        return None
-    return v if all(n >= 0 for n in v) else None
+def _finite_part(l, coeffs, parity, long):
+    """The row of positive_roots' table for the finite part
+    sum coeffs[i] eps_{i+1}."""
+    part = tuple(itertools.accumulate(coeffs.get(i, 0) for i in range(l)))
+    return part, min(part), sum(part), parity, long
 
 
 def root_coords(w: Weight):
-    """Integer coordinates of w in the alpha-basis, or None."""
-    if w.lambda0 != 0:
+    """Integer coordinates (n_0..n_l) of w in the alpha-basis, or None: n_0
+    is the delta coefficient and n_j = 2 n_0 + (eps_1 + .. + eps_j)."""
+    nums = w.nums
+    if w.den != 1 or nums[-1]:
         return None
-    x = Fraction(w.delta)
-    if x.denominator != 1:
-        return None
-    coords = [int(x)]
-    acc = 2 * x
-    for j in range(w.rank):
-        acc += Fraction(w.eps[j])
-        if acc.denominator != 1:
-            return None
-        coords.append(int(acc))
+    n0 = nums[-2]
+    coords, acc = [n0], 2 * n0
+    for e in nums[:-2]:
+        acc += e
+        coords.append(acc)
     return tuple(coords)
+
+
+def from_root_coords(vec) -> Weight:
+    """sum n_i alpha_i^(I) for the height vector vec = (n_0..n_l): the
+    inverse of root_coords."""
+    n0 = vec[0]
+    eps = [b - a for a, b in zip((2 * n0, *vec[1:-1]), vec[1:])]
+    return Weight.from_numerators((*eps, n0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -160,8 +162,17 @@ def from_dynkin_labels(l, m):
 
 
 def dynkin_labels(l, w: Weight):
-    """Pairings (alpha_i^vee, w) in the type-I numeration."""
-    return tuple(inner(coroot(a), w) for a in simple_roots_I(l))
+    """Pairings (alpha_i^vee, w) in the type-I numeration: with Lambda0
+    coefficient c, alpha_0^vee = delta/2 - eps_1 pairs to c - eps_1,
+    alpha_i^vee = eps_i - eps_{i+1} to their difference and
+    alpha_l^vee = 2 eps_l to 2 eps_l."""
+    if w.rank != l:
+        raise ValueError(f"rank mismatch: {l} vs {w.rank}")
+    nums, den = w.nums, w.den
+    eps = nums[:-2]
+    marks = (nums[-1] - eps[0], *(a - b for a, b in zip(eps, eps[1:])),
+             2 * eps[-1])
+    return tuple(Fraction(m, den) for m in marks)
 
 
 def enumerate_dominant(l, k):
@@ -188,20 +199,6 @@ def _label_vectors(l, k):
             vecs.append(head + (rest,))
     vecs.sort(reverse=True)
     return vecs
-
-
-# ---------------------------------------------------------------------------
-# The involution phi = t_{(eps_1+..+eps_l)/2} o w_0^{A_l} o zeta
-# ---------------------------------------------------------------------------
-
-def phi_involution(w: Weight) -> Weight:
-    """Isometry with phi(eps_i^(I)) = eps_i^(II), phi(delta) = delta,
-    phi(Lambda0^(I)) = 2 Lambda0^(II); an involution."""
-    l = w.rank
-    c = w.lambda0
-    eps = tuple(c - w.eps[l - 1 - i] for i in range(l))
-    d = w.delta + HALF * sum(w.eps) - Fraction(l, 4) * c
-    return Weight(eps, d, c)
 
 
 # ---------------------------------------------------------------------------

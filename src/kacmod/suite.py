@@ -9,12 +9,12 @@ from fractions import Fraction
 
 from .characters import (CharacterRequest, character,
                          check_denominator_identity, conformal_anomaly)
-from .lattice import Weight, inner
+from .lattice import Weight, inner, phi_involution
 from .modular import (YPoint, eval_character, eval_qseries, point_to_weight,
                       poisson_args, poisson_check, sample_points,
                       sin_product_failures, transition, verify_S, verify_T,
                       verify_props, verify_sl2, weight_to_point)
-from .roots import RootSystemCtx, enumerate_dominant, phi_involution
+from .roots import RootSystemCtx, enumerate_dominant
 from .superalg import (check_bracket_relations, check_super_character,
                        check_super_denominator, osp_irreducible_dim,
                        verma_reducible)
@@ -238,7 +238,7 @@ def criterion_12(quick=False):
         worst = max(worst, abs(y_I.tau - ty.tau), abs(y_I.t - ty.t),
                     max(abs(a - b) for a, b in zip(y_I.z, ty.z)))
         # involution square: phi^(II)(phi(v)) = phi^(I)(v)
-        y_phi = weight_to_point("II", phi_involution(v))
+        y_phi = weight_to_point("II", v.phi())
         y_dir = weight_to_point("I", v)
         worst = max(worst, abs(y_phi.tau - y_dir.tau), abs(y_phi.t - y_dir.t),
                     max(abs(a - b) for a, b in zip(y_phi.z, y_dir.z)))

@@ -171,11 +171,11 @@ def _super_factors(l, depth, height_cap, binomial_parity):
     """(1 - e^{-a}) for the roots of one parity and (1 - e^{-a})^{-1} for
     the other, each repeated by multiplicity."""
     factors = []
-    for w, mult, par in positive_roots(l, depth, height_cap, super_=True):
+    for vec, mult, par in positive_roots(l, depth, height_cap, super_=True):
         if par == binomial_parity:
-            f = qs.binomial_factor(w, -1, height_cap, depth)
+            f = qs.binomial_factor(vec, -1, height_cap, depth)
         else:
-            f = qs.geometric_factor(w, height_cap, depth)
+            f = qs.geometric_factor(vec, height_cap, depth)
         factors += [f] * mult
     return factors
 
@@ -187,7 +187,7 @@ def _psi_weyl_sum(l, base: Weight, height_cap, depth) -> QSeries:
     m = int(level(base))
     out = QSeries(l, base, {}, height_cap, depth)
     qeff = depth if depth is not None else height_cap
-    nsq = float(norm_sq(Weight(base.eps)))
+    nsq = float(norm_sq(base.project_finite("I")))
     rad = math.sqrt(nsq + 2 * m * qeff) + 1.0
     ranges = []
     for c in base.eps:

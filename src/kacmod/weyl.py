@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .lattice import Weight
+from .lattice import Weight, phi_involution
 from .roots import RANK_CAP
 
 
@@ -40,9 +39,11 @@ class FiniteWeylElement:
 
     def act(self, w: Weight, sharp="I") -> Weight:
         if sharp == "I":
-            return Weight(self.apply_vec(w.eps), w.delta, w.lambda0)
-        eps2, d2, c2 = w.to_type_II_coords()
-        return Weight.from_type_II_coords(w.rank, self.apply_vec(eps2), d2, c2)
+            nums = w.nums
+            return Weight.from_numerators(
+                self.apply_vec(nums[:-2]) + nums[-2:], w.den)
+        # phi carries the type-I coordinates to the type-II ones and back
+        return phi_involution(self.act(phi_involution(w)))
 
     def det(self):
         s = 1
@@ -76,12 +77,17 @@ class AffineWeylElement:
 
 
 def translate(gamma, w: Weight) -> Weight:
-    """t_gamma(w) = w + (w,delta) gamma - ((w,gamma) + |gamma|^2 (w,delta)/2) delta."""
-    lev = 2 * w.lambda0
-    pair = sum(c * g for c, g in zip(w.eps, gamma))
+    """t_gamma(w) = w + (w,delta) gamma - ((w,gamma) + |gamma|^2 (w,delta)/2) delta.
+
+    Computed on the numerators of w, where (w,delta) = 2c for the Lambda0
+    coefficient c."""
+    nums = w.nums
+    eps, c = nums[:-2], nums[-1]
+    pair = sum(e * g for e, g in zip(eps, gamma))
     nsq = sum(g * g for g in gamma)
-    eps = tuple(c + lev * g for c, g in zip(w.eps, gamma))
-    return Weight(eps, w.delta - pair - Fraction(nsq, 2) * lev, w.lambda0)
+    return Weight.from_numerators(
+        tuple(e + 2 * c * g for e, g in zip(eps, gamma))
+        + (nums[-2] - pair - nsq * c, c), w.den)
 
 
 def epsilon(w: AffineWeylElement) -> int:

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from kacmod.lattice import Weight
+from kacmod.lattice import Weight, inner
 from kacmod.roots import RootSystemCtx
 
 
@@ -20,6 +20,25 @@ def ctx2():
 @pytest.fixture(scope="session")
 def ctx3():
     return RootSystemCtx.build(3)
+
+
+def coroot(alpha):
+    """alpha^vee = 2 alpha / (alpha, alpha) for a non-isotropic alpha."""
+    return alpha.scale(Fraction(2) / inner(alpha, alpha))
+
+
+def lambda0_II(l):
+    """Lambda0^(II) = Lambda0^(I)/2 + (1/2) sum eps_i - (l/8) delta."""
+    return Weight((Fraction(1, 2),) * l, -Fraction(l, 8), Fraction(1, 2))
+
+
+def from_type_II_coords(l, eps2, delta2=0, lambda02=0):
+    """The weight with the given coefficients on the type-II basis
+    eps_i^(II), delta, Lambda0^(II)."""
+    w = Weight.delta_weight(l).scale(delta2) + lambda0_II(l).scale(lambda02)
+    for i, c in enumerate(eps2, start=1):
+        w = w + Weight.eps_basis_II(l, i).scale(c)
+    return w
 
 
 def small_fractions(max_num=12, denominators=(1, 2, 3, 4)):

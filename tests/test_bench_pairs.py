@@ -51,6 +51,13 @@ def test_layers_are_per_layer_metrics_of_the_benchmark(bench_pairs):
     # a misspelt name would drop out of every traced entry unnoticed
     doc = json.loads((SCRIPT.parents[1] / "BENCHMARK.json").read_text())
     assert set(bench_pairs.LAYERS) <= {m["name"] for m in doc["per_layer"]}
+    # the product layers and every suite criterion are kept
+    kept = set(bench_pairs.LAYERS)
+    assert {"qseries.mul.self_s", "characters.denominator_product.self_s",
+            "superalg.super_denominator.self_s",
+            "superalg.super_character.self_s",
+            "superalg.check_bracket_relations.self_s"} <= kept
+    assert {f"suite.criterion_{i}.s" for i in range(1, 13)} <= kept
 
 
 def test_two_pairs_write_summary_and_traced_layers(bench_pairs, monkeypatch,
@@ -62,6 +69,8 @@ def test_two_pairs_write_summary_and_traced_layers(bench_pairs, monkeypatch,
         metrics["wall_s"] = {"value": next(walls) if not trace else 1.0}
         if trace:
             metrics["qseries.divide.self_s"] = {"value": 0.5}
+            metrics["suite.criterion_12.s"] = {"value": 0.25}
+            metrics["no.such.layer"] = {"value": 9.0}
         res = {"correct": True, "failed": 0, "metrics": metrics}
         return res, [f"# digest {workload} {seed}"]
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
@@ -77,7 +86,8 @@ def test_two_pairs_write_summary_and_traced_layers(bench_pairs, monkeypatch,
     assert wall["change_wins"] == 2
     assert wall["change_over_parent_median"] == pytest.approx(1.05 / 4.1)
     (traced,) = doc["traced"]
-    assert traced["change"] == {"qseries.divide.self_s": 0.5}
+    assert traced["change"] == {"qseries.divide.self_s": 0.5,
+                                "suite.criterion_12.s": 0.25}
 
 
 def test_cli_pairs_time_whole_processes(bench_pairs, monkeypatch, tmp_path):

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 
 import kacmod.qseries as qs
+from kacmod import characters
 from kacmod.characters import (CharacterRequest, _accumulate_theta,
                                anti_invariant, character,
                                check_denominator_identity, conformal_anomaly,
@@ -74,7 +75,7 @@ def theta_formal(lam: Weight, sharp="I", twisted=False, depth=8,
     apex_nsq = sum(c * c for c in apex_f)
     apex = Weight(apex_f, -apex_nsq / (2 * k), Fraction(k, 2))
     out = QSeries(l, apex, {}, height_cap, depth)
-    _accumulate_theta(out, lam.eps, k, 1, twisted)
+    _accumulate_theta(out, lam, k, 1, twisted)
     return out
 
 
@@ -129,16 +130,17 @@ def _reference_anti_invariant(lam: Weight, sharp, twisted, depth, height_cap):
     out = QSeries(l, apex, {}, height_cap, depth)
     if sharp == "II":
         for u in enumerate_finite(l):
-            _accumulate_theta(out, u.act(base, "II").eps, m, u.det(), twisted)
+            _accumulate_theta(out, u.act(base, "II"), m, u.det(), twisted)
     elif not twisted:
         for u in enumerate_finite(l):
-            _accumulate_theta(out, u.apply_vec(base.eps), m, u.det(), False)
+            _accumulate_theta(out, Weight(u.apply_vec(base.eps)), m, u.det(),
+                              False)
     else:
         s_l = finite_reflection(l, Weight.eps_basis(l, l))
         for u in enumerate_ker_psi_finite(l):
             for v in (u, finite_compose(u, s_l)):
-                _accumulate_theta(out, v.apply_vec(base.eps), m, u.det(),
-                                  True)
+                _accumulate_theta(out, Weight(v.apply_vec(base.eps)), m,
+                                  u.det(), True)
     return out
 
 
@@ -173,13 +175,14 @@ def test_anti_invariant_antisymmetry():
     apex = Weight(base.eps, -norm_sq(base) / (2 * m), base.lambda0)
     plain = QSeries(l, apex, {}, None, 5)
     for u in enumerate_finite(l):
-        _accumulate_theta(plain, u.apply_vec(base.eps), m, u.det(), False)
+        _accumulate_theta(plain, Weight(u.apply_vec(base.eps)), m, u.det(),
+                          False)
     for u0 in enumerate_finite(l):
         twisted_order = QSeries(l, apex, {}, None, 5)
         for u in enumerate_finite(l):
             v = finite_compose(u0, u)
-            _accumulate_theta(twisted_order, v.apply_vec(base.eps), m,
-                              u.det(), False)
+            _accumulate_theta(twisted_order, Weight(v.apply_vec(base.eps)),
+                              m, u.det(), False)
         assert twisted_order == (plain if u0.det() == 1 else qs.neg(plain))
 
 
@@ -205,7 +208,8 @@ def test_denominator_negative_control():
     l = 1
     anti = anti_invariant(Weight.zero(l), "I", False, 6, None)
     prod = denominator_product(l, False, 6, None)
-    extra = qs.binomial_factor(Weight.delta_weight(l), -1, None, 6)
+    extra = qs.binomial_factor(root_coords(Weight.delta_weight(l)), -1,
+                               None, 6)
     rep = qs.diff_report(anti, qs.mul(prod, extra))
     assert not rep["equal"]
     assert rep["first_mismatch_q"] == 1
@@ -245,6 +249,34 @@ def test_character_division_round_trip():
             den = anti_invariant(Weight.zero(l), "I", tw, 8, ch.height_cap)
             num = anti_invariant(lam, "I", tw, 8, ch.height_cap)
             assert qs.mul(ch, den) == num
+
+
+def test_character_builds_its_divisor_once(monkeypatch):
+    # A_rho depends only on (l, sharp, twisted, depth, height cap): the
+    # characters of one level share it, and dividing by it leaves it intact
+    built = []
+
+    def counting(lam, *args):
+        built.append(lam)
+        return anti_invariant(lam, *args)
+
+    characters._denominator.cache_clear()
+    monkeypatch.setattr(characters, "anti_invariant", counting)
+    l = 2
+    ctx = RootSystemCtx.build(l)
+    lams = enumerate_dominant(l, 2)
+    for _ in range(2):
+        for lam in lams:
+            ch = character(CharacterRequest(ctx, lam, 2, "I", True, 6))
+            den = anti_invariant(Weight.zero(l), "I", True, 6, ch.height_cap)
+            num = anti_invariant(lam, "I", True, 6, ch.height_cap)
+            assert qs.mul(ch, den) == num
+    assert built.count(Weight.zero(l)) == 1
+    assert len(built) == 2 * len(lams) + 1
+    cached = characters._denominator(l, "I", True, 6, ch.height_cap)
+    assert cached == anti_invariant(Weight.zero(l), "I", True, 6,
+                                    ch.height_cap)
+    characters._denominator.cache_clear()
 
 
 def test_character_weyl_invariant_slices():

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import kacmod
+from kacmod import cli
 from kacmod.cli import main
 
 
@@ -84,6 +85,16 @@ def test_verify_sinprod_past_float_underflow(capsys):
     assert code == 0 and captured.err == ""
     d = json.loads(captured.out)
     assert d["pass"] is True and d["failures"] == []
+
+
+def test_verify_sinprod_nmax_cap(capsys):
+    # the O(nmax^2) check is refused past the cap, which leaves room for the
+    # underflow case above
+    assert cli._NMAX_CAP >= 1100
+    code = main(["verify", "sinprod", "--nmax", str(cli._NMAX_CAP + 1)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"--nmax must be in 2..{cli._NMAX_CAP}" in captured.err
 
 
 def test_verify_custom_point(capsys):
@@ -202,6 +213,8 @@ def test_usage_errors():
                  id="nmax-one"),
     pytest.param(("verify", "sinprod", "--nmax", "-5"), "--nmax",
                  id="nmax-negative"),
+    pytest.param(("verify", "sinprod", "--nmax", "1000000"), "--nmax",
+                 id="nmax-past-cap"),
 ])
 def test_rejected_input_exits_2_with_message(capsys, argv, flag):
     code = main(list(argv))

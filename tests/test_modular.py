@@ -8,18 +8,19 @@ import pytest
 
 from kacmod import modular
 from kacmod.characters import CharacterRequest, character
-from kacmod.lattice import Weight, inner, norm_sq
-from kacmod.modular import (DegeneratePointError, YPoint, default_sample,
+from kacmod.lattice import Weight, inner, norm_sq, phi_involution
+from kacmod.modular import (ChartWeight, DegeneratePointError, YPoint,
+                            default_sample,
                             eval_anti_invariant, eval_character, eval_qseries,
                             eval_theta, point_to_weight, poisson_check,
                             s_point, sample_points, sin_product, smatrix,
                             smatrix_entry, t_point, transition, verify_S,
                             verify_T, verify_props, verify_sl2_closure,
                             weight_to_point)
-from kacmod.roots import (enumerate_dominant, from_dynkin_labels,
-                          phi_involution, rho, rho_f)
+from kacmod.roots import enumerate_dominant, from_dynkin_labels, rho, rho_f
 from kacmod.weyl import enumerate_finite
 
+from conftest import lambda0_II
 from test_characters import theta_formal
 from test_weyl import (enumerate_ker_psi_finite, finite_compose,
                        finite_reflection)
@@ -242,7 +243,8 @@ def test_chart_round_trip_and_domain():
         rt = weight_to_point(sharp, point_to_weight(sharp, y))
         assert capprox(rt.tau, y.tau, TOL) and capprox(rt.t, y.t, TOL)
         assert all(capprox(a, b, TOL) for a, b in zip(rt.z, y.z))
-    bad = point_to_weight("I", y).scale(-1)
+    v = point_to_weight("I", y)
+    bad = ChartWeight(tuple(-e for e in v.eps), -v.delta, -v.lambda0)
     with pytest.raises(ValueError):
         weight_to_point("I", bad)
 
@@ -250,25 +252,48 @@ def test_chart_round_trip_and_domain():
 def test_pr_coefficients():
     # pr^(sharp)(y), the finite projection of the chart weight of y, has
     # eps^(sharp) coefficients 2 pi i z_i
+    # (the eps^(II) coefficients of v are the eps coefficients of phi(v))
     y = YPoint(0.5 + 1.1j, (0.25 - 0.3j, 0.4 + 0.05j), 0.6)
-    p = point_to_weight("I", y).project_finite("I")
+    p = point_to_weight("I", y)
     for i, zi in enumerate(y.z):
         assert capprox(p.eps[i], 2j * math.pi * zi, TOL)
-    assert capprox(complex(p.lambda0), 0, TOL)
     # pr vanishes at z = 0
-    p0 = point_to_weight("I", YPoint(1j, (0.0, 0.0), 0.3)).project_finite("I")
+    p0 = point_to_weight("I", YPoint(1j, (0.0, 0.0), 0.3))
     assert all(abs(c) < TOL for c in p0.eps)
     # |pr^(II)|^2 = (2 pi i)^2 sum z_i^2 as well
-    p2 = point_to_weight("II", y).project_finite("II")
-    got = complex(norm_sq(p2))
+    p2 = point_to_weight("II", y).phi()
+    got = sum(c * c for c in p2.eps)
     want = (2j * math.pi) ** 2 * sum(c * c for c in y.z)
     assert capprox(got, want, 1e-10)
     # under the transition map, the type-I square norm picks up the basis
     # shift: |pr^(I)(transition y)|^2 = (2 pi i)^2 sum (z_i + tau/2)^2
-    got_t = complex(norm_sq(
-        point_to_weight("I", transition(y)).project_finite("I")))
+    got_t = sum(c * c for c in point_to_weight("I", transition(y)).eps)
     want_t = (2j * math.pi) ** 2 * sum((c + y.tau / 2) ** 2 for c in y.z)
     assert capprox(got_t, want_t, 1e-10)
+
+
+def test_chart_weights_match_the_exact_basis():
+    # point_to_weight against the exact basis weights it combines, and
+    # ChartWeight.phi against phi_involution on the same combination
+    y = YPoint(0.3 + 0.9j, (0.2 - 0.4j, -0.1 + 0.3j, 0.05j), -0.2 + 0.1j)
+    l = y.rank
+    for sharp, lam0, basis in (
+            ("I", Weight.lambda0_I(l).scale(Fraction(-1, 2)),
+             Weight.eps_basis),
+            ("II", -lambda0_II(l), Weight.eps_basis_II)):
+        # (exact basis weight, its coefficient at y) of the chart weight
+        terms = [(lam0, y.tau)] + [(basis(l, i), y.z[i - 1])
+                                   for i in range(1, l + 1)]
+        terms.append((Weight.delta_weight(l), y.t))
+        v = point_to_weight(sharp, y)
+        for got, f in ((v, lambda u: u), (v.phi(), phi_involution)):
+            want = [0j] * (l + 2)
+            for u, c in terms:
+                fu = f(u)
+                for k, x in enumerate((*fu.eps, fu.delta, fu.lambda0)):
+                    want[k] += 2j * math.pi * c * float(x)
+            assert all(capprox(g, x, TOL) for g, x in
+                       zip((*got.eps, got.delta, got.lambda0), want)), sharp
 
 
 def test_eval_theta_against_formal_series():

@@ -5,14 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 
-from kacmod.lattice import Weight, coroot, inner, level
+from kacmod.lattice import Weight, inner, level, phi_involution
 from kacmod.roots import (RootSystemCtx, dynkin_labels, enumerate_dominant,
-                          fundamental_weights_I, fundamental_weights_II,
-                          height_vector, labels, phi_involution, rho, rho_f,
+                          from_root_coords, fundamental_weights_I,
+                          fundamental_weights_II, labels, rho, rho_f,
                           root_coords, simple_roots_I, simple_roots_II,
                           positive_roots)
 
-from conftest import weights
+from conftest import coroot, lambda0_II, weights
 
 
 # -- the root set by membership test: the oracle of positive_roots ------------
@@ -107,8 +107,9 @@ def test_root_set_weyl_stable_small_height():
     from test_weyl import reflection  # test_weyl imports this module
 
     for l in (1, 2):
-        roots = [w for w, _, _ in positive_roots(l, height_cap=3)
-                 if any(w.eps)]
+        roots = [from_root_coords(vec) for vec, _, _
+                 in positive_roots(l, height_cap=3)]
+        roots = [w for w in roots if any(w.eps)]
         assert roots
         refs = [reflection(l, a) for a in simple_roots_I(l)]
         for w in refs:
@@ -126,8 +127,9 @@ def test_special_indices():
         for i0, (a, alpha) in enumerate(zip(labels(l), simple_roots_I(l))):
             for p in range(1, 5):
                 cand = (d - alpha.scale(a)).scale(Fraction(1, p))
-                h = height_vector(cand)
-                if classify(cand) is not None and h is not None and any(h):
+                h = root_coords(cand)
+                if classify(cand) is not None and h is not None \
+                        and min(h) >= 0 and any(h):
                     sp[i0] = (p, cand)
                     break
         assert set(sp) == {0, l}
@@ -219,7 +221,7 @@ def test_phi_examples():
     for l in (1, 2, 3):
         assert phi_involution(Weight.delta_weight(l)) == Weight.delta_weight(l)
         assert phi_involution(Weight.lambda0_I(l)) == \
-            Weight.lambda0_II(l).scale(2)
+            lambda0_II(l).scale(2)
         for i in range(1, l + 1):
             assert phi_involution(Weight.eps_basis(l, i)) == \
                 Weight.eps_basis_II(l, i)
@@ -236,41 +238,64 @@ def test_height_vector():
     l = 2
     d = Weight.delta_weight(l)
     assert root_coords(d) == (1, 2, 2)
-    assert height_vector(d - Weight.eps_basis(l, 1).scale(2)) == (1, 0, 0)
-    assert height_vector(Weight.eps_basis(l, 1).scale(-1)) is None
+    assert root_coords(d - Weight.eps_basis(l, 1).scale(2)) == (1, 0, 0)
+    assert root_coords(Weight.eps_basis(l, 1).scale(-1)) == (0, -1, -1)
     assert root_coords(Weight((Fraction(1, 3), Fraction(0)))) is None
+    assert root_coords(Weight.lambda0_I(l)) is None
+    for vec in itertools.product(range(-2, 3), repeat=l + 1):
+        w = from_root_coords(vec)
+        assert root_coords(w) == vec
+        # the alpha-basis combination it names
+        assert w == sum((a.scale(n) for n, a in zip(vec, simple_roots_I(l))),
+                        Weight.zero(l))
+
+
+@given(weights(3))
+@settings(max_examples=60)
+def test_dynkin_labels_are_coroot_pairings(w):
+    assert dynkin_labels(3, w) == tuple(inner(coroot(a), w)
+                                        for a in simple_roots_I(3))
 
 
 def _root_oracle(l, q_cap, height_cap, super_):
     """(height vector, multiplicity, parity) of every positive root in the
-    caps, by scanning height vectors: the roots `classify` accepts, plus the
-    long roots +-2 eps_i + (even) delta of the super system."""
-    hmax = height_cap if height_cap is not None else (2 * l + 1) * q_cap + 2 * l
+    caps, by scanning the weights n delta + sum c_i eps_i with n up to the
+    caps (a root of offset n >= 1 has height >= n) and every c_i in -2..2:
+    the roots `classify` accepts, plus the long roots +-2 eps_i + (even)
+    delta of the super system.  Heights come from root_coords and are
+    checked against the simple roots."""
+    nmax = min(c for c in (q_cap, height_cap) if c is not None)
     si = simple_roots_I(l)
     out = set()
-    for vec in itertools.product(range(hmax + 1), repeat=l + 1):
-        if sum(vec) > hmax or not any(vec) or (
-                q_cap is not None and vec[0] > q_cap):
-            continue
-        w = Weight.zero(l)
-        for n, alpha in zip(vec, si):
-            w = w + alpha.scale(n)
-        info = classify(w)
-        if info is not None:
-            out.add((vec, info.multiplicity, info.parity))
-        elif super_ and w.delta % 2 == 0 and sorted(
-                abs(c) for c in w.eps) == [0] * (l - 1) + [2]:
-            out.add((vec, 1, "even"))
+    for n in range(nmax + 1):
+        for c in itertools.product(range(-2, 3), repeat=l):
+            w = Weight(c, n)
+            info = classify(w)
+            if info is not None:
+                root = (info.multiplicity, info.parity)
+            elif super_ and n % 2 == 0 and sorted(map(abs, c)) == \
+                    [0] * (l - 1) + [2]:
+                root = (1, "even")
+            else:
+                continue
+            vec = root_coords(w)
+            if min(vec) < 0 or (height_cap is not None
+                                and sum(vec) > height_cap):
+                continue
+            assert sum((a.scale(k) for k, a in zip(vec, si)),
+                       Weight.zero(l)) == w
+            out.add((vec, *root))
     return out
 
 
-@pytest.mark.parametrize("l", (1, 2, 3))
+@pytest.mark.parametrize("l", (1, 2, 3, 4))
 @pytest.mark.parametrize("q_cap,height_cap",
-                         ((None, 9), (2, 12), (3, 7), (1, None), (0, 20)))
+                         ((None, 9), (2, 12), (3, 7), (1, None), (0, 20),
+                          (12, None), (5, None)))
 @pytest.mark.parametrize("super_", (False, True))
 def test_positive_roots_against_scan(l, q_cap, height_cap, super_):
-    got = [(root_coords(w), mult, parity) for w, mult, parity
-           in positive_roots(l, q_cap, height_cap, super_)]
+    got = list(positive_roots(l, q_cap, height_cap, super_))
+    assert all(type(n) is int for vec, _, _ in got for n in vec)
     assert len(set(got)) == len(got)
     assert set(got) == _root_oracle(l, q_cap, height_cap, super_)
     offsets = [vec[0] for vec, _, _ in got]

@@ -55,10 +55,11 @@ def test_action_matrix_window():
 
 
 def test_super_positive_roots_long_family():
+    # at rank 1 the root n delta + c eps_1 has height vector (n, 2n + c)
     roots = list(positive_roots(1, 3, 30, super_=True))
-    longs = [w for w, mult, par in roots
-             if par == "even" and any(abs(c) == 2 for c in w.eps)]
-    deltas = sorted(int(w.delta) for w in longs)
+    longs = [vec for vec, mult, par in roots
+             if par == "even" and abs(vec[1] - 2 * vec[0]) == 2]
+    deltas = sorted(vec[0] for vec in longs)
     assert deltas == [0, 1, 1, 2, 2, 3, 3]  # 2eps_1 + n delta, -2eps_1 + n delta
 
 

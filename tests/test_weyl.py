@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacmod.lattice import Weight, coroot, inner
-from kacmod.roots import positive_roots, root_coords, simple_roots_I
+from kacmod.lattice import Weight, inner
+from kacmod.roots import from_root_coords, positive_roots, simple_roots_I
 from kacmod.weyl import (AffineWeylElement, FiniteWeylElement,
                          enumerate_finite, epsilon, psi, translate)
 
-from conftest import weights
+from conftest import coroot, weights
 from test_roots import classify
 
 
@@ -233,11 +233,12 @@ def test_enumeration_counts():
 def test_psi_factors_through_root_lattice_parity():
     # psi(s_beta) = (-1)^(alpha_l coefficient of beta) for real roots
     for l in (1, 2):
-        for beta, mult, _ in positive_roots(l, height_cap=3):
+        for vec, mult, _ in positive_roots(l, height_cap=3):
+            beta = from_root_coords(vec)
             if classify(beta).length_class == "imaginary":
                 continue
             s = reflection(l, beta)
-            par = root_coords(beta)[-1] % 2
+            par = vec[-1] % 2
             assert psi(s) == (-1 if par else 1), beta
 
 

@@ -235,6 +235,5 @@ def check_denominator_identity(l, depth=10, twisted=False) -> dict:
     anti = anti_invariant(Weight.zero(l), "I", twisted, depth, None)
     prod = denominator_product(l, twisted, depth, None)
     rep = qs.diff_report(anti, prod)
-    rep.update(rank=l, depth=depth, twisted=twisted,
-               pass_=rep["equal"], terms=len(anti.terms))
+    rep.update(rank=l, depth=depth, twisted=twisted, terms=len(anti.terms))
     return rep

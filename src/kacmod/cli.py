@@ -24,7 +24,7 @@ from .modular import (YPoint, default_sample, poisson_args, poisson_check,
                       sin_product_failures, smatrix, verify_S, verify_T,
                       verify_props, verify_sl2)
 from .roots import RootSystemCtx, enumerate_dominant, from_dynkin_labels
-from .suite import POISSON_SEED, THETA_TOL, run_suite
+from .suite import POISSON_SEED, THETA_TOL, T_THETA_TOL, run_suite
 from .superalg import (GENERATORS, check_bracket_relations,
                        check_super_character, check_super_denominator,
                        osp_action_matrix, osp_irreducible_dim)
@@ -255,8 +255,7 @@ def cmd_verify(args):
         _emit({"verify": "sinprod", "nmax": args.nmax, "pass": not bad,
                "failures": bad}, True)
         return 0 if not bad else 1
-    # the T-lemmas' exact phases are checked against 1e-12 theta tails
-    theta_tol = 1e-12 if args.what == "t-lemma" else THETA_TOL
+    theta_tol = T_THETA_TOL if args.what == "t-lemma" else THETA_TOL
     law = (args.law,) if args.law else ()
     rep = _LAW_VERIFIERS[args.what](args.which, _weight_from_args(args, l),
                                     args.level, _point_from_args(args, l),
@@ -299,11 +298,8 @@ def cmd_suite(args):
     results = run_suite(quick=args.quick)
     ok = all(r["pass"] for r in results)
     if args.report:
-        # timings stay on the console; the report file is byte-reproducible
-        stripped = [{k: v for k, v in r.items() if k != "seconds"}
-                    for r in results]
         with open(args.report, "w") as fh:
-            json.dump(_jsonable({"pass": ok, "results": stripped}), fh,
+            json.dump(_jsonable({"pass": ok, "results": results}), fh,
                       indent=2)
     print(f"suite: {'PASS' if ok else 'FAIL'} "
           f"({sum(r['pass'] for r in results)}/{len(results)} criteria)")

@@ -30,7 +30,6 @@ import numpy as np
 
 from .lattice import Weight, level, norm_sq, phi_involution
 from .roots import enumerate_dominant, rho, rho_f
-from .weyl import enumerate_finite
 
 TWO_PI_I = 2j * math.pi
 
@@ -199,36 +198,6 @@ def _shell_radius(l, decay, log_c, tol):
         if tail >= tol:
             return idx + 2
     return 1
-
-
-@functools.lru_cache(maxsize=None)
-def _orbit(l):
-    """W_f as arrays in enumerate_finite order: u.v = signs[u] * v[gather[u]]
-    on coordinate vectors of either numeration, with det and neg_count of
-    u."""
-    els = list(enumerate_finite(l))
-    gather, signs = np.empty((2, len(els), l), np.int64)
-    for r, u in enumerate(els):
-        gather[r, list(u.perm)], signs[r, list(u.perm)] = range(l), u.signs
-    det = np.array([u.det() for u in els])
-    neg = np.array([u.neg_count() for u in els])
-    for arr in (gather, signs, det, neg):
-        arr.setflags(write=False)
-    return gather, signs, det, neg
-
-
-def _orbit_signs(l, psi):
-    """epsilon(u), times psi(u) if psi, for u in W_f."""
-    _, _, det, neg = _orbit(l)
-    return det * (-1) ** neg if psi else det
-
-
-def _signed_sums(sgn, values):
-    """sum_u sgn[u] * values[..., u] over the last axis, each sum added in
-    order from 0 as a Python loop."""
-    terms = np.where(sgn < 0, -values, values)
-    start = np.zeros(terms.shape[:-1] + (1,), complex)
-    return np.cumsum(np.concatenate((start, terms), axis=-1), axis=-1)[..., -1]
 
 
 def _box(center, radius):
@@ -422,9 +391,12 @@ class SMatrix:
 
 
 def _smatrix_rows(kind, k, lams, mus) -> list:
-    """The rows [a^(kind)(lam, mu) for mu in mus], lam in lams, each entry a
-    signed W_f-sum of exact phases; the integer data of every row and
-    column is prepared once."""
+    """The rows [a^(kind)(lam, mu) for mu in mus], lam in lams.  An entry is
+    the signed W_f-sum of the phases e^{-2 pi i (u.x, y)/m}; W_f signs and
+    permutes coordinates, so the sum is a Weyl denominator of type B/C:
+    (-2i)^l det[sin theta_ij], and 2^l det[cos theta_ij] psi-weighted
+    (a^(I)), theta_ij = 2 pi x_i y_j / m.  The integer data of every row
+    and column is prepared once."""
     if kind not in _KINDS:
         raise ValueError(f"kind must be one of {tuple(_KINDS)}, got {kind!r}")
     l = lams[0].rank
@@ -432,8 +404,8 @@ def _smatrix_rows(kind, k, lams, mus) -> list:
     src, grp = _KINDS[kind]
     rf = rho_f(l, src)
     # x = pr(lam) + rf (phi(rf) when src != grp) and y = pr(mu) + rho_f
-    # have no Lambda0 part, so (u.x, y) = sum_j (u.c)_j g_j with c, g their
-    # grp coordinates: those of lam and mu (pr keeps them) plus the shifts'
+    # have no Lambda0 part, so their grp coordinates are those of lam and
+    # mu (pr keeps them) plus the shifts'
     xr = _coords(rf if src == grp else phi_involution(rf), grp)
     yr = _coords(rho_f(l, grp), grp)
     c = [[Fraction(v + r) for v, r in zip(_coords(lam, grp), xr, strict=True)]
@@ -444,19 +416,17 @@ def _smatrix_rows(kind, k, lams, mus) -> list:
     ci = [[int(v * den) for v in row] for row in c]
     gi = [[int(v * den) for v in row] for row in g]
     modulus = den * den * m
-    # int64 while no numerator passes 2^62 and r / modulus is exact in
-    # float64; Python ints otherwise
-    small = modulus < 2 ** 53 and \
-        max(1, *(sum(map(abs, row)) for row in ci)) * \
-        max(1, *(abs(v) for row in gi for v in row)) < 2 ** 62
-    ci, gi = (np.array(v, np.int64 if small else object) for v in (ci, gi))
-    gather, signs, _, _ = _orbit(l)
-    # num[a, b, u] = (u.x_a, y_b) in integers over den^2
-    num = np.swapaxes((signs * ci[:, gather]) @ gi.T, 1, 2)
-    frac = (num % modulus / modulus).astype(float)
-    phases = np.exp(-TWO_PI_I * frac)
-    sums = _signed_sums(_orbit_signs(l, kind == "aI"), phases)
-    return [[complex(v) for v in row] for row in sums]
+    # frac[a, b, i, j] = theta_ij / 2 pi mod 1 for x = x_a, y = y_b: reduced
+    # in Python ints, then rounded once
+    frac = np.array([[[[p * q % modulus / modulus for q in y] for p in x]
+                      for y in gi] for x in ci])
+    trig, (re, im) = ((np.cos, (1, 0)) if kind == "aI" else
+                      (np.sin, ((1, 0), (0, -1), (-1, 0), (0, 1))[l % 4]))
+    dets = 2 ** l * np.linalg.det(trig(2 * math.pi * frac))
+    # (re, im) = (-i)^l for the sines; + 0.0 keeps a zero part from being
+    # -0.0
+    return [[complex(re * v + 0.0, im * v + 0.0) for v in row]
+            for row in dets]
 
 
 def smatrix_entry(kind, k, lam: Weight, mu: Weight) -> complex:

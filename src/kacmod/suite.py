@@ -4,7 +4,6 @@ each runnable standalone and bundled for the CLI and the test suite."""
 from __future__ import annotations
 
 import random
-import time
 from fractions import Fraction
 
 from .characters import (CharacterRequest, character,
@@ -19,10 +18,12 @@ from .superalg import (check_bracket_relations, check_super_character,
                        check_super_denominator, osp_irreducible_dim,
                        verma_reducible)
 
-# Acceptance tolerances, pinned: law residuals, theta-series tails, Poisson
-# resummation and the exact T-phases.
+# Acceptance tolerances, pinned: law residuals, theta-series tails (the
+# T-laws' exact phases against tighter ones), Poisson resummation and the
+# exact T-phases.
 TOL = 1e-6
 THETA_TOL = 1e-10
+T_THETA_TOL = 1e-12
 POISSON_TOL = 1e-8
 PHASE_TOL = 1e-10
 
@@ -143,7 +144,7 @@ def criterion_7(quick=False):
     """T-transformation laws with exact phases (type II swaps the twist),
     agreement to 1e-10."""
     return _summary(_laws(quick, _LEMMAS, 3, lambda lemma, lam, y: [
-        verify_T(lemma, lam, 2, y, PHASE_TOL, 1e-12)]))
+        verify_T(lemma, lam, 2, y, PHASE_TOL, T_THETA_TOL)]))
 
 
 def criterion_8(quick=False):
@@ -266,15 +267,13 @@ CRITERIA = (
 )
 
 
-def run_suite(quick=False, echo=print):
+def run_suite(quick=False):
+    """Every criterion in order, each printed as it passes or fails; the
+    printed lines and the results hold no timings, so both reproduce."""
     results = []
     for name, fn in CRITERIA:
-        t0 = time.perf_counter()
         out = fn(quick=quick)
         out["name"] = name
-        out["seconds"] = round(time.perf_counter() - t0, 3)
         results.append(out)
-        if echo:
-            status = "PASS" if out["pass"] else "FAIL"
-            echo(f"[{status}] criterion {name}  ({out['seconds']:.2f}s)")
+        print(f"[{'PASS' if out['pass'] else 'FAIL'}] criterion {name}")
     return results

@@ -1,9 +1,12 @@
 import cmath
+import collections
+import functools
 import itertools
 import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from kacmod import modular
@@ -126,7 +129,9 @@ def _both_roundings(abs_sum):
     return 2 * _rounding(abs_sum)
 
 
-def _reference_smatrix_entry(kind, k, lam, mu):
+def _reference_smatrix_phases(kind, k, lam, mu):
+    """[(sign, r)] over u in W_f: the a^(kind)(lam, mu) sum is
+    sum sign e^{-2 pi i r}, r = (u.x, y)/m mod 1 exactly."""
     l = lam.rank
     m = k + 2 * l + 1
     rfI = rho_f(l, "I")
@@ -147,14 +152,26 @@ def _reference_smatrix_entry(kind, k, lam, mu):
         x = lam.project_finite("II") + rfII
         yv = mu.project_finite("II") + rfII
         grp, use_psi = "II", False
-    total = 0.0 + 0.0j
+    phases = []
     for u in enumerate_finite(l):
         sgn = u.det()
         if use_psi and u.neg_count() % 2:
             sgn = -sgn
-        r = Fraction(inner(u.act(x, grp), yv), m) % 1
+        phases.append((sgn, Fraction(inner(u.act(x, grp), yv), m) % 1))
+    return phases
+
+
+def _reference_smatrix_entry(kind, k, lam, mu):
+    total = 0.0 + 0.0j
+    for sgn, r in _reference_smatrix_phases(kind, k, lam, mu):
         total += sgn * cmath.exp(-TWO_PI_I * float(r))
     return total
+
+
+def _smatrix_allowance(l):
+    """_both_roundings of an S-matrix entry: its |W_f| = 2^l l! terms all
+    have modulus 1."""
+    return _both_roundings(2 ** l * math.factorial(l))
 
 
 def smatrix_entry_via_ker_psi(k, lam, mu):
@@ -610,9 +627,16 @@ def test_eval_theta_matches_reference(l):
                             (k, sharp, twisted, y, mu)
 
 
-@pytest.mark.parametrize("l", (1, 2, 3))
+@pytest.mark.parametrize("l", (1, 2, 3, 4))
 def test_smatrix_entry_matches_reference(l):
-    # entry by entry, as the one-row tables of the S-sums and as whole tables
+    # entry by entry, as the one-row tables of the S-sums and as whole
+    # tables; the reference sums the W_f phases in another order, so the
+    # two agree to within the rounding of both
+    allow = _smatrix_allowance(l)
+
+    def close(got, want):
+        return all(abs(g - w) <= allow for gr, wr in zip(got, want, strict=True)
+                   for g, w in zip(gr, wr, strict=True))
     for k in (2, 4) if l < 3 else (2,):
         lams = enumerate_dominant(l, k)
         for kind in ("aI", "aI_II", "aII_I", "aII"):
@@ -623,12 +647,47 @@ def test_smatrix_entry_matches_reference(l):
                                 for mu in lams]
                         for first in (lam, phi_involution(lam))}
                 for first, want in rows.items():
-                    assert [smatrix_entry(kind, k, first, mu)
-                            for mu in lams] == want
-                    assert modular._smatrix_rows(kind, k, (first,),
-                                                 lams) == [want]
+                    assert close([[smatrix_entry(kind, k, first, mu)
+                                   for mu in lams]], [want]), (kind, first)
+                    assert close(modular._smatrix_rows(kind, k, (first,),
+                                                       lams), [want])
                 table.append(rows[lam])
-            assert smatrix(kind, k, l).entries == table
+            assert close(smatrix(kind, k, l).entries, table), kind
+
+
+def test_smatrix_entries_against_mpmath():
+    # every entry at k = 2, ranks 1-4, within the rounding of one float sum
+    # of the |W_f| unit phases, against their W_f-sum at 50 digits (the
+    # signs of equal phases added first, in integers)
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        phase = functools.cache(lambda r: mpmath.expjpi(
+            -2 * mpmath.mpf(r.numerator) / r.denominator))
+        for l in (1, 2, 3, 4):
+            lams = enumerate_dominant(l, 2)
+            allow = _rounding(2 ** l * math.factorial(l))
+            for kind in ("aI", "aI_II", "aII_I", "aII"):
+                got = smatrix(kind, 2, l).entries
+                for lam, row in zip(lams, got, strict=True):
+                    for mu, g in zip(lams, row, strict=True):
+                        counts = collections.Counter()
+                        for sgn, r in _reference_smatrix_phases(kind, 2, lam,
+                                                                mu):
+                            counts[r] += sgn
+                        exact = mpmath.fsum(c * phase(r)
+                                            for r, c in counts.items())
+                        err = abs(mpmath.mpc(g.real, g.imag) - exact)
+                        assert err <= allow, (l, kind, lam, mu, float(err))
+
+
+@pytest.mark.parametrize("l,k", ((1, 2), (2, 4), (3, 2), (4, 2)))
+def test_smatrix_unitary(l, k):
+    # m^{-l/2} a^(kind) is unitary for each of the four kinds
+    m = k + 2 * l + 1
+    for kind in ("aI", "aI_II", "aII_I", "aII"):
+        a = np.array(smatrix(kind, k, l).entries) * m ** (-l / 2)
+        dev = np.abs(a @ a.conj().T - np.eye(len(a))).max()
+        assert dev <= 1e-13, (kind, dev)
 
 
 @pytest.mark.parametrize("l", (1, 2, 3))
@@ -683,18 +742,23 @@ def test_gaussian_sums_match_reference():
     pytest.param(Fraction(1, 2 ** 30 + 1), id="modulus-past-2^53"),
 ))
 def test_smatrix_entry_exact_past_int64(coord):
-    # numerators or moduli that int64 / float64 cannot hold exactly take the
-    # Python-int route and still equal the reference
+    # numerators or moduli that int64 / float64 cannot hold exactly are
+    # reduced in Python ints and still match the reference
     l, k = 2, 2
     lam = Weight((coord, Fraction(1, 2)))
     mus = enumerate_dominant(l, k)
+    allow = _smatrix_allowance(l)
     for kind in ("aI", "aI_II", "aII_I", "aII"):
         want = [[_reference_smatrix_entry(kind, k, first, mu) for mu in mus]
                 for first in (lam, mus[0])]
-        assert [smatrix_entry(kind, k, lam, mu) for mu in mus] == want[0]
-        # in a table, the wide weight moves every row onto its route
-        assert modular._smatrix_rows(kind, k, (lam,), mus) == want[:1]
-        assert modular._smatrix_rows(kind, k, (lam, mus[0]), mus) == want
+        got = [[smatrix_entry(kind, k, lam, mu) for mu in mus],
+               # in a table, the wide weight sets every row's modulus
+               *modular._smatrix_rows(kind, k, (lam,), mus),
+               *modular._smatrix_rows(kind, k, (lam, mus[0]), mus)]
+        for g_row, w_row in zip(got, (want[0], want[0], *want),
+                                strict=True):
+            assert all(abs(g - w) <= allow
+                       for g, w in zip(g_row, w_row, strict=True)), kind
 
 
 # -- the tail certificate against a high-precision oracle ---------------------

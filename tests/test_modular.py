@@ -168,10 +168,13 @@ def _reference_smatrix_entry(kind, k, lam, mu):
     return total
 
 
-def _smatrix_allowance(l):
-    """_both_roundings of an S-matrix entry: its |W_f| = 2^l l! terms all
-    have modulus 1."""
-    return _both_roundings(2 ** l * math.factorial(l))
+def _smatrix_tables_close(got, want, l):
+    """Whether two S-matrix tables agree entry by entry to within
+    _both_roundings: an entry sums |W_f| = 2^l l! terms of modulus 1."""
+    allow = _both_roundings(2 ** l * math.factorial(l))
+    return all(abs(g - w) <= allow
+               for g_row, w_row in zip(got, want, strict=True)
+               for g, w in zip(g_row, w_row, strict=True))
 
 
 def smatrix_entry_via_ker_psi(k, lam, mu):
@@ -632,11 +635,6 @@ def test_smatrix_entry_matches_reference(l):
     # entry by entry, as the one-row tables of the S-sums and as whole
     # tables; the reference sums the W_f phases in another order, so the
     # two agree to within the rounding of both
-    allow = _smatrix_allowance(l)
-
-    def close(got, want):
-        return all(abs(g - w) <= allow for gr, wr in zip(got, want, strict=True)
-                   for g, w in zip(gr, wr, strict=True))
     for k in (2, 4) if l < 3 else (2,):
         lams = enumerate_dominant(l, k)
         for kind in ("aI", "aI_II", "aII_I", "aII"):
@@ -647,12 +645,14 @@ def test_smatrix_entry_matches_reference(l):
                                 for mu in lams]
                         for first in (lam, phi_involution(lam))}
                 for first, want in rows.items():
-                    assert close([[smatrix_entry(kind, k, first, mu)
-                                   for mu in lams]], [want]), (kind, first)
-                    assert close(modular._smatrix_rows(kind, k, (first,),
-                                                       lams), [want])
+                    assert _smatrix_tables_close(
+                        [[smatrix_entry(kind, k, first, mu) for mu in lams]],
+                        [want], l), (kind, first)
+                    assert _smatrix_tables_close(modular._smatrix_rows(
+                        kind, k, (first,), lams), [want], l), (kind, first)
                 table.append(rows[lam])
-            assert close(smatrix(kind, k, l).entries, table), kind
+            assert _smatrix_tables_close(smatrix(kind, k, l).entries, table,
+                                         l), kind
 
 
 def test_smatrix_entries_against_mpmath():
@@ -747,7 +747,6 @@ def test_smatrix_entry_exact_past_int64(coord):
     l, k = 2, 2
     lam = Weight((coord, Fraction(1, 2)))
     mus = enumerate_dominant(l, k)
-    allow = _smatrix_allowance(l)
     for kind in ("aI", "aI_II", "aII_I", "aII"):
         want = [[_reference_smatrix_entry(kind, k, first, mu) for mu in mus]
                 for first in (lam, mus[0])]
@@ -755,10 +754,7 @@ def test_smatrix_entry_exact_past_int64(coord):
                # in a table, the wide weight sets every row's modulus
                *modular._smatrix_rows(kind, k, (lam,), mus),
                *modular._smatrix_rows(kind, k, (lam, mus[0]), mus)]
-        for g_row, w_row in zip(got, (want[0], want[0], *want),
-                                strict=True):
-            assert all(abs(g - w) <= allow
-                       for g, w in zip(g_row, w_row, strict=True)), kind
+        assert _smatrix_tables_close(got, [want[0], want[0], *want], l), kind
 
 
 # -- the tail certificate against a high-precision oracle ---------------------

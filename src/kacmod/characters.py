@@ -17,6 +17,7 @@ independent grouping of the same W-sum.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -70,57 +71,46 @@ def _accumulate_theta(out: QSeries, coset: Weight, m: int, sign: int,
     into out, whose apex must dominate the orbit.  Twisted orbits weight
     nu = coset + m*gamma by (-1)^(sum gamma_i).  Works in doubled integer
     coordinates."""
-    l = out.rank
     apex2 = _doubled_eps(out.apex, "apex")
     cos2 = _doubled_eps(coset, "coset")
     base_nsq = sum(a * a for a in apex2)  # 4 |apex_f|^2
     qeff = out.q_cap if out.q_cap is not None else out.height_cap
     r2 = base_nsq + 8 * m * qeff  # 4 (|apex|^2 + 2 m qeff)
     rad = math.isqrt(r2) + 1
-    ranges = []
+    # the (nu_i, gamma_i) of each coordinate with nu_i^2 <= r2, in doubled
+    # coordinates nu_i = c_i + 2 m gamma_i
+    axes = []
     for c in cos2:
         lo = math.ceil((-rad - c) / (2 * m))
         hi = math.floor((rad - c) / (2 * m))
-        ranges.append(range(lo, hi + 1))
+        axes.append([(v, g) for g in range(lo, hi + 1)
+                     if (v := c + 2 * m * g) * v <= r2])
     hcap, qcap = out.height_cap, out.q_cap
-
-    def rec(i, nu2, gsum):
-        if i == l:
-            nsq = sum(x * x for x in nu2)
-            num = nsq - base_nsq
-            if num < 0:
-                raise AssertionError("term above apex; apex not dominant")
-            x, rem = divmod(num, 8 * m)
-            if rem:
-                raise AssertionError("non-integral q-offset")
-            if qcap is not None and x > qcap:
-                return
-            vec = [x]
-            acc = 2 * x  # 2x + partial sums of (apex - nu)
-            tot = x
-            for a, v in zip(apex2, nu2):
-                d2, r2_ = divmod(a - v, 2)
-                if r2_:
-                    raise AssertionError("non-integral finite offset")
-                acc += d2
-                if acc < 0:
-                    raise AssertionError("offset outside the positive cone")
-                vec.append(acc)
-                tot += acc
-            if hcap is not None and tot > hcap:
-                return
-            c = sign
-            if twisted and gsum % 2:
-                c = -c
-            out.add_term(tuple(vec), c)
-            return
-        c0 = cos2[i]
-        for g in ranges[i]:
-            v = c0 + 2 * m * g
-            if v * v <= r2:
-                rec(i + 1, nu2 + [v], gsum + g)
-
-    rec(0, [], 0)
+    for point in itertools.product(*axes):
+        num = sum(v * v for v, _ in point) - base_nsq
+        if num < 0:
+            raise AssertionError("term above apex; apex not dominant")
+        x, rem = divmod(num, 8 * m)
+        if rem:
+            raise AssertionError("non-integral q-offset")
+        if qcap is not None and x > qcap:
+            continue
+        vec = [x]
+        acc = 2 * x  # 2x + partial sums of (apex - nu)
+        tot = x
+        for a, (v, _) in zip(apex2, point):
+            d2, odd = divmod(a - v, 2)
+            if odd:
+                raise AssertionError("non-integral finite offset")
+            acc += d2
+            if acc < 0:
+                raise AssertionError("offset outside the positive cone")
+            vec.append(acc)
+            tot += acc
+        if hcap is not None and tot > hcap:
+            continue
+        flip = twisted and sum(g for _, g in point) % 2
+        out.add_term(tuple(vec), -sign if flip else sign)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ pairs.
 from __future__ import annotations
 
 import argparse
+import cmath
 import json
 import os
 import random
@@ -20,7 +21,7 @@ from . import qseries as qs
 from .characters import (CharacterRequest, character,
                          check_denominator_identity, conformal_anomaly)
 from .lattice import Weight, frac_to_str, level, weight_to_json
-from .modular import (YPoint, default_sample, poisson_args, poisson_check,
+from .modular import (YPoint, poisson_args, poisson_check, sample_points,
                       sin_product_failures, smatrix, verify_S, verify_T,
                       verify_props, verify_sl2)
 from .roots import RootSystemCtx, enumerate_dominant, from_dynkin_labels
@@ -85,10 +86,13 @@ _VERIFY_ALL_FLAGS = tuple(dict.fromkeys(
 
 def _parse_complex(s, flag):
     try:
-        return complex(s.replace(" ", "").replace("i", "j"))
+        x = complex(s.replace(" ", "").replace("i", "j"))
+        if cmath.isfinite(x):
+            return x
     except ValueError:
-        raise ValueError(f"{flag} must be a complex number such as 0.37+1.13i,"
-                         f" got {s!r}") from None
+        pass
+    raise ValueError(f"{flag} must be a finite complex number such as "
+                     f"0.37+1.13i, got {s!r}")
 
 
 def _check_args(args):
@@ -126,10 +130,11 @@ def _parse_labels(s):
 
 
 def _point_from_args(args, l) -> YPoint:
+    default = sample_points(l, 1)[0]
     if args.tau is None:
-        return default_sample(l)
+        return default
     z = tuple(_parse_complex(v, "--z") for v in args.z.split(",")) \
-        if args.z else default_sample(l).z
+        if args.z else default.z
     if len(z) != l:
         raise ValueError(f"--z needs {l} comma-separated values (the rank), "
                          f"got {len(z)}")

@@ -54,13 +54,6 @@ class YPoint:
         return len(self.z)
 
 
-def default_sample(l) -> YPoint:
-    """The documented generic point: away from the zeros of A_rho."""
-    return YPoint(0.37 + 1.13j,
-                  tuple(0.11 * j + 0.07j * j for j in range(1, l + 1)),
-                  0.05)
-
-
 def sample_points(l, n) -> list:
     """Deterministic generic points with Im(tau) >= 1."""
     pts = []

@@ -26,6 +26,13 @@ THETA_TOL = 1e-10
 T_THETA_TOL = 1e-12
 POISSON_TOL = 1e-8
 PHASE_TOL = 1e-10
+# Criterion 6's corollary constants, and the theta tails of those and of its
+# formal q-series cross-check; criterion 10's sine product; criterion 12's
+# complex coordinate maps.
+COROLLARY_TOL = 1e-8
+CROSS_THETA_TOL = 1e-12
+SIN_PRODUCT_TOL = 1e-10
+CHART_TOL = 1e-12
 
 POISSON_SEED = 20240 + 7
 
@@ -125,7 +132,7 @@ def criterion_6(quick=False):
     laws = _laws(quick, _LEMMAS, 3, lambda lemma, lam, y: [
         verify_S(lemma, lam, 2, y, TOL, THETA_TOL)])
     corollaries = [verify_S(lemma, Weight.zero(l), 0, sample_points(l, 1)[0],
-                            1e-8, 1e-12).passed
+                            COROLLARY_TOL, CROSS_THETA_TOL).passed
                    for l in _ranks(quick) for lemma in _LEMMAS]
     # formal q-expansion cross-check of chi at depth 12, Im tau = 1.1
     l = 1
@@ -134,9 +141,9 @@ def criterion_6(quick=False):
     for lam in enumerate_dominant(l, 2):
         ch = character(CharacterRequest(ctx, lam, 2, "I", False, 12))
         v_formal = eval_qseries(ch, "I", y)
-        v_direct = eval_character(lam, "I", False, y, 1e-12)
+        v_direct = eval_character(lam, "I", False, y, CROSS_THETA_TOL)
         rel = abs(v_formal - v_direct) / abs(v_direct)
-        laws.append((rel, rel <= 1e-6))
+        laws.append((rel, rel <= TOL))
     return _summary(laws, corollaries)
 
 
@@ -179,7 +186,7 @@ def criterion_10(quick=False):
             details.append({"rank": l, "rel_err": rep.rel_err,
                             "pass": rep.passed})
     details.append({"check": "sine product 2..50",
-                    "pass": not sin_product_failures(50, 1e-10)})
+                    "pass": not sin_product_failures(50, SIN_PRODUCT_TOL)})
     return {"pass": all(d["pass"] for d in details), "checks": len(details)}
 
 
@@ -247,7 +254,7 @@ def criterion_12(quick=False):
         rt = weight_to_point("II", point_to_weight("II", y))
         worst = max(worst, abs(rt.tau - y.tau), abs(rt.t - y.t),
                     max(abs(a - b) for a, b in zip(rt.z, y.z)))
-    return {"pass": exact_ok and worst <= 1e-12, "exact_layer": exact_ok,
+    return {"pass": exact_ok and worst <= CHART_TOL, "exact_layer": exact_ok,
             "worst_complex_err": worst, "points": n_pts}
 
 

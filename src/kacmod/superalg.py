@@ -30,55 +30,44 @@ from .weyl import AffineWeylElement, enumerate_finite, epsilon, psi
 # ---------------------------------------------------------------------------
 
 GENERATORS = ("E", "H", "F", "e", "f")
+# g.w_i = _coeff(g, i, lam) w_{i + _SHIFT[g]}
+_SHIFT = {"H": 0, "e": -1, "f": 1, "E": -2, "F": 2}
 
 
-def osp_action(generator, i, lambda_H):
-    """Action of a generator on w_i in M(lambda): list of (index, coeff).
+def _coeff(g, i, lam):
+    """The scalar c with g.w_i = c w_{i + _SHIFT[g]} in M(lam), lam = lambda(H).
 
     H.w_i = (lam-2i) w_i, f.w_i = (i+1) w_{i+1},
     e.w_i = -w_{i-1} (i even), ((lam-i+1)/i) w_{i-1} (i odd), e.w_0 = 0;
     E = e^2 and F = -f^2 via the bracket relations."""
+    if g == "H":
+        return lam - 2 * i
+    if g == "f":
+        return Fraction(i + 1)
+    if g == "e":
+        if i == 0:
+            return Fraction(0)
+        return Fraction(-1) if i % 2 == 0 else (lam - i + 1) / i
+    if g == "E":
+        return _compose("e", "e", i, lam)
+    if g == "F":
+        return -_compose("f", "f", i, lam)
+    raise ValueError(f"unknown generator {g!r}")
+
+
+def _compose(g1, g2, i, lam):
+    """The scalar of g1(g2.w_i), a multiple of w_{i + _SHIFT[g1] + _SHIFT[g2]}."""
+    c = _coeff(g2, i, lam)
+    return c * _coeff(g1, i + _SHIFT[g2], lam) if c else c
+
+
+def osp_action(generator, i, lambda_H):
+    """Action of a generator on w_i in M(lambda): list of (index, coeff),
+    empty when the image is zero."""
     if i < 0:
         raise ValueError("negative basis index")
-    lam = Fraction(lambda_H)
-    if generator == "H":
-        return [(i, lam - 2 * i)]
-    if generator == "f":
-        return [(i + 1, Fraction(i + 1))]
-    if generator == "e":
-        if i == 0:
-            return []
-        if i % 2 == 0:
-            return [(i - 1, Fraction(-1))]
-        c = Fraction(lam - i + 1, i)
-        return [(i - 1, c)] if c else []
-    if generator in ("E", "F"):
-        g = generator.lower()
-        twice = apply_op(g, apply_op(g, {i: Fraction(1)}, lam), lam)
-        sign = 1 if generator == "E" else -1
-        return [(j, sign * c) for j, c in sorted(twice.items())]
-    raise ValueError(f"unknown generator {generator!r}")
-
-
-def apply_op(generator, vec, lam):
-    """Apply a generator to a vector {index: coeff}."""
-    out = {}
-    for i, c in vec.items():
-        for j, c2 in osp_action(generator, i, lam):
-            out[j] = out.get(j, Fraction(0)) + c * c2
-    return {j: c for j, c in out.items() if c != 0}
-
-
-def bracket(g1, g2, vec, lam, odd_pair):
-    """[g1, g2] on a vector: anticommutator for two odd generators,
-    commutator otherwise."""
-    a = apply_op(g1, apply_op(g2, vec, lam), lam)
-    b = apply_op(g2, apply_op(g1, vec, lam), lam)
-    sign = 1 if odd_pair else -1
-    out = dict(a)
-    for j, c in b.items():
-        out[j] = out.get(j, Fraction(0)) + sign * c
-    return {j: c for j, c in out.items() if c != 0}
+    c = _coeff(generator, i, Fraction(lambda_H))
+    return [(i + _SHIFT[generator], c)] if c else []
 
 
 _ODD = {"e", "f"}
@@ -98,15 +87,17 @@ BRACKET_RELATIONS = (
 
 def check_bracket_relations(lambda_H, i_max=20):
     """Operator identities of the super bracket on w_0..w_{i_max}; returns
-    the list of violated relations (empty = all exact)."""
+    the list of violated relations (empty = all exact), each side of one
+    as the (index, coeff) it sends w_i to."""
     lam = Fraction(lambda_H)
     bad = []
     for g1, g2, target, mult in BRACKET_RELATIONS:
-        odd_pair = g1 in _ODD and g2 in _ODD
+        # anticommutator for two odd generators, commutator otherwise
+        sign = 1 if g1 in _ODD and g2 in _ODD else -1
         for i in range(i_max + 1):
-            got = bracket(g1, g2, {i: Fraction(1)}, lam, odd_pair)
-            want = {j: mult * c for j, c in apply_op(target, {i: Fraction(1)}, lam).items()}
-            want = {j: c for j, c in want.items() if c != 0}
+            got = (i + _SHIFT[g1] + _SHIFT[g2],
+                   _compose(g1, g2, i, lam) + sign * _compose(g2, g1, i, lam))
+            want = (i + _SHIFT[target], mult * _coeff(target, i, lam))
             if got != want:
                 bad.append((g1, g2, i, got, want))
     return bad
@@ -115,7 +106,7 @@ def check_bracket_relations(lambda_H, i_max=20):
 def singular_indices(lambda_H, i_max):
     """Indices i >= 1 with e.w_i = 0 (onset of a proper submodule)."""
     lam = Fraction(lambda_H)
-    return [i for i in range(1, i_max + 1) if not osp_action("e", i, lam)]
+    return [i for i in range(1, i_max + 1) if not _coeff("e", i, lam)]
 
 
 def verma_reducible(lambda_H, i_max=None):
@@ -234,8 +225,10 @@ def check_super_denominator(l, depth=8) -> dict:
     """The super-denominator equals the twisted anti-invariant A^psi_rho,
     shifted by its delta normalization."""
     hc = default_height_cap(l, 0, depth)
-    sd = super_denominator(l, depth, hc)
+    # first the side that enumerates W_f, whose rank cap refuses a large l
+    # before the product expansion starts
     anti = anti_invariant(Weight.zero(l), "I", True, depth, hc)
+    sd = super_denominator(l, depth, hc)
     shifted = anti.shift_apex_delta(norm_sq(rho(l)) / (2 * (2 * l + 1)))
     return {"rank": l, "equal": sd == shifted, "terms": len(sd.terms)}
 

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -113,6 +115,63 @@ def test_theta_translation_invariance():
 def test_theta_rejects_level_zero():
     with pytest.raises(ValueError):
         theta_formal(Weight.zero(1), "I", False, 4)
+
+
+# -- the theta walk against a brute-force orbit --------------------------------
+
+def _brute_orbit(out: QSeries, coset: Weight, m, sign, twisted):
+    """The level-m orbit of coset under the caps of out, by Weight arithmetic
+    over every gamma in a box two shells wider on each side than the one
+    _accumulate_theta walks."""
+    l = out.rank
+    qeff = out.q_cap if out.q_cap is not None else out.height_cap
+    radius = math.sqrt(sum(e * e for e in out.apex.eps) + 2 * m * qeff)
+    boxes = [range(math.floor((-radius - c) / m) - 2,
+                   math.ceil((radius - c) / m) + 3) for c in coset.eps]
+    got = QSeries(l, out.apex, {}, out.height_cap, out.q_cap)
+    for gamma in itertools.product(*boxes):
+        nu = [c + m * g for c, g in zip(coset.eps, gamma)]
+        w = Weight(nu, -sum(x * x for x in nu) / (2 * m), Fraction(m, 2))
+        off = root_coords(out.apex - w)
+        assert off is not None and min(off) >= 0
+        got.add_term(off, -sign if twisted and sum(gamma) % 2 else sign)
+    return got
+
+
+@pytest.mark.parametrize("l,k,q_cap,height_cap", (
+    (1, 0, 2, None),   # nu = 7/2 lies on the walk's shell
+    (1, 2, None, 10),
+    (2, 2, 3, None),
+    (2, 0, None, 9),
+    (3, 0, 2, None),
+    (3, 2, None, 6),
+))
+def test_theta_walk_matches_brute_force_orbit(l, k, q_cap, height_cap):
+    m = k + 2 * l + 1
+    base = (enumerate_dominant(l, k)[-1] + rho(l)).canonical()
+    apex = base + Weight.delta_weight(l).scale(-norm_sq(base) / (2 * m))
+    nonempty = 0
+    for sharp in ("I", "II"):
+        for u in list(enumerate_finite(l))[::2 * l - 1]:
+            coset = u.act(base, sharp)
+            for tw in (False, True):
+                walk = QSeries(l, apex, {}, height_cap, q_cap)
+                _accumulate_theta(walk, coset, m, u.det(), tw)
+                want = _brute_orbit(walk, coset, m, u.det(), tw)
+                assert walk == want, (sharp, u, tw)
+                nonempty += bool(walk.terms)
+    assert nonempty
+
+
+def test_theta_walk_keeps_points_on_its_shell():
+    # rank 1, level 3, apex rho - delta/24, q cap 2: the walk's shell is
+    # (2 nu)^2 <= 4 |rho|^2 + 8 m q_cap = 49, and nu = 7/2 lies on it
+    base = rho(1)
+    apex = base + Weight.delta_weight(1).scale(Fraction(-1, 24))
+    walk = QSeries(1, apex, {}, None, 2)
+    _accumulate_theta(walk, base, 3, 1, False)
+    nu = Weight((Fraction(7, 2),), Fraction(-49, 24), Fraction(3, 2))
+    assert walk.terms.get(root_coords(apex - nu)) == 1
 
 
 # -- the Ker psi rewriting: the oracle of anti_invariant's one signed loop ----

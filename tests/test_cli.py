@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import kacmod
-from kacmod import cli, suite
+from kacmod import cli, suite, superalg
 from kacmod.cli import main
 
 
@@ -114,6 +114,17 @@ def test_super_subcommands(capsys):
     assert code == 0 and json.loads(out)["pass"] is True
 
 
+def test_super_verify_past_rank_cap_refused_before_any_work(capsys,
+                                                            monkeypatch):
+    def expand(*args):
+        raise AssertionError("super_denominator ran past the rank cap")
+
+    monkeypatch.setattr(superalg, "super_denominator", expand)
+    code = main(["super", "verify", "--rank", "7", "--depth", "1"])
+    err = capsys.readouterr().err
+    assert code == 2 and "exceeds enumeration cap" in err
+
+
 def test_suite_quick_and_report(capsys, tmp_path):
     report = tmp_path / "report.json"
     code, out = run(capsys, "suite", "--quick", "--report", str(report))
@@ -187,6 +198,12 @@ def test_usage_errors():
                  "--tau", id="sinprod-tau"),
     pytest.param(("verify", "s-lemma", "--tau", "abc"), "--tau",
                  id="tau-malformed"),
+    pytest.param(("verify", "s-lemma", "--tau", "1+1i", "--z", "0.1",
+                  "--t", "nan"), "--t", id="t-nan"),
+    pytest.param(("verify", "s-lemma", "--tau", "1+1i", "--z", "nan"), "--z",
+                 id="z-nan"),
+    pytest.param(("verify", "s-lemma", "--tau", "nan+1i"), "--tau",
+                 id="tau-nan"),
     pytest.param(("verify", "t-lemma", "--rank", "1", "--tau", "0.3+1i",
                   "--z", "x"), "--z", id="z-malformed"),
     pytest.param(("verify", "sinprod", "--which", "4.9", "--law", "T",

@@ -13,7 +13,6 @@ from kacmod import modular
 from kacmod.characters import CharacterRequest, character
 from kacmod.lattice import Weight, inner, norm_sq, phi_involution
 from kacmod.modular import (ChartWeight, DegeneratePointError, YPoint,
-                            default_sample,
                             eval_anti_invariant, eval_character, eval_qseries,
                             eval_theta, point_to_weight, poisson_check,
                             s_point, sample_points, sin_product, smatrix,
@@ -343,14 +342,14 @@ def test_eval_theta_scalar_oracle():
 
 def test_eval_theta_radius_self_consistency():
     lam = Weight.lambda0_I(2)
-    y = default_sample(2)
+    y = sample_points(2, 1)[0]
     rough = eval_theta(lam, "I", False, y, 1e-6)
     fine = eval_theta(lam, "I", False, y, 1e-14)
     assert abs(rough - fine) < 1e-6
 
 
 def test_analytic_evaluators_reject_unknown_sharp():
-    lam, y = Weight.lambda0_I(2), default_sample(2)
+    lam, y = Weight.lambda0_I(2), sample_points(2, 1)[0]
     for ev in (eval_theta, eval_anti_invariant):
         with pytest.raises(ValueError, match="sharp must be 'I' or 'II'"):
             ev(lam, "III", False, y)
@@ -375,7 +374,7 @@ def test_denominator_vanishes_at_z_zero():
     # short-root factors kill A_rho on z = 0; the twisted variant survives
     # at l = 1 but vanishes for l = 2 (middle-root factors)
     generic = abs(eval_anti_invariant(Weight.zero(1), "I", False,
-                                      default_sample(1), 1e-12))
+                                      sample_points(1, 1)[0], 1e-12))
     assert generic > 1e-3
     y1 = YPoint(1j, (0.0,), 0.03)
     assert abs(eval_anti_invariant(Weight.zero(1), "I", False, y1, 1e-12)) < 1e-9
@@ -389,7 +388,7 @@ def test_denominator_vanishes_at_z_zero():
 def test_involution_compatibility():
     # a type-I invariant at transition(y) is the type-II invariant at y
     for l in (1, 2):
-        y = default_sample(l)
+        y = sample_points(l, 1)[0]
         lam = enumerate_dominant(l, 2)[0]
         for tw in (False, True):
             a = eval_anti_invariant(lam, "I", tw, transition(y), 1e-12)
@@ -437,7 +436,7 @@ def test_smatrix_table_shape():
 
 def test_lemma_S_and_T_sample():
     l, k = 1, 2
-    y = default_sample(l)
+    y = sample_points(l, 1)[0]
     for lemma in ("4.2", "4.3", "4.4", "4.5"):
         for lam in enumerate_dominant(l, k):
             assert verify_S(lemma, lam, k, y, 1e-6, 1e-10).passed
@@ -460,7 +459,7 @@ def test_t_squared_composes_phases():
     # squared phase (Gamma_theta contains T^2)
     l, k = 1, 2
     lam = enumerate_dominant(l, k)[0]
-    y = default_sample(l)
+    y = sample_points(l, 1)[0]
     m = k + 2 * l + 1
     nsq = norm_sq((lam + rho(l)).project_finite("II"))
     phase = cmath.exp(1j * math.pi * float(Fraction(nsq, m)))
@@ -492,7 +491,7 @@ def test_props_sample():
 
 def test_law_verifiers_reject_foreign_names():
     l, k = 1, 2
-    lam, y = enumerate_dominant(l, k)[0], default_sample(l)
+    lam, y = enumerate_dominant(l, k)[0], sample_points(l, 1)[0]
     with pytest.raises(ValueError, match="unknown lemma '4.6'"):
         verify_S("4.6", lam, k, y)
     with pytest.raises(ValueError, match="unknown lemma '4.8'"):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from kacmod import superalg
 from kacmod.characters import (CharacterRequest, anti_invariant, character,
                                conformal_anomaly, default_height_cap)
 from kacmod.lattice import Weight, norm_sq
@@ -31,6 +32,27 @@ def test_bracket_relations_exact():
     for lam in (Fraction(0), Fraction(2), Fraction(-1), Fraction(1, 2),
                 Fraction(11, 4)):
         assert check_bracket_relations(lam, 20) == []
+
+
+def test_bracket_check_reports_a_wrong_coefficient(monkeypatch):
+    coeff = superalg._coeff
+
+    def wrong(g, i, lam):
+        c = coeff(g, i, lam)
+        return c + 1 if (g, i) == ("e", 3) else c
+
+    monkeypatch.setattr(superalg, "_coeff", wrong)
+    bad = check_bracket_relations(Fraction(2), 8)
+    assert ("e", "f") in {(g1, g2) for g1, g2, *_ in bad}
+    assert {i for _, _, i, _, _ in bad} <= {1, 2, 3, 4, 5}
+
+
+def test_bracket_check_reports_disagreeing_shifts(monkeypatch):
+    # [e, f] w_0 = lambda(H) w_0 = 0 and E w_0 = 0 at lambda(H) = 0: equal
+    # coefficients, but on w_0 and w_{-2}
+    monkeypatch.setattr(superalg, "BRACKET_RELATIONS", (("e", "f", "E", 1),))
+    assert check_bracket_relations(Fraction(0), 0) == [
+        ("e", "f", 0, (0, 0), (-2, 0))]
 
 
 def test_irreducible_dims_odd():

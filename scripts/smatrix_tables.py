@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Print the four transformation matrices at a given rank and level, and
-check the mixed-kind symmetry and unitarity-like column norms numerically.
+check the mixed-kind symmetry S^{aI_II}(phi lam, mu) = S^{aII_I}(phi mu, lam)
+numerically (their unitarity is checked by tests/test_modular.py).
 
 Usage: python scripts/smatrix_tables.py --rank 1 --level 2
 """

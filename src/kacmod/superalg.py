@@ -30,12 +30,12 @@ from .weyl import AffineWeylElement, enumerate_finite, epsilon, psi
 # ---------------------------------------------------------------------------
 
 GENERATORS = ("E", "H", "F", "e", "f")
-# g.w_i = _coeff(g, i, lam) w_{i + _SHIFT[g]}
 _SHIFT = {"H": 0, "e": -1, "f": 1, "E": -2, "F": 2}
 
 
 def _coeff(g, i, lam):
-    """The scalar c with g.w_i = c w_{i + _SHIFT[g]} in M(lam), lam = lambda(H).
+    """The scalar c with g.w_i = c w_{i + _SHIFT[g]} in M(lam), lam the
+    value lambda(H).
 
     H.w_i = (lam-2i) w_i, f.w_i = (i+1) w_{i+1},
     e.w_i = -w_{i-1} (i even), ((lam-i+1)/i) w_{i-1} (i odd), e.w_0 = 0;
@@ -56,7 +56,8 @@ def _coeff(g, i, lam):
 
 
 def _compose(g1, g2, i, lam):
-    """The scalar of g1(g2.w_i), a multiple of w_{i + _SHIFT[g1] + _SHIFT[g2]}."""
+    """The scalar of g1(g2.w_i), a multiple of w_{i + _SHIFT[g1] + _SHIFT[g2]};
+    g1 is not applied to a zero image, whose index may lie below 0."""
     c = _coeff(g2, i, lam)
     return c * _coeff(g1, i + _SHIFT[g2], lam) if c else c
 

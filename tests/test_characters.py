@@ -117,7 +117,7 @@ def test_theta_rejects_level_zero():
         theta_formal(Weight.zero(1), "I", False, 4)
 
 
-# -- the theta walk against a brute-force orbit --------------------------------
+# -- the theta walk against a brute-force orbit -----------------------------
 
 def _brute_orbit(out: QSeries, coset: Weight, m, sign, twisted):
     """The level-m orbit of coset under the caps of out, by Weight arithmetic

@@ -207,6 +207,8 @@ def character(req: CharacterRequest, height_cap=None) -> QSeries:
     l = req.ctx.rank
     if height_cap is None:
         height_cap = default_height_cap(l, req.k, req.depth)
+    # a division whose radix cannot pack is refused before any series is built
+    qs.division_radix(l, height_cap, req.depth)
     num = anti_invariant(req.lam, req.sharp, req.twisted, req.depth, height_cap)
     den = _denominator(l, req.sharp, req.twisted, req.depth, height_cap)
     return qs.divide(num, den)

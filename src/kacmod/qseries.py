@@ -13,13 +13,16 @@ with infinite q-slices (geometric series along finite roots, graded
 division).
 
 `mul` is the one product kernel: it packs each height vector into one int64
-code (a mixed radix sized per step, coordinate 0 most significant) and keeps
-coefficients int64 only while max|acc| * sum|factor| < 2^62, switching to
-Python-int object arrays otherwise, so no product ever wraps.
+code (a mixed radix sized per step from the summed coordinate bounds, or from
+the running product's true maxima when those do not pack; coordinate 0 most
+significant) and keeps coefficients int64 only while
+max|acc| * sum|factor| < 2^62, switching to Python-int object arrays
+otherwise, so no product ever wraps.
 
-`divide` is graded long division, level by level in total height on the same
-packed codes: each quotient level pulls its remainder from the levels below
-it, with its own radix, a bound on every partial sum that switches to
+`divide` is graded long division, level by level in total height, on one
+radix from the caps: every height vector is packed once, and each quotient
+level pulls its remainder from the levels below it with pairs formed only
+inside the q cap.  It keeps a bound on every partial sum that switches to
 Python ints before int64 could wrap, the +-1 apex-coefficient check and a
 cap of _MAX_DIVISION_STEPS quotient terms.  It calls neither `mul` nor its
 kernel, so checking a quotient by re-multiplying runs two independent
@@ -220,12 +223,13 @@ def _mul_arrays(acc: _Terms, f: _Terms, height_cap, q_cap) -> _Terms:
     dtype = np.int64 if bound < _EXACT_INT64 else object
     coefs = acc.coefs.astype(dtype, copy=False)
     fcoefs = f.coefs.astype(dtype, copy=False)
-    span = acc.span + f.span
-    if height_cap is not None:
-        span = np.minimum(span, height_cap)
-    if q_cap is not None:
-        span[0] = min(span[0], q_cap)
-    strides = _strides(span)
+    try:
+        span, strides = _product_radix(acc.span, f.span, height_cap, q_cap)
+    except ValueError:
+        # the bound summed over a fold can outgrow int64 while the terms
+        # themselves stay small: fall back to acc's true maxima
+        span, strides = _product_radix(acc.coords.max(0, initial=0), f.span,
+                                       height_cap, q_cap)
     codes, fcodes = acc.coords @ strides, f.coords @ strides
     out_codes = np.zeros(0, dtype=np.int64)
     out_coefs = np.zeros(0, dtype=dtype)
@@ -258,17 +262,34 @@ def _mul_arrays(acc: _Terms, f: _Terms, height_cap, q_cap) -> _Terms:
                   out_coefs, acc.heights[out_i] + f.heights[out_k], span)
 
 
+def _product_radix(aspan, fspan, height_cap, q_cap):
+    """(span, strides) of a radix wide enough for the product of terms
+    bounded by aspan and by fspan, cut to the caps."""
+    span = aspan + fspan
+    if height_cap is not None:
+        span = np.minimum(span, height_cap)
+    if q_cap is not None:
+        span[0] = min(span[0], q_cap)
+    return span, _strides(span)
+
+
 def divide(num: QSeries, den: QSeries) -> QSeries:
     """Graded long division num/den, level by level in total height; den
     must have coefficient d0 = +-1 at its apex.  Exact in the truncated ring.
 
     With N_h and D_t the terms of num and of den (apex left out) at one
     height, the quotient's level h is Q_h = d0 (N_h - sum_t Q_{h-t} D_t).
-    Each level pulls its remainder from the quotient levels below it: the
-    outer products Q_{h-t} x D_t are formed at once and cut to the q cap,
-    packed into int64 codes with that level's own radix and merged with N_h
-    by one sort and np.add.reduceat, so only one level's products are ever
-    held (the sums are exact, so the order of equal codes is free).  A running
+    Every height vector is packed once into an int64 code of one radix from
+    the caps (coordinates 1..l up to the height cap, coordinate 0 up to the
+    smaller cap), so a pair's code is the sum of two stored codes.  Each
+    level pulls its remainder from the quotient levels below it, forming
+    pairs only inside the q cap: each level of den is sorted by q, and a
+    quotient row of level h-t pairs with the rows of D_t up to the q it has
+    room for.  The pairs' codes are merged with N_h by one sort and
+    np.add.reduceat, so only one level's products are ever held (the sums
+    are exact, so the order of equal codes is free).  With no height cap the
+    radix starts at the top height of num plus that of den and doubles
+    whenever a level outgrows it.  A running
     bound max|N| + sum_h max|Q_h| sum|D| on every partial sum keeps
     coefficients int64 while it is below 2^62 and switches to Python-int
     object arrays otherwise.  The loop stops past the height cap, or once no
@@ -286,38 +307,35 @@ def divide(num: QSeries, den: QSeries) -> QSeries:
     # den's other terms negated, so the remainder is N_h + sum_t Q_{h-t} D_t
     n, d = _levels(n), _levels(_Terms(d.coords[rest], -d.coefs[rest],
                                       d.heights[rest], d.span))
+    top = hcap if hcap is not None else max(1, n.top + max(d.top, 0))
+    span, strides = division_radix(num.rank, top, qcap)
+    ncodes, dcodes = n.coords @ strides, d.coords @ strides
+    pre = _q_prefix(d.coords[:, 0], d.start, qcap)
     dsum = int(np.abs(d.coefs).sum(dtype=object))
     bound = int(np.abs(n.coefs).max()) if len(n.coefs) else 0
-    qc = np.zeros((0, num.rank + 1), dtype=np.int64)
+    qcodes = np.zeros(0, dtype=np.int64)
     qv = np.zeros(0, dtype=np.int64)
-    qstart, qmax = [0], []  # quotient level s: rows qstart[s]:qstart[s+1]
+    room = np.zeros(0, dtype=np.intp)  # q cap minus each quotient row's q
+    qstart = [0]  # quotient level s: rows qstart[s]:qstart[s+1]
     last, h = None, 0
     while ((hcap is None or h <= hcap)
            and (h <= n.top or (last is not None and h - last <= d.top))):
+        if h > top:  # only without a height cap
+            top *= 2  # past num's levels: re-encode the quotient and den
+            coords = _unpack(qcodes, strides, span)
+            span, strides = division_radix(num.rank, top, qcap)
+            qcodes, dcodes = coords @ strides, d.coords @ strides
         dtype = np.int64 if bound < _EXACT_INT64 else object
         t = np.arange(1, min(h, d.top) + 1)
         starts = np.array(qstart)
-        qlo, qn = starts[h - t], starts[h - t + 1] - starts[h - t]
-        dn = d.start[t + 1] - d.start[t]
-        live = (qn > 0) & (dn > 0)
-        t, qlo, qn, dn = t[live], qlo[live], qn[live], dn[live]
-        span = n.cmax[h] if h <= n.top else np.zeros(num.rank + 1, np.int64)
-        if len(t):
-            span = np.maximum(span, (np.array(qmax)[h - t] + d.cmax[t]).max(0))
-        span = np.minimum(span, h)
-        if qcap is not None:
-            span[0] = min(span[0], qcap)
-        strides = _strides(span)
-        i, k = _block_pairs(qlo, qn, d.start[t], dn)
-        if qcap is not None:
-            keep = qc[:, 0][i] + d.coords[:, 0][k] <= qcap
-            i, k = i[keep], k[keep]
-        codes = (qc @ strides)[i] + (d.coords @ strides)[k]
+        i, k = _block_pairs(starts[h - t], starts[h - t + 1] - starts[h - t],
+                            t, d.start, pre, room)
+        codes = qcodes[i] + dcodes[k]
         coefs = (qv[i].astype(dtype, copy=False)
                  * d.coefs[k].astype(dtype, copy=False))
         if h <= n.top:
             rows = slice(n.start[h], n.start[h + 1])
-            codes = np.concatenate([n.coords[rows] @ strides, codes])
+            codes = np.concatenate([ncodes[rows], codes])
             coefs = np.concatenate([n.coefs[rows].astype(dtype, copy=False),
                                     coefs])
         if len(codes):
@@ -327,11 +345,12 @@ def divide(num: QSeries, den: QSeries) -> QSeries:
             coefs = np.add.reduceat(coefs[order], first)
             nonzero = coefs != 0
             codes, coefs = codes[first[nonzero]], coefs[nonzero]
-        coords = codes[:, None] // strides % (span + 1)
-        qc = np.concatenate([qc, coords])
+        qcodes = np.concatenate([qcodes, codes])
         qv = np.concatenate([qv, coefs if d0 == 1 else -coefs])
+        room = np.concatenate([room, np.zeros(len(codes), dtype=np.intp)
+                               if qcap is None
+                               else qcap - codes // strides[0]])
         qstart.append(len(qv))
-        qmax.append(coords.max(0, initial=0))
         if len(coefs):
             last = h
             bound += int(np.abs(coefs).max()) * dsum
@@ -339,37 +358,63 @@ def divide(num: QSeries, den: QSeries) -> QSeries:
                 raise ValueError("division does not terminate within caps; "
                                  "set a height cap")
         h += 1
-    out.terms = dict(zip(map(tuple, qc.tolist()), qv.tolist()))
+    coords = _unpack(qcodes, strides, span)
+    out.terms = dict(zip(map(tuple, coords.tolist()), qv.tolist()))
     return out
 
 
+def division_radix(rank, top, q_cap):
+    """(span, strides) of the one radix of a division whose levels reach
+    height top: coordinates 1..l run to top, coordinate 0 to min(q_cap, top).
+    Raises ValueError when it does not pack into int64."""
+    span = np.full(rank + 1, top, dtype=np.int64)
+    if q_cap is not None:
+        span[0] = min(q_cap, top)
+    return span, _strides(span)
+
+
+def _unpack(codes, strides, span) -> np.ndarray:
+    """The height vectors of codes packed with strides over span."""
+    return codes[:, None] // strides % (span + 1)
+
+
 class _Levels(NamedTuple):
-    coords: np.ndarray  # (n, l+1) height vectors sorted by total height
+    coords: np.ndarray  # (n, l+1) height vectors by total height, then
+                        # lexicographically (so q-sorted within a level)
     coefs: np.ndarray   # (n,) their coefficients
     start: np.ndarray   # (top+2,) level h is rows start[h]:start[h+1]
-    cmax: np.ndarray    # (top+1, l+1) coordinate maxima of each level
     top: int            # the highest height present, -1 if none
 
 
 def _levels(t: _Terms) -> _Levels:
-    """t's terms grouped by total height."""
-    order = np.argsort(t.heights, kind="stable")
+    """t's terms grouped by total height, each level in lexicographic order."""
+    order = np.lexsort((*t.coords.T[::-1], t.heights))
     heights = t.heights[order]
     top = int(heights[-1]) if len(heights) else -1
     start = np.searchsorted(heights, np.arange(top + 2))
-    coords = t.coords[order]
-    cmax = np.zeros((top + 1, t.coords.shape[1]), dtype=np.int64)
-    for h in range(top + 1):
-        cmax[h] = coords[start[h]:start[h + 1]].max(0, initial=0)
-    return _Levels(coords, t.coefs[order], start, cmax, top)
+    return _Levels(t.coords[order], t.coefs[order], start, top)
 
 
-def _block_pairs(qlo, qn, dlo, dn):
-    """Row indices (i, k) of every pair in the blocks
-    qlo[b]:qlo[b]+qn[b] x dlo[b]:dlo[b]+dn[b], block by block, i major."""
+def _q_prefix(q, start, q_cap) -> np.ndarray:
+    """pre[t, a]: the number of rows of level t (rows start[t]:start[t+1],
+    sorted by q <= q_cap) with q <= a, for a in 0..q_cap; with no q cap,
+    the one column a = 0 holds each whole level."""
+    if q_cap is None:
+        return np.diff(start)[:, None]
+    levels = np.arange(len(start) - 1)
+    key = np.repeat(levels, np.diff(start)) * (q_cap + 1) + q
+    grid = levels[:, None] * (q_cap + 1) + np.arange(q_cap + 1)
+    return np.searchsorted(key, grid, side="right") - start[:-1, None]
+
+
+def _block_pairs(qlo, qn, t, dstart, pre, room):
+    """Row indices (i, k) of the pairs of the blocks qlo[b]:qlo[b]+qn[b] x
+    D_{t[b]} that stay inside the q cap, block by block, i major.  D_t is
+    rows dstart[t]:dstart[t+1], sorted by q, and quotient row i pairs with
+    its first pre[t, room[i]] rows (room[i] is the q cap less row i's q)."""
     qrows = _runs(qlo, qn)
-    size = np.repeat(dn, qn)  # one run of den rows per quotient row
-    return np.repeat(qrows, size), _runs(np.repeat(dlo, qn), size)
+    size = pre[np.repeat(t, qn), room[qrows]]
+    return np.repeat(qrows, size), _runs(np.repeat(dstart[t], qn), size)
 
 
 def _runs(lo, size):

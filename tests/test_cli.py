@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import kacmod
-from kacmod import cli, suite, superalg
+from kacmod import characters, cli, suite, superalg
+from kacmod import qseries as qs
 from kacmod.cli import main
 
 
@@ -123,6 +124,20 @@ def test_super_verify_past_rank_cap_refused_before_any_work(capsys,
     code = main(["super", "verify", "--rank", "7", "--depth", "1"])
     err = capsys.readouterr().err
     assert code == 2 and "exceeds enumeration cap" in err
+
+
+def test_char_past_the_division_radix_refused_before_any_work(capsys,
+                                                            monkeypatch):
+    # at rank 6 and level 8 the division's radix packs up to depth 20 only
+    def build(*args):
+        raise AssertionError("anti_invariant ran past the division radix")
+
+    monkeypatch.setattr(characters, "anti_invariant", build)
+    code = main(["char", "--rank", "6", "--labels", "4,0,0,0,0,0,0",
+                 "--depth", "21"])
+    err = capsys.readouterr().err
+    assert code == 2 and "too far apart to pack into int64" in err
+    qs.division_radix(6, characters.default_height_cap(6, 8, 20), 20)
 
 
 def test_suite_quick_and_report(capsys, tmp_path):

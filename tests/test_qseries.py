@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -218,6 +219,18 @@ def test_mul_rejects_codes_wider_than_int64():
         qs.mul(a, b)
 
 
+def test_mul_falls_back_to_true_maxima_when_the_summed_bound_overflows():
+    # nine factors 1 - e^{-v}: the coordinate bound summed over the fold
+    # reaches 9 * 60 = 540 in seven coordinates, which does not pack, but
+    # under q cap 2 every partial product is 1 - j e^{-v}
+    l = 7
+    v = (2,) + (60,) * l
+    factor = qs.binomial_factor(v, -1, None, 2)
+    want = QSeries.one(l, None, 2)
+    want.add_term(v, -9)
+    assert qs.mul(*[factor] * 9) == want
+
+
 def test_mul_empty_and_out_of_cap_operands():
     l = 2
     one = QSeries.one(l, 4, None)
@@ -413,6 +426,63 @@ def test_divide_runs_apart_from_the_product_kernel(monkeypatch):
     monkeypatch.setattr(qs, "mul", refuse)
     monkeypatch.setattr(qs, "_mul_arrays", refuse)
     assert qs.divide(num, den) == want
+
+
+def test_divide_grows_its_radix_without_a_height_cap(monkeypatch):
+    # 1/(1 - e^{-beta}) under a q cap alone: the quotient reaches height
+    # q_cap * |beta|, past the first radix (sized from num and den's tops)
+    l = 2
+    beta = (1, 50, 60)
+    calls = []
+    radix = qs.division_radix
+    monkeypatch.setattr(qs, "division_radix",
+                        lambda *args: calls.append(args) or radix(*args))
+    for q_cap in (2, 3):
+        calls.clear()
+        num = QSeries.one(l, None, q_cap)
+        den = qs.binomial_factor(beta, -1, None, q_cap)
+        want = QSeries.one(l, None, q_cap)
+        for j in range(1, q_cap + 1):
+            want.add_term(tuple(j * b for b in beta), 1)
+        assert qs.divide(num, den) == _reference_divide(num, den) == want
+        assert calls[0][1] < q_cap * sum(beta) <= calls[-1][1]
+    # with nothing in den below its apex the first radix still holds num
+    num = QSeries(l, Weight.zero(l), {(0, 1, 1): 1, (1, 0, 2): -1}, None, 3)
+    assert qs.divide(num, QSeries.one(l, None, 3)) == num
+
+
+def _q_sorted_levels(draw, count, q_max):
+    """count levels of random q coordinates, each sorted; (q, start)."""
+    levels = [sorted(draw(st.lists(st.integers(0, q_max), max_size=4)))
+              for _ in range(count)]
+    start = np.cumsum([0] + [len(x) for x in levels])
+    return np.array(sum(levels, []), dtype=np.int64), start
+
+
+@given(st.data(), st.sampled_from([None, 0, 1, 2, 4]))
+@settings(max_examples=200, deadline=None)
+def test_block_pairs_are_the_pairs_inside_the_q_cap(data, q_cap):
+    # divide's runs against every pair of the blocks, cut to the q cap
+    q_max = 4 if q_cap is None else q_cap
+    dq, dstart = _q_sorted_levels(data.draw, data.draw(st.integers(1, 4)),
+                                  q_max)
+    qq, qstart = _q_sorted_levels(data.draw, data.draw(st.integers(1, 4)),
+                                  q_max)
+    blocks = data.draw(st.lists(st.tuples(
+        st.integers(0, len(qstart) - 2), st.integers(0, len(dstart) - 2)),
+        max_size=5))
+    s = np.array([b[0] for b in blocks], dtype=np.intp)
+    t = np.array([b[1] for b in blocks], dtype=np.intp)
+    pre = qs._q_prefix(dq, dstart, q_cap)
+    room = (np.zeros(len(qq), dtype=np.intp) if q_cap is None
+            else q_cap - qq)
+    i, k = qs._block_pairs(qstart[s], qstart[s + 1] - qstart[s], t, dstart,
+                           pre, room)
+    want = [(a, b) for sb, tb in blocks
+            for a in range(qstart[sb], qstart[sb + 1])
+            for b in range(dstart[tb], dstart[tb + 1])
+            if q_cap is None or qq[a] + dq[b] <= q_cap]
+    assert list(zip(i.tolist(), k.tolist())) == want
 
 
 def test_add_requires_lattice_apex_difference():

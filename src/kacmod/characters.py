@@ -27,7 +27,7 @@ from .lattice import Weight, inner, level, norm_sq
 from .qseries import QSeries
 from .roots import (RootSystemCtx, dynkin_labels, enumerate_dominant,
                     positive_roots, rho)
-from .weyl import enumerate_finite
+from .weyl import check_rank, enumerate_finite
 
 
 def is_dominant(w: Weight) -> bool:
@@ -207,7 +207,9 @@ def character(req: CharacterRequest, height_cap=None) -> QSeries:
     l = req.ctx.rank
     if height_cap is None:
         height_cap = default_height_cap(l, req.k, req.depth)
-    # a division whose radix cannot pack is refused before any series is built
+    # past the W_f rank cap, or where the division's radix could outgrow
+    # int64 codes, the request is refused before any series is built
+    check_rank(l)
     qs.division_radix(l, height_cap, req.depth)
     num = anti_invariant(req.lam, req.sharp, req.twisted, req.depth, height_cap)
     den = _denominator(l, req.sharp, req.twisted, req.depth, height_cap)

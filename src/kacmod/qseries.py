@@ -13,24 +13,25 @@ with infinite q-slices (geometric series along finite roots, graded
 division).
 
 `mul` is the one product kernel: it packs each height vector into one int64
-code (a mixed radix sized per step from the summed coordinate bounds, or from
-the running product's true maxima when those do not pack; coordinate 0 most
-significant) and keeps coefficients int64 only while
-max|acc| * sum|factor| < 2^62, switching to Python-int object arrays
-otherwise, so no product ever wraps.
+code (a mixed radix sized per step from the running product's and the
+factor's coordinate maxima, cut to the caps; coordinate 0 most significant)
+and keeps coefficients int64 only while max|acc| * sum|factor| < 2^62,
+switching to Python-int object arrays otherwise, so no product ever wraps.
 
 `divide` is graded long division, level by level in total height, on one
-radix from the caps: every height vector is packed once, and each quotient
-level pulls its remainder from the levels below it with pairs formed only
-inside the q cap.  It keeps a bound on every partial sum that switches to
-Python ints before int64 could wrap, the +-1 apex-coefficient check and a
-cap of _MAX_DIVISION_STEPS quotient terms.  It calls neither `mul` nor its
-kernel, so checking a quotient by re-multiplying runs two independent
-routes.
+radix grown from the coordinate maxima within the caps: every height vector
+is packed once (and again only when the radix widens, a few times per
+division), and each quotient level pulls its remainder from the levels
+below it with pairs formed only inside the q cap.  It keeps a bound on
+every partial sum that switches to Python ints before int64 could wrap, the
++-1 apex-coefficient check and a cap of _MAX_DIVISION_STEPS quotient terms.
+It calls neither `mul` nor its kernel, so checking a quotient by
+re-multiplying runs two independent routes.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -175,7 +176,6 @@ class _Terms(NamedTuple):
     coords: np.ndarray   # (n, l+1) int64 height vectors
     coefs: np.ndarray    # (n,) int64, or object holding Python ints
     heights: np.ndarray  # (n,) int64 total heights
-    span: np.ndarray     # (l+1,) int64 bound on each coordinate
 
 
 def _as_arrays(s: QSeries) -> _Terms:
@@ -195,7 +195,7 @@ def _as_arrays(s: QSeries) -> _Terms:
     if s.q_cap is not None:
         keep &= coords[:, 0] <= s.q_cap
     coords = coords[keep]
-    return _Terms(coords, coefs[keep], heights[keep], coords.max(0, initial=0))
+    return _Terms(coords, coefs[keep], heights[keep])
 
 
 def _strides(span) -> np.ndarray:
@@ -223,13 +223,12 @@ def _mul_arrays(acc: _Terms, f: _Terms, height_cap, q_cap) -> _Terms:
     dtype = np.int64 if bound < _EXACT_INT64 else object
     coefs = acc.coefs.astype(dtype, copy=False)
     fcoefs = f.coefs.astype(dtype, copy=False)
-    try:
-        span, strides = _product_radix(acc.span, f.span, height_cap, q_cap)
-    except ValueError:
-        # the bound summed over a fold can outgrow int64 while the terms
-        # themselves stay small: fall back to acc's true maxima
-        span, strides = _product_radix(acc.coords.max(0, initial=0), f.span,
-                                       height_cap, q_cap)
+    span = acc.coords.max(0, initial=0) + f.coords.max(0, initial=0)
+    if height_cap is not None:
+        span = np.minimum(span, height_cap)
+    if q_cap is not None:
+        span[0] = min(span[0], q_cap)
+    strides = _strides(span)
     codes, fcodes = acc.coords @ strides, f.coords @ strides
     out_codes = np.zeros(0, dtype=np.int64)
     out_coefs = np.zeros(0, dtype=dtype)
@@ -259,18 +258,7 @@ def _mul_arrays(acc: _Terms, f: _Terms, height_cap, q_cap) -> _Terms:
         out_i = np.concatenate([out_i, i])[rep]
         out_k = np.concatenate([out_k, k])[rep]
     return _Terms(np.take(acc.coords, out_i, 0) + np.take(f.coords, out_k, 0),
-                  out_coefs, acc.heights[out_i] + f.heights[out_k], span)
-
-
-def _product_radix(aspan, fspan, height_cap, q_cap):
-    """(span, strides) of a radix wide enough for the product of terms
-    bounded by aspan and by fspan, cut to the caps."""
-    span = aspan + fspan
-    if height_cap is not None:
-        span = np.minimum(span, height_cap)
-    if q_cap is not None:
-        span[0] = min(span[0], q_cap)
-    return span, _strides(span)
+                  out_coefs, acc.heights[out_i] + f.heights[out_k])
 
 
 def divide(num: QSeries, den: QSeries) -> QSeries:
@@ -279,23 +267,24 @@ def divide(num: QSeries, den: QSeries) -> QSeries:
 
     With N_h and D_t the terms of num and of den (apex left out) at one
     height, the quotient's level h is Q_h = d0 (N_h - sum_t Q_{h-t} D_t).
-    Every height vector is packed once into an int64 code of one radix from
-    the caps (coordinates 1..l up to the height cap, coordinate 0 up to the
-    smaller cap), so a pair's code is the sum of two stored codes.  Each
-    level pulls its remainder from the quotient levels below it, forming
-    pairs only inside the q cap: each level of den is sorted by q, and a
-    quotient row of level h-t pairs with the rows of D_t up to the q it has
-    room for.  The pairs' codes are merged with N_h by one sort and
-    np.add.reduceat, so only one level's products are ever held (the sums
-    are exact, so the order of equal codes is free).  With no height cap the
-    radix starts at the top height of num plus that of den and doubles
-    whenever a level outgrows it.  A running
-    bound max|N| + sum_h max|Q_h| sum|D| on every partial sum keeps
-    coefficients int64 while it is below 2^62 and switches to Python-int
-    object arrays otherwise.  The loop stops past the height cap, or once no
-    term of num or of a quotient level below can reach h; it raises after
-    _MAX_DIVISION_STEPS quotient terms (the quotient then has unbounded
-    support and a height cap is required)."""
+    Every height vector is packed once into an int64 code of one radix, so a
+    pair's code is the sum of two stored codes.  The radix starts at the
+    coordinate maxima of num and den; whenever the quotient's maxima plus
+    den's exceed it, the coordinates exceeded double (never past the caps,
+    and only as far as needed when doubling would not pack) and the stored
+    codes are re-encoded, a few times per division.  Each level pulls its
+    remainder from the quotient levels below it, forming pairs only inside
+    the q cap: each level of den is sorted by q, and a quotient row of level
+    h-t pairs with the rows of D_t up to the q it has room for.  The pairs'
+    codes are merged with N_h by one sort and np.add.reduceat, so only one
+    level's products are ever held (the sums are exact, so the order of
+    equal codes is free).  A running bound max|N| + sum_h max|Q_h| sum|D| on
+    every partial sum keeps coefficients int64 while it is below 2^62 and
+    switches to Python-int object arrays otherwise.  The loop stops past the
+    height cap, or once no term of num, and no quotient row with q room for
+    a term of den, can reach h; it raises after _MAX_DIVISION_STEPS quotient
+    terms (the quotient then has unbounded support and a height cap is
+    required)."""
     _check_compatible(num, den)
     d0 = den.terms.get((0,) * (num.rank + 1), 0)
     if d0 not in (1, -1):
@@ -306,29 +295,31 @@ def divide(num: QSeries, den: QSeries) -> QSeries:
     rest = d.heights > 0
     # den's other terms negated, so the remainder is N_h + sum_t Q_{h-t} D_t
     n, d = _levels(n), _levels(_Terms(d.coords[rest], -d.coefs[rest],
-                                      d.heights[rest], d.span))
-    top = hcap if hcap is not None else max(1, n.top + max(d.top, 0))
-    span, strides = division_radix(num.rank, top, qcap)
+                                      d.heights[rest]))
+    cap = _division_cap(num.rank, _EXACT_INT64 if hcap is None else hcap,
+                        qcap)
+    dmax = d.coords.max(0, initial=0)
+    span = np.maximum(n.coords.max(0, initial=0), dmax)
+    strides = _strides(span)
     ncodes, dcodes = n.coords @ strides, d.coords @ strides
+    dlevels = np.flatnonzero(np.diff(d.start))  # the heights den has rows at
     pre = _q_prefix(d.coords[:, 0], d.start, qcap)
+    # den's lowest q: a quotient row with less q room pairs with no row
+    dq = int(d.coords[:, 0].min()) if qcap is not None and d.top > 0 else 0
     dsum = int(np.abs(d.coefs).sum(dtype=object))
     bound = int(np.abs(n.coefs).max()) if len(n.coefs) else 0
+    qmax = np.zeros_like(span)
     qcodes = np.zeros(0, dtype=np.int64)
+    qcoords = [np.zeros((0, num.rank + 1), dtype=np.int64)]
     qv = np.zeros(0, dtype=np.int64)
     room = np.zeros(0, dtype=np.intp)  # q cap minus each quotient row's q
-    qstart = [0]  # quotient level s: rows qstart[s]:qstart[s+1]
+    qstart = np.zeros(64, dtype=np.intp)  # level s: rows qstart[s]:qstart[s+1]
     last, h = None, 0
     while ((hcap is None or h <= hcap)
            and (h <= n.top or (last is not None and h - last <= d.top))):
-        if h > top:  # only without a height cap
-            top *= 2  # past num's levels: re-encode the quotient and den
-            coords = _unpack(qcodes, strides, span)
-            span, strides = division_radix(num.rank, top, qcap)
-            qcodes, dcodes = coords @ strides, d.coords @ strides
         dtype = np.int64 if bound < _EXACT_INT64 else object
-        t = np.arange(1, min(h, d.top) + 1)
-        starts = np.array(qstart)
-        i, k = _block_pairs(starts[h - t], starts[h - t + 1] - starts[h - t],
+        t = dlevels[:np.searchsorted(dlevels, h, "right")]
+        i, k = _block_pairs(qstart[h - t], qstart[h - t + 1] - qstart[h - t],
                             t, d.start, pre, room)
         codes = qcodes[i] + dcodes[k]
         coefs = (qv[i].astype(dtype, copy=False)
@@ -345,37 +336,69 @@ def divide(num: QSeries, den: QSeries) -> QSeries:
             coefs = np.add.reduceat(coefs[order], first)
             nonzero = coefs != 0
             codes, coefs = codes[first[nonzero]], coefs[nonzero]
+        if h + 1 == len(qstart):
+            qstart = np.resize(qstart, 2 * len(qstart))  # room for more levels
+        qstart[h + 1] = qstart[h] + len(coefs)
+        h += 1
+        if not len(coefs):
+            continue
+        coords = codes[:, None] // strides % (span + 1)
+        qcoords.append(coords)
         qcodes = np.concatenate([qcodes, codes])
         qv = np.concatenate([qv, coefs if d0 == 1 else -coefs])
-        room = np.concatenate([room, np.zeros(len(codes), dtype=np.intp)
-                               if qcap is None
-                               else qcap - codes // strides[0]])
-        qstart.append(len(qv))
-        if len(coefs):
-            last = h
-            bound += int(np.abs(coefs).max()) * dsum
-            if len(qv) > _MAX_DIVISION_STEPS:
-                raise ValueError("division does not terminate within caps; "
-                                 "set a height cap")
-        h += 1
-    coords = _unpack(qcodes, strides, span)
+        lroom = (np.zeros(len(codes), dtype=np.intp) if qcap is None
+                 else qcap - coords[:, 0])
+        room = np.concatenate([room, lroom])
+        bound += int(np.abs(coefs).max()) * dsum
+        if len(qv) > _MAX_DIVISION_STEPS:
+            raise ValueError("division does not terminate within caps; "
+                             "set a height cap")
+        live = lroom >= dq  # rows with q room for some term of den
+        if not live.any():
+            continue
+        last = h - 1
+        # every later pair is a live quotient row plus a row of den
+        qmax = np.maximum(qmax, coords[live].max(0))
+        need = np.minimum(qmax + dmax, cap)
+        if (need > span).any():
+            span = _widen(span, need, cap)
+            strides = _strides(span)
+            qcoords = [np.concatenate(qcoords)]
+            ncodes, dcodes = n.coords @ strides, d.coords @ strides
+            qcodes = qcoords[0] @ strides
+    coords = np.concatenate(qcoords)
     out.terms = dict(zip(map(tuple, coords.tolist()), qv.tolist()))
     return out
 
 
-def division_radix(rank, top, q_cap):
-    """(span, strides) of the one radix of a division whose levels reach
-    height top: coordinates 1..l run to top, coordinate 0 to min(q_cap, top).
-    Raises ValueError when it does not pack into int64."""
-    span = np.full(rank + 1, top, dtype=np.int64)
+def _widen(span, need, cap):
+    """span grown to cover need, which is within cap: each coordinate that
+    need exceeds grows to the larger of need and twice its span, within cap,
+    or, when that radix would not pack, to need alone."""
+    grown = np.where(need > span, np.minimum(np.maximum(need, 2 * span), cap),
+                     span)
+    if math.prod(int(r) + 1 for r in grown) > _EXACT_INT64:
+        grown = np.maximum(span, need)
+    return grown
+
+
+def _division_cap(rank, top, q_cap):
+    """The most each coordinate of a division's height vectors reaches when
+    its levels stop at height top: coordinates 1..l top, coordinate 0
+    min(q_cap, top)."""
+    cap = np.full(rank + 1, top, dtype=np.int64)
     if q_cap is not None:
-        span[0] = min(q_cap, top)
+        cap[0] = min(q_cap, top)
+    return cap
+
+
+def division_radix(rank, top, q_cap):
+    """(span, strides) of the widest radix a division under height cap top
+    and q cap q_cap can grow to (see `divide`); when it packs, no such
+    division runs out of codes.  Raises ValueError when it does not pack
+    into int64."""
+    span = _division_cap(rank, top, q_cap)
     return span, _strides(span)
-
-
-def _unpack(codes, strides, span) -> np.ndarray:
-    """The height vectors of codes packed with strides over span."""
-    return codes[:, None] // strides % (span + 1)
 
 
 class _Levels(NamedTuple):

@@ -104,11 +104,16 @@ def psi(w: AffineWeylElement) -> int:
     return -1 if s % 2 else 1
 
 
+def check_rank(l):
+    """Raise ValueError past the rank up to which W_f is enumerated."""
+    if l > RANK_CAP:
+        raise ValueError(f"rank {l} exceeds enumeration cap {RANK_CAP}")
+
+
 def enumerate_finite(l):
     """All 2^l l! signed permutations of l coordinates, in deterministic
     order: W_f^(I) on the type-I and W_f^(II) on the type-II coordinates."""
-    if l > RANK_CAP:
-        raise ValueError(f"rank {l} exceeds enumeration cap {RANK_CAP}")
+    check_rank(l)
     for perm in itertools.permutations(range(l)):
         for signs in itertools.product((1, -1), repeat=l):
             yield FiniteWeylElement(perm, signs)

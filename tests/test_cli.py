@@ -138,6 +138,14 @@ def test_char_past_the_division_radix_refused_before_any_work(capsys,
     err = capsys.readouterr().err
     assert code == 2 and "too far apart to pack into int64" in err
     qs.division_radix(6, characters.default_height_cap(6, 8, 20), 20)
+    # past the rank cap the refusal names the rank cap, although the radix
+    # would not pack either
+    code = main(["char", "--rank", "7", "--labels", "0,0,0,0,0,0,0,2",
+                 "--depth", "5"])
+    err = capsys.readouterr().err
+    assert code == 2 and "rank 7 exceeds enumeration cap 6" in err
+    with pytest.raises(ValueError, match="int64"):
+        qs.division_radix(7, characters.default_height_cap(7, 2, 5), 5)
 
 
 def test_suite_quick_and_report(capsys, tmp_path):

@@ -219,9 +219,9 @@ def test_mul_rejects_codes_wider_than_int64():
         qs.mul(a, b)
 
 
-def test_mul_falls_back_to_true_maxima_when_the_summed_bound_overflows():
-    # nine factors 1 - e^{-v}: the coordinate bound summed over the fold
-    # reaches 9 * 60 = 540 in seven coordinates, which does not pack, but
+def test_mul_radix_from_the_running_products_true_maxima():
+    # nine factors 1 - e^{-v}: a coordinate bound summed over the fold would
+    # reach 9 * 60 = 540 in seven coordinates, which does not pack, but
     # under q cap 2 every partial product is 1 - j e^{-v}
     l = 7
     v = (2,) + (60,) * l
@@ -429,26 +429,38 @@ def test_divide_runs_apart_from_the_product_kernel(monkeypatch):
 
 
 def test_divide_grows_its_radix_without_a_height_cap(monkeypatch):
-    # 1/(1 - e^{-beta}) under a q cap alone: the quotient reaches height
-    # q_cap * |beta|, past the first radix (sized from num and den's tops)
-    l = 2
-    beta = (1, 50, 60)
-    calls = []
-    radix = qs.division_radix
-    monkeypatch.setattr(qs, "division_radix",
-                        lambda *args: calls.append(args) or radix(*args))
-    for q_cap in (2, 3):
-        calls.clear()
+    # 1/(1 - e^{-beta}) under a q cap alone: the quotient's coordinates grow
+    # past the first radix (num's and den's maxima), and each widening
+    # doubles the coordinates exceeded.  At rank 9 with beta = (1, 30, ...)
+    # and q cap 3 a doubled radix would not pack, so the last widening stops
+    # at the quotient's maxima plus beta, as wide as the per-level radix of
+    # earlier versions
+    spans, levels = [], []
+    widen, block_pairs = qs._widen, qs._block_pairs
+    monkeypatch.setattr(qs, "_widen",
+                        lambda *args: spans.append(widen(*args)) or spans[-1])
+    monkeypatch.setattr(qs, "_block_pairs",
+                        lambda *args: levels.append(1) or block_pairs(*args))
+    for beta, q_cap, radix in (
+            ((1, 50, 60), 2, (2, 100, 120)),
+            ((1, 50, 60), 3, (3, 200, 240)),
+            ((1,) + (1000,) * 5, 2, (2,) + (2000,) * 5),
+            ((1,) + (30,) * 9, 3, (3,) + (90,) * 9)):
+        spans.clear()
+        levels.clear()
+        l = len(beta) - 1
         num = QSeries.one(l, None, q_cap)
         den = qs.binomial_factor(beta, -1, None, q_cap)
         want = QSeries.one(l, None, q_cap)
         for j in range(1, q_cap + 1):
             want.add_term(tuple(j * b for b in beta), 1)
         assert qs.divide(num, den) == _reference_divide(num, den) == want
-        assert calls[0][1] < q_cap * sum(beta) <= calls[-1][1]
+        assert tuple(spans[-1].tolist()) == radix
+        # the walk ends once no quotient row has q room for beta
+        assert len(levels) == q_cap * sum(beta) + 1
     # with nothing in den below its apex the first radix still holds num
-    num = QSeries(l, Weight.zero(l), {(0, 1, 1): 1, (1, 0, 2): -1}, None, 3)
-    assert qs.divide(num, QSeries.one(l, None, 3)) == num
+    num = QSeries(2, Weight.zero(2), {(0, 1, 1): 1, (1, 0, 2): -1}, None, 3)
+    assert qs.divide(num, QSeries.one(2, None, 3)) == num
 
 
 def _q_sorted_levels(draw, count, q_max):

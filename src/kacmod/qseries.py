@@ -13,10 +13,11 @@ with infinite q-slices (geometric series along finite roots, graded
 division).
 
 `mul` is the one product kernel: it packs each height vector into one int64
-code (a mixed radix sized per step from the running product's and the
-factor's coordinate maxima, cut to the caps; coordinate 0 most significant)
-and keeps coefficients int64 only while max|acc| * sum|factor| < 2^62,
-switching to Python-int object arrays otherwise, so no product ever wraps.
+code (a mixed radix sized per step from the summed coordinate bounds, or from
+the running product's true maxima when those do not pack; coordinate 0 most
+significant) and keeps coefficients int64 only while
+max|acc| * sum|factor| < 2^62, switching to Python-int object arrays
+otherwise, so no product ever wraps.
 
 `divide` is graded long division, level by level in total height, on one
 radix grown from the coordinate maxima within the caps: every height vector
@@ -176,6 +177,7 @@ class _Terms(NamedTuple):
     coords: np.ndarray   # (n, l+1) int64 height vectors
     coefs: np.ndarray    # (n,) int64, or object holding Python ints
     heights: np.ndarray  # (n,) int64 total heights
+    span: np.ndarray     # (l+1,) int64 bound on each coordinate
 
 
 def _as_arrays(s: QSeries) -> _Terms:
@@ -195,19 +197,25 @@ def _as_arrays(s: QSeries) -> _Terms:
     if s.q_cap is not None:
         keep &= coords[:, 0] <= s.q_cap
     coords = coords[keep]
-    return _Terms(coords, coefs[keep], heights[keep])
+    return _Terms(coords, coefs[keep], heights[keep], coords.max(0, initial=0))
+
+
+def _packs(span) -> bool:
+    """Whether height vectors with coordinate j in 0..span[j] pack into
+    int64 codes."""
+    return math.prod(int(r) + 1 for r in span) <= _EXACT_INT64
 
 
 def _strides(span) -> np.ndarray:
     """Mixed-radix strides packing height vectors with coordinate j in
     0..span[j] into int64 codes, coordinate 0 most significant, so code order
     is lexicographic order and a sum of vectors is a sum of codes."""
+    if not _packs(span):
+        raise ValueError("height vectors too far apart to pack into int64 "
+                         f"codes (coordinate maxima {span.tolist()})")
     strides = [1]
     for r in span[:0:-1]:
         strides.insert(0, strides[0] * (int(r) + 1))
-    if strides[0] * (int(span[0]) + 1) > _EXACT_INT64:
-        raise ValueError("height vectors too far apart to pack into int64 "
-                         f"codes (coordinate maxima {span.tolist()})")
     return np.array(strides, dtype=np.int64)
 
 
@@ -223,11 +231,12 @@ def _mul_arrays(acc: _Terms, f: _Terms, height_cap, q_cap) -> _Terms:
     dtype = np.int64 if bound < _EXACT_INT64 else object
     coefs = acc.coefs.astype(dtype, copy=False)
     fcoefs = f.coefs.astype(dtype, copy=False)
-    span = acc.coords.max(0, initial=0) + f.coords.max(0, initial=0)
-    if height_cap is not None:
-        span = np.minimum(span, height_cap)
-    if q_cap is not None:
-        span[0] = min(span[0], q_cap)
+    span = _product_span(acc.span, f.span, height_cap, q_cap)
+    if not _packs(span):
+        # a bound summed over a fold can outgrow int64 while the terms
+        # themselves stay small: take the running product's true maxima
+        span = _product_span(acc.coords.max(0, initial=0), f.span,
+                             height_cap, q_cap)
     strides = _strides(span)
     codes, fcodes = acc.coords @ strides, f.coords @ strides
     out_codes = np.zeros(0, dtype=np.int64)
@@ -258,7 +267,18 @@ def _mul_arrays(acc: _Terms, f: _Terms, height_cap, q_cap) -> _Terms:
         out_i = np.concatenate([out_i, i])[rep]
         out_k = np.concatenate([out_k, k])[rep]
     return _Terms(np.take(acc.coords, out_i, 0) + np.take(f.coords, out_k, 0),
-                  out_coefs, acc.heights[out_i] + f.heights[out_k])
+                  out_coefs, acc.heights[out_i] + f.heights[out_k], span)
+
+
+def _product_span(aspan, fspan, height_cap, q_cap):
+    """A bound on each coordinate of the product of terms bounded by aspan
+    and by fspan, cut to the caps."""
+    span = aspan + fspan
+    if height_cap is not None:
+        span = np.minimum(span, height_cap)
+    if q_cap is not None:
+        span[0] = min(span[0], q_cap)
+    return span
 
 
 def divide(num: QSeries, den: QSeries) -> QSeries:
@@ -292,14 +312,14 @@ def divide(num: QSeries, den: QSeries) -> QSeries:
     out = QSeries(num.rank, num.apex - den.apex, {}, *num.caps())
     hcap, qcap = out.height_cap, out.q_cap
     n, d = _as_arrays(num), _as_arrays(den)
+    dmax = d.span
+    span = np.maximum(n.span, dmax)
     rest = d.heights > 0
     # den's other terms negated, so the remainder is N_h + sum_t Q_{h-t} D_t
     n, d = _levels(n), _levels(_Terms(d.coords[rest], -d.coefs[rest],
-                                      d.heights[rest]))
+                                      d.heights[rest], d.span))
     cap = _division_cap(num.rank, _EXACT_INT64 if hcap is None else hcap,
                         qcap)
-    dmax = d.coords.max(0, initial=0)
-    span = np.maximum(n.coords.max(0, initial=0), dmax)
     strides = _strides(span)
     ncodes, dcodes = n.coords @ strides, d.coords @ strides
     dlevels = np.flatnonzero(np.diff(d.start))  # the heights den has rows at
@@ -377,9 +397,7 @@ def _widen(span, need, cap):
     or, when that radix would not pack, to need alone."""
     grown = np.where(need > span, np.minimum(np.maximum(need, 2 * span), cap),
                      span)
-    if math.prod(int(r) + 1 for r in grown) > _EXACT_INT64:
-        grown = np.maximum(span, need)
-    return grown
+    return grown if _packs(grown) else np.maximum(span, need)
 
 
 def _division_cap(rank, top, q_cap):

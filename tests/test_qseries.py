@@ -219,9 +219,9 @@ def test_mul_rejects_codes_wider_than_int64():
         qs.mul(a, b)
 
 
-def test_mul_radix_from_the_running_products_true_maxima():
-    # nine factors 1 - e^{-v}: a coordinate bound summed over the fold would
-    # reach 9 * 60 = 540 in seven coordinates, which does not pack, but
+def test_mul_falls_back_to_true_maxima_when_the_summed_bound_overflows():
+    # nine factors 1 - e^{-v}: the coordinate bound summed over the fold
+    # reaches 9 * 60 = 540 in seven coordinates, which does not pack, but
     # under q cap 2 every partial product is 1 - j e^{-v}
     l = 7
     v = (2,) + (60,) * l

@@ -219,7 +219,8 @@ def test_mul_rejects_codes_wider_than_int64():
         qs.mul(a, b)
 
 
-def test_mul_falls_back_to_true_maxima_when_the_summed_bound_overflows():
+def test_mul_falls_back_to_true_maxima_when_the_summed_bound_overflows(
+        monkeypatch):
     # nine factors 1 - e^{-v}: the coordinate bound summed over the fold
     # reaches 9 * 60 = 540 in seven coordinates, which does not pack, but
     # under q cap 2 every partial product is 1 - j e^{-v}
@@ -228,7 +229,14 @@ def test_mul_falls_back_to_true_maxima_when_the_summed_bound_overflows():
     factor = qs.binomial_factor(v, -1, None, 2)
     want = QSeries.one(l, None, 2)
     want.add_term(v, -9)
+    spans, strides = [], qs._strides
+    monkeypatch.setattr(qs, "_strides",
+                        lambda span: spans.append(span[1]) or strides(span))
     assert qs.mul(*[factor] * 9) == want
+    # each step takes the summed bound while it packs (up to 6 * 60), the
+    # true maxima at the step where it does not, and the summed bound again
+    # from there
+    assert spans == [120, 180, 240, 300, 360, 120, 180, 240]
 
 
 def test_mul_empty_and_out_of_cap_operands():

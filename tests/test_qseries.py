@@ -441,8 +441,7 @@ def test_divide_grows_its_radix_without_a_height_cap(monkeypatch):
     # past the first radix (num's and den's maxima), and each widening
     # doubles the coordinates exceeded.  At rank 9 with beta = (1, 30, ...)
     # and q cap 3 a doubled radix would not pack, so the last widening stops
-    # at the quotient's maxima plus beta, as wide as the per-level radix of
-    # earlier versions
+    # at the quotient's maxima plus beta
     spans, levels = [], []
     widen, block_pairs = qs._widen, qs._block_pairs
     monkeypatch.setattr(qs, "_widen",

@@ -5,6 +5,10 @@
         --run analytic-laws:1:10 --run suite:1:5 --trace analytic-laws:1 \
         --cli "verify sl2 --rank 4 --level 2" --seconds 30 --out BENCH_5.json
 
+`--parent` is a checkout directory, or else a git revision of the change
+checkout (`--parent HEAD~1`), which is extracted with `git archive` into a
+temporary directory for the runs; `parent_commit` records the commit either
+way, or null for a directory outside git.
 Each `--run WORKLOAD:SEED:PAIRS` runs `bench/run.py --trace 0` PAIRS times in
 each checkout, one process at a time, alternating which side goes first;
 PAIRS is at least 2, so each side has quartiles.  Each `--trace WORKLOAD:SEED`
@@ -31,6 +35,7 @@ import shlex
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -170,18 +175,40 @@ def parse_cli(ap, argv):
     return words
 
 
-def git_head(root: Path):
+def git_commit(root: Path, rev="HEAD"):
+    """The commit id of rev in the repository at root, or None."""
     try:
-        return subprocess.run(["git", "rev-parse", "HEAD"], cwd=root,
-                              capture_output=True, text=True,
-                              check=True).stdout.strip()
+        return subprocess.run(
+            ["git", "rev-parse", "--verify", "--quiet", f"{rev}^{{commit}}"],
+            cwd=root, capture_output=True, text=True,
+            check=True).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return None
 
 
+def resolve_parent(ap, parent, change: Path, tmp: Path):
+    """(checkout directory, commit id or None) of --parent: a directory as it
+    is, or else a git revision of the change checkout, whose tree git archive
+    writes under tmp.  A name that is neither ends the program through
+    ap.error."""
+    if Path(parent).is_dir():
+        root = Path(parent).resolve()
+        return root, git_commit(root)
+    commit = git_commit(change, parent)
+    if commit is None:
+        ap.error(f"--parent {parent!r}: neither a directory nor a git "
+                 f"revision of {change}")
+    archive = subprocess.run(["git", "archive", "--format=tar", commit],
+                             cwd=change, capture_output=True,
+                             check=True).stdout
+    subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive, check=True)
+    return tmp, commit
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--parent", required=True,
+                    help="checkout directory, or a git revision of --change")
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--run", action="append", default=[],
                     help="WORKLOAD:SEED:PAIRS with PAIRS >= 2, repeatable")
@@ -196,14 +223,23 @@ def main(argv=None):
     runs = [parse_spec(ap, "--run", spec, True) for spec in args.run]
     traces = [parse_spec(ap, "--trace", spec, False) for spec in args.trace]
     clis = [parse_cli(ap, argv) for argv in args.cli]
-    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    change = args.change.resolve()
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent, commit = resolve_parent(ap, args.parent, change, Path(tmp))
+        doc = run_pairs(args.seconds, runs, traces, clis, commit,
+                        {"parent": parent, "change": change})
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+def run_pairs(seconds, runs, traces, clis, parent_commit, sides):
+    """The document of the paired runs of the checkouts in sides."""
     import numpy
-    doc = {"what": f"bench/run.py --seconds {args.seconds:g}, parent vs "
+    doc = {"what": f"bench/run.py --seconds {seconds:g}, parent vs "
                    "change, pairs alternating which side runs first; every "
                    "run's last stdout line is kept verbatim under "
                    "runs[].parent / runs[].change; cli[] times whole "
                    "`python -m kacmod` processes in pairs the same way",
-           "parent_commit": git_head(sides["parent"]),
+           "parent_commit": parent_commit,
            "machine": {"python": platform.python_version(),
                        "numpy": numpy.__version__, "cpus": os.cpu_count()},
            "summary": [], "traced": [], "cli": [], "runs": []}
@@ -216,7 +252,7 @@ def main(argv=None):
             marks = {}
             for side in order:
                 pair[side], marks[side] = run_bench(
-                    sides[side], workload, seed, args.seconds, 0)
+                    sides[side], workload, seed, seconds, 0)
             pair["same_outputs"] = marks["parent"] == marks["change"]
             pairs.append(pair)
             print(f"{workload} seed {seed} pair {i + 1}/{n}: wall_s "
@@ -230,7 +266,7 @@ def main(argv=None):
         marks = {}
         for side in ("parent", "change"):
             res, marks[side] = run_bench(sides[side], workload, seed,
-                                         args.seconds, 1)
+                                         seconds, 1)
             doc["runs"].append({"workload": workload, "seed": seed,
                                 "trace": 1, "side": side, side: res})
             entry[side] = {k: res["metrics"][k]["value"] for k in LAYERS
@@ -239,7 +275,7 @@ def main(argv=None):
         doc["traced"].append(entry)
     for argv in clis:
         doc["cli"].append(time_cli(sides, argv, CLI_PAIRS))
-    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return doc
 
 
 if __name__ == "__main__":

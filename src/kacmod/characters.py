@@ -149,21 +149,21 @@ def anti_invariant(lam: Weight, sharp="I", twisted=False, depth=8,
 # Product-form denominators
 # ---------------------------------------------------------------------------
 
-def denominator_product(l, twisted=False, depth=8, height_cap=None) -> QSeries:
+def denominator_product(l, twisted=False, depth=8) -> QSeries:
     """Remark-style product form of A_rho (A^psi_rho when twisted), expanded
-    exactly: e^{rho - (|rho|^2/2(2l+1)) delta} times the infinite product
-    over imaginary, short, middle and long families.  Short (odd) binomials
-    flip sign in the twisted case."""
+    exactly to q-offset depth, with no height cap: e^{rho - (|rho|^2/2(2l+1))
+    delta} times the infinite product over imaginary, short, middle and long
+    families.  Short (odd) binomials flip sign in the twisted case."""
     r = rho(l)
     lead = r + Weight.delta_weight(l).scale(-norm_sq(r) / (2 * (2 * l + 1)))
     # high delta offset first, which keeps the partial products small
-    roots = sorted(positive_roots(l, depth, height_cap),
+    roots = sorted(positive_roots(l, depth),
                    key=lambda root: -root[0][0])
     factors = []
     for vec, mult, parity in roots:
         sign = 1 if twisted and parity == "odd" else -1
-        factors += [qs.binomial_factor(vec, sign, height_cap, depth)] * mult
-    return qs.mul(QSeries.monomial(lead, 1, height_cap, depth), *factors)
+        factors += [qs.binomial_factor(vec, sign, None, depth)] * mult
+    return qs.mul(QSeries.monomial(lead, 1, None, depth), *factors)
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +227,7 @@ def _denominator(l, sharp, twisted, depth, height_cap) -> QSeries:
 def check_denominator_identity(l, depth=10, twisted=False) -> dict:
     """Coefficientwise comparison of the Weyl-sum and product routes."""
     anti = anti_invariant(Weight.zero(l), "I", twisted, depth, None)
-    prod = denominator_product(l, twisted, depth, None)
+    prod = denominator_product(l, twisted, depth)
     rep = qs.diff_report(anti, prod)
     rep.update(rank=l, depth=depth, twisted=twisted, terms=len(anti.terms))
     return rep

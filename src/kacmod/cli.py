@@ -80,6 +80,9 @@ _VERIFY_FLAGS = {
 # verify sinprod does O(nmax^2) work, about a second at this cap on one core;
 # a larger --nmax is refused rather than run for hours
 _NMAX_CAP = 4000
+# super osp writes (2N+1)^2 entries per generator matrix: about a second and
+# 3 MB at this cap
+_N_CAP = 100
 _VERIFY_ALL_FLAGS = tuple(dict.fromkeys(
     flag for taken in _VERIFY_FLAGS.values() for flag in taken))
 
@@ -114,6 +117,9 @@ def _check_args(args):
             2 <= args.nmax <= _NMAX_CAP:
         raise ValueError(f"--nmax must be in 2..{_NMAX_CAP} (the check costs "
                          f"O(nmax^2)), got {args.nmax}")
+    if getattr(args, "N", None) is not None and not 0 <= args.N <= _N_CAP:
+        raise ValueError(f"--N must be in 0..{_N_CAP} (the output has "
+                         f"O(N^2) entries), got {args.N}")
     if getattr(args, "depth", 0) < 0:
         raise ValueError(f"--depth must be >= 0, got {args.depth}")
     if getattr(args, "tau", None) is None and (
@@ -231,7 +237,7 @@ def cmd_smatrix(args):
         "index": [weight_to_json(w) for w in sm.index],
         "entries": [[_c(e) for e in row] for row in sm.entries],
     }
-    _emit(payload, True)
+    _emit(payload, args.json)
     return 0
 
 
@@ -273,10 +279,8 @@ def cmd_verify(args):
 def cmd_super(args):
     if args.what == "verify":
         den_ok = check_super_denominator(args.rank, args.depth)["equal"]
-        ctx = RootSystemCtx.build(args.rank)
-        char_ok = all(
-            check_super_character(ctx, lam, args.level, args.depth)["pass"]
-            for lam in enumerate_dominant(args.rank, args.level))
+        char_ok = all(check_super_character(lam, args.depth)["pass"]
+                      for lam in enumerate_dominant(args.rank, args.level))
         ok = den_ok and char_ok
         _emit({"super": "verify", "rank": args.rank, "level": args.level,
                "depth": args.depth, "denominator_pass": den_ok,

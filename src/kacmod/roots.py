@@ -191,14 +191,22 @@ def _dominant(l, k):
 
 def _label_vectors(l, k):
     # 2*(m_0 + ... + m_{l-1}) + m_l = k; descending lexicographic order in
-    # (m_0, ..., m_l), so the basic weight Lambda_0 comes first at k = 2
+    # (m_0, ..., m_l), so the basic weight Lambda_0 comes first at k = 2.
+    # m_l follows from the head, so this is the order of the heads with
+    # sum <= k // 2: the next head takes one from the last nonzero entry and
+    # gives the entry after it all of k // 2 that is left
+    budget = k // 2
+    head = [budget] + [0] * (l - 1)
     vecs = []
-    for head in itertools.product(range(k // 2 + 1), repeat=l):
-        rest = k - 2 * sum(head)
-        if rest >= 0:
-            vecs.append(head + (rest,))
-    vecs.sort(reverse=True)
-    return vecs
+    while True:
+        vecs.append((*head, k - 2 * sum(head)))
+        nonzero = [i for i, m in enumerate(head) if m]
+        if not nonzero:
+            return vecs
+        i = nonzero[-1]
+        head[i] -= 1
+        if i + 1 < l:
+            head[i + 1] = budget - sum(head[:i + 1])
 
 
 # ---------------------------------------------------------------------------

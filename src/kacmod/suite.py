@@ -89,9 +89,8 @@ def criterion_5(quick=False):
     through independent code paths."""
     details = []
     for l in (1, 2):
-        ctx = RootSystemCtx.build(l)
         for lam in enumerate_dominant(l, 2):
-            details.append(check_super_character(ctx, lam, 2, 8))
+            details.append(check_super_character(lam, 8))
     return {"pass": all(d["pass"] for d in details), "details": details}
 
 

@@ -23,7 +23,7 @@ from .lattice import Weight, level, norm_sq
 from .qseries import QSeries
 from .roots import (RootSystemCtx, dynkin_labels, positive_roots, rho,
                     root_coords)
-from .weyl import AffineWeylElement, enumerate_finite, epsilon, psi
+from .weyl import check_rank, enumerate_finite, translate
 
 # ---------------------------------------------------------------------------
 # osp(1|2)
@@ -110,11 +110,10 @@ def singular_indices(lambda_H, i_max):
     return [i for i in range(1, i_max + 1) if not _coeff("e", i, lam)]
 
 
-def verma_reducible(lambda_H, i_max=None):
+def verma_reducible(lambda_H):
     lam = Fraction(lambda_H)
-    if i_max is None:
-        # comfortably past the submodule onset at i = lambda(H) + 1
-        i_max = 4 * max(0, int(lam)) + 8 if lam.denominator == 1 else 8
+    # comfortably past the submodule onset at i = lambda(H) + 1
+    i_max = 4 * max(0, int(lam)) + 8 if lam.denominator == 1 else 8
     return bool(singular_indices(lam, i_max))
 
 
@@ -149,12 +148,12 @@ def integrable(Lambda: Weight) -> bool:
     return is_dominant(Lambda) and dynkin_labels(l, Lambda)[l] % 2 == 0
 
 
-def super_denominator(l, depth=8, height_cap=None) -> QSeries:
+def super_denominator(l, depth=8) -> QSeries:
     """e^rho prod_{even +}(1-e^{-a})^mult / prod_{odd +}(1-e^{-a})^mult,
     expanded from the super parity decomposition (a code path independent of
-    the twisted theta route).  Apex e^rho, no delta normalization."""
-    if height_cap is None:
-        height_cap = default_height_cap(l, 0, depth)
+    the twisted theta route) under the level-0 default height cap.  Apex
+    e^rho, no delta normalization."""
+    height_cap = default_height_cap(l, 0, depth)
     return qs.mul(QSeries.monomial(rho(l), 1, height_cap, depth),
                   *_super_factors(l, depth, height_cap, "even"))
 
@@ -173,9 +172,11 @@ def _super_factors(l, depth, height_cap, binomial_parity):
 
 
 def _psi_weyl_sum(l, base: Weight, height_cap, depth) -> QSeries:
-    """sum_w epsilon(w) psi(w) e^{w(base)} over the affine Weyl group,
-    enumerated as pairs (finite part, translation) acting through the weyl
-    module."""
+    """sum_w epsilon(w) psi(w) e^{w(base)} over the affine Weyl group, with
+    w = u t_gamma for u in W_f^(I) and gamma in M^(I).  The sign splits as
+    epsilon(u) psi(u) = det(u) (-1)^{#negative signs of u} times
+    psi(t_gamma) = (-1)^{sum gamma}, and t_gamma(base) does not depend on u:
+    each is formed once, and every pair costs one u-action."""
     m = int(level(base))
     out = QSeries(l, base, {}, height_cap, depth)
     qeff = depth if depth is not None else height_cap
@@ -186,32 +187,32 @@ def _psi_weyl_sum(l, base: Weight, height_cap, depth) -> QSeries:
         lo = math.ceil((-rad - float(c)) / m)
         hi = math.floor((rad - float(c)) / m)
         ranges.append(range(lo, hi + 1))
-    gammas = list(itertools.product(*ranges))
+    translated = [(translate(g, base), -1 if sum(g) % 2 else 1)
+                  for g in itertools.product(*ranges)]
     for u in enumerate_finite(l):
-        for g in gammas:
-            w = AffineWeylElement(u, g)
-            img = w.act(base)
-            off = root_coords(base - img)
+        sign = u.det() * (-1) ** u.neg_count()
+        for img, psi_t in translated:
+            off = root_coords(base - u.act(img))
             if off is None:
                 raise AssertionError("Weyl image escaped the root lattice")
             if any(n < 0 for n in off):
                 raise AssertionError("Weyl image above the apex")
-            out.add_term(off, epsilon(w) * psi(w))
+            out.add_term(off, sign * psi_t)
     return out
 
 
-def super_character(Lambda: Weight, depth=8, height_cap=None) -> QSeries:
+def super_character(Lambda: Weight, depth=8) -> QSeries:
     """sch L(Lambda) = sum_w eps(w) psi(w) sch M(w(Lambda+rho)-rho) with
     sch M(mu) = e^mu prod_{odd}(1-e^{-a})^mult / prod_{even}(1-e^{-a})^mult.
-    Apex Lambda (no conformal normalization)."""
+    Apex Lambda (no conformal normalization), under the height cap of the
+    orbits of Lambda + rho."""
     l = Lambda.rank
     Lambda = Lambda.canonical()
     if not integrable(Lambda):
         raise ValueError("Lambda is not integrable (dominant with even level)")
     k = int(level(Lambda))
-    if height_cap is None:
-        height_cap = theta_height_bound(
-            l, k + 2 * l + 1, norm_sq(Lambda + rho(l)), depth)
+    height_cap = theta_height_bound(
+        l, k + 2 * l + 1, norm_sq(Lambda + rho(l)), depth)
     base = (Lambda + rho(l)).canonical()
     return qs.mul(QSeries.monomial(-rho(l), 1, height_cap, depth),
                   _psi_weyl_sum(l, base, height_cap, depth),
@@ -225,21 +226,21 @@ def super_character(Lambda: Weight, depth=8, height_cap=None) -> QSeries:
 def check_super_denominator(l, depth=8) -> dict:
     """The super-denominator equals the twisted anti-invariant A^psi_rho,
     shifted by its delta normalization."""
-    hc = default_height_cap(l, 0, depth)
-    # first the side that enumerates W_f, whose rank cap refuses a large l
-    # before the product expansion starts
-    anti = anti_invariant(Weight.zero(l), "I", True, depth, hc)
-    sd = super_denominator(l, depth, hc)
+    # the rank cap of W_f refuses a large l before the product expansion
+    check_rank(l)
+    sd = super_denominator(l, depth)
+    anti = anti_invariant(Weight.zero(l), "I", True, depth, sd.height_cap)
     shifted = anti.shift_apex_delta(norm_sq(rho(l)) / (2 * (2 * l + 1)))
     return {"rank": l, "equal": sd == shifted, "terms": len(sd.terms)}
 
 
-def check_super_character(ctx: RootSystemCtx, lam: Weight, k, depth=8) -> dict:
+def check_super_character(lam: Weight, depth=8) -> dict:
     """The super-character of lam equals its normalized twisted character
     (series division of twisted anti-invariants), shifted by c_lam."""
     sch = super_character(lam, depth)
-    tw = character(CharacterRequest(ctx, lam, k, "I", True, depth),
-                   height_cap=sch.height_cap)
-    return {"rank": ctx.rank,
+    req = CharacterRequest(RootSystemCtx.build(lam.rank), lam,
+                           int(level(lam)), "I", True, depth)
+    tw = character(req, height_cap=sch.height_cap)
+    return {"rank": lam.rank,
             "pass": sch == tw.shift_apex_delta(conformal_anomaly(lam)),
             "terms": len(sch.terms)}

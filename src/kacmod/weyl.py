@@ -1,8 +1,7 @@
-"""The affine Weyl group W = W_f ltimes t(M) as signed permutations plus
-integer translation vectors, with the sign characters epsilon and psi.
+"""The finite Weyl group W_f as signed permutations, and the translations
+t_gamma, gamma in the lattice M^(I) = Z eps_1 + .. + Z eps_l, that make up
+the affine Weyl group W = W_f ltimes t(M).
 
-Affine elements are stored in type-I semidirect coordinates (u, gamma),
-meaning u . t_gamma with gamma in the lattice M^(I) = Z eps_1 + .. + Z eps_l.
 The finite Weyl groups of both numerations are exposed: W_f^(I) acts by
 signed permutations of the type-I eps coordinates, W_f^(II) by signed
 permutations of the type-II coordinates (its elements are genuinely affine
@@ -65,17 +64,6 @@ class FiniteWeylElement:
         return sum(1 for x in self.signs if x < 0)
 
 
-@dataclass(frozen=True)
-class AffineWeylElement:
-    """u . t_gamma in type-I semidirect coordinates."""
-
-    finite: FiniteWeylElement
-    translation: tuple
-
-    def act(self, w: Weight) -> Weight:
-        return self.finite.act(translate(self.translation, w))
-
-
 def translate(gamma, w: Weight) -> Weight:
     """t_gamma(w) = w + (w,delta) gamma - ((w,gamma) + |gamma|^2 (w,delta)/2) delta.
 
@@ -88,20 +76,6 @@ def translate(gamma, w: Weight) -> Weight:
     return Weight.from_numerators(
         tuple(e + 2 * c * g for e, g in zip(eps, gamma))
         + (nums[-2] - pair - nsq * c, c), w.den)
-
-
-def epsilon(w: AffineWeylElement) -> int:
-    """Sign character (-1)^length; det of the signed permutation part."""
-    return w.finite.det()
-
-
-def psi(w: AffineWeylElement) -> int:
-    """The nice map: psi(s_{alpha_i^(I)}) = 1 for i < l and -1 for i = l.
-
-    Closed form on semidirect coordinates: parity of the number of negative
-    signs of u times parity of the translation coordinate sum."""
-    s = w.finite.neg_count() + sum(w.translation)
-    return -1 if s % 2 else 1
 
 
 def check_rank(l):

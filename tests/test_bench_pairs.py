@@ -3,6 +3,7 @@ writes, with the benchmark runs replaced by canned results."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,8 @@ def test_cli_pairs_time_whole_processes(bench_pairs, monkeypatch, tmp_path):
         return next(secs[side]), 0, "same" if len(calls) < 5 else side
     monkeypatch.setattr(bench_pairs, "run_cli", fake_cli)
     out = tmp_path / "pairs.json"
+    (tmp_path / "p").mkdir()
+    (tmp_path / "c").mkdir()
     bench_pairs.main(["--parent", str(tmp_path / "p"),
                       "--change", str(tmp_path / "c"),
                       "--cli", "verify sl2 --rank 4 --level 2",
@@ -117,3 +120,78 @@ def test_cli_pairs_time_whole_processes(bench_pairs, monkeypatch, tmp_path):
     assert entry["change_over_parent_median"] == pytest.approx(0.8 / 6.5)
     assert entry["exit_change"] == [0, 0, 0]
     assert entry["same_stdout"] == [True, True, False]
+
+
+def _git_repo(path):
+    """A throwaway repository at path with two commits of version.txt
+    ("parent", then "change") and an uncommitted edit on top; returns the
+    commit id of the first."""
+    path.mkdir()
+
+    def git(*argv):
+        return subprocess.run(
+            ["git", "-c", "user.name=bench", "-c",
+             "user.email=bench@example.org", *argv], cwd=path,
+            capture_output=True, text=True, check=True).stdout.strip()
+    git("init", "-q")
+    (path / "version.txt").write_text("parent\n")
+    git("add", "version.txt")
+    git("commit", "-q", "-m", "parent")
+    first = git("rev-parse", "HEAD")
+    (path / "version.txt").write_text("change\n")
+    git("commit", "-q", "-am", "change")
+    (path / "version.txt").write_text("uncommitted\n")
+    return first
+
+
+def test_parent_revision_is_archived_and_recorded(bench_pairs, monkeypatch,
+                                                  tmp_path):
+    repo = tmp_path / "repo"
+    first = _git_repo(repo)
+    seen = []
+
+    def fake_run(root, workload, seed, seconds, trace):
+        seen.append((root, (root / "version.txt").read_text()))
+        metrics = {name: {"value": 1.0} for name in bench_pairs.E2E}
+        return {"correct": True, "failed": 0, "metrics": metrics}, []
+    monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
+    out = tmp_path / "pairs.json"
+    bench_pairs.main(["--parent", "HEAD~1", "--change", str(repo),
+                      "--run", "suite:1:2", "--out", str(out)])
+    # the parent side ran on the committed tree of HEAD~1, the change side
+    # on the working tree
+    texts = {text: root for root, text in seen}
+    assert sorted(texts) == ["parent\n", "uncommitted\n"] and len(seen) == 4
+    assert texts["uncommitted\n"] == repo.resolve()
+    assert not texts["parent\n"].exists()  # the extracted tree is removed
+    assert json.loads(out.read_text())["parent_commit"] == first
+
+
+def test_parent_directory_records_its_head(bench_pairs, monkeypatch,
+                                           tmp_path):
+    repo = tmp_path / "repo"
+    _git_repo(repo)
+    head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo,
+                          capture_output=True, text=True).stdout.strip()
+    monkeypatch.setattr(bench_pairs, "run_cli",
+                        lambda root, argv: (1.0, 0, "same"))
+    monkeypatch.setattr(bench_pairs, "CLI_PAIRS", 2)
+    out = tmp_path / "pairs.json"
+    bench_pairs.main(["--parent", str(repo), "--change", str(repo),
+                      "--cli", "roots --rank 1", "--out", str(out)])
+    assert json.loads(out.read_text())["parent_commit"] == head
+
+
+def test_unknown_parent_exits_2_before_any_run(bench_pairs, monkeypatch,
+                                               capsys, tmp_path):
+    repo = tmp_path / "repo"
+    _git_repo(repo)
+    started = []
+    monkeypatch.setattr(bench_pairs, "run_bench",
+                        lambda *args: started.append(args))
+    out = tmp_path / "pairs.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", "no-such-rev", "--change", str(repo),
+                          "--run", "suite:1:2", "--out", str(out)])
+    assert exc.value.code == 2 and started == [] and not out.exists()
+    assert "no-such-rev" in capsys.readouterr().err

@@ -266,7 +266,7 @@ def test_denominator_negative_control():
     # dropping a factor is detected together with the offending q-degree
     l = 1
     anti = anti_invariant(Weight.zero(l), "I", False, 6, None)
-    prod = denominator_product(l, False, 6, None)
+    prod = denominator_product(l, False, 6)
     extra = qs.binomial_factor(root_coords(Weight.delta_weight(l)), -1,
                                None, 6)
     rep = qs.diff_report(anti, qs.mul(prod, extra))
@@ -277,7 +277,7 @@ def test_denominator_negative_control():
 def test_remark_products_match_anti_invariants():
     # the explicit product displays equal A_rho and A^psi_rho to depth 5
     for tw in (False, True):
-        assert denominator_product(1, tw, 5, None) == \
+        assert denominator_product(1, tw, 5) == \
             anti_invariant(Weight.zero(1), "I", tw, 5, None)
 
 

@@ -60,6 +60,10 @@ def test_smatrix_json(capsys):
     assert code == 0
     d = json.loads(out)
     assert len(d["entries"]) == 2 and len(d["entries"][0][0]) == 2
+    # without --json the same payload is printed on one line
+    code, line = run(capsys, "smatrix", "--kind", "aII", "--rank", "1",
+                     "--level", "2")
+    assert code == 0 and line.count("\n") == 1 and json.loads(line) == d
 
 
 def test_verify_subcommands(capsys):
@@ -113,6 +117,15 @@ def test_super_subcommands(capsys):
     code, out = run(capsys, "super", "verify", "--rank", "1", "--level", "2",
                     "--depth", "6")
     assert code == 0 and json.loads(out)["pass"] is True
+
+
+def test_super_osp_at_the_N_cap(capsys):
+    # the largest admitted --N answers; one more is refused in
+    # test_rejected_input_exits_2_with_message
+    code, out = run(capsys, "super", "osp", "--N", str(cli._N_CAP))
+    d = json.loads(out)
+    assert code == 0 and d["dim"] == 2 * cli._N_CAP + 1
+    assert d["brackets_exact"] is True
 
 
 def test_super_verify_past_rank_cap_refused_before_any_work(capsys,
@@ -258,6 +271,9 @@ def test_usage_errors():
                  id="nmax-negative"),
     pytest.param(("verify", "sinprod", "--nmax", "1000000"), "--nmax",
                  id="nmax-past-cap"),
+    pytest.param(("super", "osp", "--N", str(cli._N_CAP + 1)), "--N",
+                 id="N-past-cap"),
+    pytest.param(("super", "osp", "--N", "-1"), "--N", id="N-negative"),
 ])
 def test_rejected_input_exits_2_with_message(capsys, argv, flag):
     code = main(list(argv))

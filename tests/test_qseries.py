@@ -541,7 +541,7 @@ def test_weyl_polynomial_constant_slice():
     # matching the finite Weyl sum sum_u eps(u) e^{u(rho)}
     from kacmod.characters import denominator_product
 
-    prod = denominator_product(1, False, 6, None)
+    prod = denominator_product(1, False, 6)
     slice0 = qs.delta_expansion(prod)[Fraction(0)]
     r = rho(1)
     apex_delta = prod.apex.delta

@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, settings
 
 from kacmod.lattice import Weight, inner, level, phi_involution
-from kacmod.roots import (RootSystemCtx, dynkin_labels, enumerate_dominant,
-                          from_root_coords, fundamental_weights_I,
+from kacmod.roots import (RootSystemCtx, _label_vectors, dynkin_labels,
+                          enumerate_dominant, from_root_coords,
+                          fundamental_weights_I,
                           fundamental_weights_II, labels, rho, rho_f,
                           root_coords, simple_roots_I, simple_roots_II,
                           positive_roots)
@@ -207,6 +208,31 @@ def test_enumerate_dominant_counts_and_order():
         enumerate_dominant(2, 3)
     with pytest.raises(ValueError):
         enumerate_dominant(2, -2)
+
+
+def _brute_label_vectors(l, k):
+    """The label vectors of P_{k,+} from every head in {0..k/2}^l, filtered
+    and sorted: the oracle of roots._label_vectors, which visits only the
+    heads it keeps, already in order."""
+    vecs = [head + (k - 2 * sum(head),)
+            for head in itertools.product(range(k // 2 + 1), repeat=l)
+            if 2 * sum(head) <= k]
+    return sorted(vecs, reverse=True)
+
+
+@pytest.mark.parametrize("l", (1, 2, 3, 4))
+def test_label_vectors_match_brute_force(l):
+    for k in range(0, 9, 2):
+        assert _label_vectors(l, k) == _brute_label_vectors(l, k)
+
+
+def test_label_vectors_at_rank_12_level_8():
+    # 5^12 heads to try by brute force; C(16, 4) = 1820 to keep
+    vecs = _label_vectors(12, 8)
+    assert len(vecs) == 1820 == len(set(vecs))
+    assert vecs == sorted(vecs, reverse=True)
+    assert vecs[0] == (4,) + (0,) * 12 and vecs[-1] == (0,) * 12 + (8,)
+    assert all(2 * sum(v[:-1]) + v[-1] == 8 and min(v) >= 0 for v in vecs)
 
 
 def test_enumerate_dominant_is_dominant():

@@ -1,18 +1,27 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
 
 from kacmod import superalg
 from kacmod.characters import (CharacterRequest, anti_invariant, character,
-                               conformal_anomaly, default_height_cap)
-from kacmod.lattice import Weight, norm_sq
+                               conformal_anomaly, default_height_cap,
+                               theta_height_bound)
+from kacmod.lattice import Weight, level, norm_sq
+from kacmod.qseries import QSeries
 from kacmod.roots import (RootSystemCtx, enumerate_dominant,
-                          fundamental_weights_I, positive_roots, rho)
-from kacmod.superalg import (check_bracket_relations, integrable,
-                             osp_action, osp_action_matrix,
+                          fundamental_weights_I, positive_roots, rho,
+                          root_coords)
+from kacmod.superalg import (check_bracket_relations, check_super_character,
+                             integrable, osp_action, osp_action_matrix,
                              osp_irreducible_dim, singular_indices,
                              super_character, super_denominator,
                              verma_reducible)
+from kacmod.weyl import enumerate_finite
+
+import test_weyl
+from test_weyl import AffineWeylElement, epsilon, psi
 
 
 def test_osp_action_examples():
@@ -97,7 +106,8 @@ def test_integrable():
 def test_super_denominator_matches_twisted_route():
     for l in (1, 2):
         hc = default_height_cap(l, 0, 6)
-        sd = super_denominator(l, 6, hc)
+        sd = super_denominator(l, 6)
+        assert sd.height_cap == hc
         anti = anti_invariant(Weight.zero(l), "I", True, 6, hc)
         shifted = anti.shift_apex_delta(norm_sq(rho(l)) / (2 * (2 * l + 1)))
         assert sd == shifted
@@ -136,3 +146,79 @@ def test_super_character_signs_follow_parity():
         sign = -1 if vec[-1] % 2 else 1
         assert c == sign * dim
         assert abs(c) <= dim
+
+
+def test_check_super_character_reads_rank_and_level_from_lambda():
+    lam = enumerate_dominant(2, 4)[3]
+    assert check_super_character(lam, 4) == {
+        "rank": 2, "pass": True, "terms": len(super_character(lam, 4).terms)}
+
+
+# -- the psi-weighted W-sum against a loop over affine Weyl elements ---------
+
+def _reference_psi_weyl_sum(l, base, height_cap, depth):
+    """sum_w epsilon(w) psi(w) e^{w(base)} with one AffineWeylElement per
+    pair (u, gamma) over the same box of translations, each acting on base
+    and signed by the characters of test_weyl."""
+    m = int(level(base))
+    out = QSeries(l, base, {}, height_cap, depth)
+    nsq = float(norm_sq(base.project_finite("I")))
+    rad = math.sqrt(nsq + 2 * m * depth) + 1.0
+    ranges = [range(math.ceil((-rad - float(c)) / m),
+                    math.floor((rad - float(c)) / m) + 1) for c in base.eps]
+    for u in enumerate_finite(l):
+        for g in itertools.product(*ranges):
+            w = AffineWeylElement(u, g)
+            off = root_coords(base - w.act(base))
+            assert off is not None and min(off) >= 0
+            out.add_term(off, epsilon(w) * psi(w))
+    return out
+
+
+def _weyl_sum_args(lam, depth):
+    """(l, base, height_cap, depth) as super_character passes them."""
+    l = lam.rank
+    height_cap = theta_height_bound(l, int(level(lam)) + 2 * l + 1,
+                                    norm_sq(lam + rho(l)), depth)
+    return l, (lam + rho(l)).canonical(), height_cap, depth
+
+
+@pytest.mark.parametrize("l,depths", [(1, (4, 8)), (2, (3, 6)), (3, (2, 4)),
+                                      (4, (1, 2))])
+def test_psi_weyl_sum_matches_affine_elements(l, depths):
+    for k in (0, 2, 4):
+        for lam in enumerate_dominant(l, k):
+            for depth in depths:
+                args = _weyl_sum_args(lam, depth)
+                got = superalg._psi_weyl_sum(*args)
+                want = _reference_psi_weyl_sum(*args)
+                assert got == want
+                # the same terms in the same order, so products agree too
+                assert list(got.terms.items()) == list(want.terms.items())
+
+
+def test_psi_weyl_sum_matches_affine_elements_at_rank_5():
+    args = _weyl_sum_args(enumerate_dominant(5, 2)[-1], 1)
+    assert superalg._psi_weyl_sum(*args) == _reference_psi_weyl_sum(*args)
+
+
+def test_psi_weyl_sum_translates_once_per_translation(monkeypatch):
+    calls = {"superalg": [], "test_weyl": []}
+
+    def counting(module):
+        translate = getattr(module, "translate")
+
+        def counted(gamma, w):
+            calls[module.__name__.rsplit(".", 1)[-1]].append(tuple(gamma))
+            return translate(gamma, w)
+        return counted
+
+    for module in (superalg, test_weyl):
+        monkeypatch.setattr(module, "translate", counting(module))
+    args = _weyl_sum_args(enumerate_dominant(3, 2)[-1], 3)
+    assert superalg._psi_weyl_sum(*args) == _reference_psi_weyl_sum(*args)
+    new, old = calls["superalg"], calls["test_weyl"]
+    # the element-wise loop translates once per pair (u, gamma); the sum
+    # translates each gamma of the same box once
+    assert len(new) == len(set(new)) == len(set(old)) > 1
+    assert len(old) == len(new) * len(list(enumerate_finite(3)))

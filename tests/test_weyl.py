@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,41 @@ from hypothesis import strategies as st
 
 from kacmod.lattice import Weight, inner
 from kacmod.roots import from_root_coords, positive_roots, simple_roots_I
-from kacmod.weyl import (AffineWeylElement, FiniteWeylElement,
-                         enumerate_finite, epsilon, psi, translate)
+from kacmod.weyl import FiniteWeylElement, enumerate_finite, translate
 
 from conftest import coroot, weights
 from test_roots import classify
+
+
+# -- the affine Weyl group W = W_f ltimes t(M) element by element, with the
+# -- sign characters epsilon and psi; superalg's psi-weighted W-sum, which
+# -- splits each sign into a u-part and a gamma-part, is checked against a
+# -- loop over these elements in test_superalg
+
+@dataclass(frozen=True)
+class AffineWeylElement:
+    """u . t_gamma in type-I semidirect coordinates (u, gamma), gamma in the
+    lattice M^(I) = Z eps_1 + .. + Z eps_l."""
+
+    finite: FiniteWeylElement
+    translation: tuple
+
+    def act(self, w: Weight) -> Weight:
+        return self.finite.act(translate(self.translation, w))
+
+
+def epsilon(w: AffineWeylElement) -> int:
+    """Sign character (-1)^length; det of the signed permutation part."""
+    return w.finite.det()
+
+
+def psi(w: AffineWeylElement) -> int:
+    """The nice map: psi(s_{alpha_i^(I)}) = 1 for i < l and -1 for i = l.
+
+    Closed form on semidirect coordinates: parity of the number of negative
+    signs of u times parity of the translation coordinate sum."""
+    s = w.finite.neg_count() + sum(w.translation)
+    return -1 if s % 2 else 1
 
 
 # -- the affine group law: scaffolding for checking that epsilon and psi are

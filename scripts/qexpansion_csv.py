@@ -27,10 +27,14 @@ def main():
     args = ap.parse_args()
 
     l = args.rank
-    lam = from_dynkin_labels(l, [int(x) for x in args.labels.split(",")])
-    k = int(level(lam))
-    ch = character(CharacterRequest(RootSystemCtx.build(l), lam, k, "I",
-                                    args.twisted, args.depth))
+    try:
+        lam = from_dynkin_labels(l, [int(x) for x in args.labels.split(",")])
+        k = int(level(lam))
+        ch = character(CharacterRequest(RootSystemCtx.build(l), lam, k, "I",
+                                        args.twisted, args.depth))
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     base = -Fraction(ch.apex.delta)
     with open(args.out, "w", newline="") as fh:
         wr = csv.writer(fh)

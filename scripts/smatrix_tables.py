@@ -14,13 +14,9 @@ from kacmod.modular import smatrix, smatrix_entry
 from kacmod.roots import enumerate_dominant
 
 
-def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--rank", type=int, default=1)
-    ap.add_argument("--level", type=int, default=2)
-    args = ap.parse_args()
-    l, k = args.rank, args.level
-
+def print_tables(l, k):
+    """The four matrices at rank l and level k, then the mixed-kind
+    symmetry residual."""
     for kind in ("aI", "aI_II", "aII_I", "aII"):
         sm = smatrix(kind, k, l)
         print(f"\n{kind}  (rank {l}, level {k}, dim {len(sm.index)})")
@@ -35,6 +31,18 @@ def main():
             rhs = smatrix_entry("aII_I", k, phi_involution(mu), lam)
             worst = max(worst, abs(lhs - rhs))
     print(f"\nmixed-kind symmetry residual: {worst:.3e}")
+
+
+def main():
+    ap = argparse.ArgumentParser()
+    ap.add_argument("--rank", type=int, default=1)
+    ap.add_argument("--level", type=int, default=2)
+    args = ap.parse_args()
+    try:
+        print_tables(args.rank, args.level)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 

@@ -207,8 +207,8 @@ def character(req: CharacterRequest, height_cap=None) -> QSeries:
     l = req.ctx.rank
     if height_cap is None:
         height_cap = default_height_cap(l, req.k, req.depth)
-    # past the W_f rank cap, or where the division's radix could outgrow
-    # int64 codes, the request is refused before any series is built
+    # past the W_f rank cap, or where the division's radix does not pack
+    # into int64 codes, the request is refused before any series is built
     check_rank(l)
     qs.division_radix(l, height_cap, req.depth)
     num = anti_invariant(req.lam, req.sharp, req.twisted, req.depth, height_cap)

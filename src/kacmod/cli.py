@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import json
+import math
 import os
 import random
 import sys
@@ -65,17 +66,20 @@ def _emit(payload, as_json):
         print(json.dumps(_jsonable(payload)))
 
 
-# the flags each verifier takes besides --tol, with their defaults; any other
-# verify flag given on the command line is rejected
+# the flags each subcommand of verify (besides --tol) and of super takes,
+# with their defaults; any other flag of that command given on the command
+# line is rejected
 _LEMMA_FLAGS = {"which": "4.2", "rank": 1, "level": 2, "index": 0,
                 "tau": None, "z": None, "t": None}
-_VERIFY_FLAGS = {
-    "s-lemma": _LEMMA_FLAGS,
-    "t-lemma": _LEMMA_FLAGS,
-    "prop": {**_LEMMA_FLAGS, "which": "4.6", "law": "S"},
-    "sl2": {"rank": 1, "level": 2},
-    "poisson": {"rank": 1},
-    "sinprod": {"nmax": 50},
+_SUB_FLAGS = {
+    ("verify", "s-lemma"): _LEMMA_FLAGS,
+    ("verify", "t-lemma"): _LEMMA_FLAGS,
+    ("verify", "prop"): {**_LEMMA_FLAGS, "which": "4.6", "law": "S"},
+    ("verify", "sl2"): {"rank": 1, "level": 2},
+    ("verify", "poisson"): {"rank": 1},
+    ("verify", "sinprod"): {"nmax": 50},
+    ("super", "verify"): {"rank": 1, "level": 2, "depth": 8},
+    ("super", "osp"): {"N": 3},
 }
 # verify sinprod does O(nmax^2) work, about a second at this cap on one core;
 # a larger --nmax is refused rather than run for hours
@@ -83,8 +87,9 @@ _NMAX_CAP = 4000
 # super osp writes (2N+1)^2 entries per generator matrix: about a second and
 # 3 MB at this cap
 _N_CAP = 100
-_VERIFY_ALL_FLAGS = tuple(dict.fromkeys(
-    flag for taken in _VERIFY_FLAGS.values() for flag in taken))
+# weights builds and writes every weight of P_{k,+}, C(l + k/2, l) of them:
+# about a second per 5,000 as a process
+_WEIGHTS_CAP = 5000
 
 
 def _parse_complex(s, flag):
@@ -100,14 +105,16 @@ def _parse_complex(s, flag):
 
 def _check_args(args):
     """Reject foreign and out-of-range flags before any work is done, and
-    fill in the defaults of the flags a verifier takes."""
-    if args.cmd == "verify":
-        taken = _VERIFY_FLAGS[args.what]
-        for flag in _VERIFY_ALL_FLAGS:
+    fill in the defaults of the flags a subcommand takes."""
+    taken = _SUB_FLAGS.get((args.cmd, getattr(args, "what", None)))
+    if taken is not None:
+        flags = (flag for (cmd, _), fl in _SUB_FLAGS.items()
+                 if cmd == args.cmd for flag in fl)
+        for flag in dict.fromkeys(flags):
             if getattr(args, flag) is None:
                 setattr(args, flag, taken.get(flag))
             elif flag not in taken:
-                raise ValueError(f"--{flag} does not apply to verify "
+                raise ValueError(f"--{flag} does not apply to {args.cmd} "
                                  f"{args.what}")
     if getattr(args, "rank", None) is not None and args.rank < 1:
         raise ValueError(f"--rank must be >= 1, got {args.rank}")
@@ -120,11 +127,25 @@ def _check_args(args):
     if getattr(args, "N", None) is not None and not 0 <= args.N <= _N_CAP:
         raise ValueError(f"--N must be in 0..{_N_CAP} (the output has "
                          f"O(N^2) entries), got {args.N}")
-    if getattr(args, "depth", 0) < 0:
+    if args.cmd == "weights" and args.level >= 0 and args.level % 2 == 0:
+        count = _dominant_count(args.rank, args.level // 2)
+        if count is None or count > _WEIGHTS_CAP:
+            count = count or f"more than {_WEIGHTS_CAP}"
+            raise ValueError(f"--rank {args.rank} --level {args.level} has "
+                             f"{count} dominant weights; at most "
+                             f"{_WEIGHTS_CAP} are listed")
+    if getattr(args, "depth", None) is not None and args.depth < 0:
         raise ValueError(f"--depth must be >= 0, got {args.depth}")
     if getattr(args, "tau", None) is None and (
             getattr(args, "z", None) or getattr(args, "t", None)):
         raise ValueError("--z and --t need --tau")
+
+
+def _dominant_count(l, m):
+    """|P_{2m,+}| = C(l + m, m), or None where l or m alone is past
+    _WEIGHTS_CAP: C(l + m, m) > max(l, m) once m >= 1, so the count is past
+    the cap too, and no huge binomial is formed."""
+    return None if m and max(l, m) > _WEIGHTS_CAP else math.comb(l + m, m)
 
 
 def _parse_labels(s):
@@ -383,10 +404,13 @@ def build_parser():
 
     q = sub.add_parser("super", help="superalgebra checks")
     q.add_argument("what", choices=("verify", "osp"))
-    q.add_argument("--rank", type=int, default=1)
-    q.add_argument("--level", type=int, default=2)
-    q.add_argument("--depth", type=int, default=8)
-    q.add_argument("--N", type=int, default=3)
+    q.add_argument("--rank", type=int, default=None,
+                   help="verify only (default 1)")
+    q.add_argument("--level", type=int, default=None,
+                   help="verify only (default 2)")
+    q.add_argument("--depth", type=int, default=None,
+                   help="verify only (default 8)")
+    q.add_argument("--N", type=int, default=None, help="osp only (default 3)")
     q.set_defaults(fn=cmd_super)
 
     q = sub.add_parser("suite", help="run the acceptance battery")

@@ -19,14 +19,13 @@ significant) and keeps coefficients int64 only while
 max|acc| * sum|factor| < 2^62, switching to Python-int object arrays
 otherwise, so no product ever wraps.
 
-`divide` is graded long division, level by level in total height, on one
-radix grown from the coordinate maxima within the caps: every height vector
-is packed once (and again only when the radix widens, a few times per
-division), and each quotient level pulls its remainder from the levels
-below it with pairs formed only inside the q cap.  It keeps a bound on
-every partial sum that switches to Python ints before int64 could wrap, the
-+-1 apex-coefficient check and a cap of _MAX_DIVISION_STEPS quotient terms.
-It calls neither `mul` nor its kernel, so checking a quotient by
+`divide` is graded long division, level by level in total height, on the
+one radix `division_radix` sizes from the height and q caps: every height
+vector is packed once, and each quotient level pulls its remainder from the
+levels below it with pairs formed only inside the q cap.  It keeps a bound
+on every partial sum that switches to Python ints before int64 could wrap,
+the +-1 apex-coefficient check and a cap of _MAX_DIVISION_STEPS quotient
+terms.  It calls neither `mul` nor its kernel, so checking a quotient by
 re-multiplying runs two independent routes.
 """
 
@@ -283,60 +282,49 @@ def _product_span(aspan, fspan, height_cap, q_cap):
 
 def divide(num: QSeries, den: QSeries) -> QSeries:
     """Graded long division num/den, level by level in total height; den
-    must have coefficient d0 = +-1 at its apex.  Exact in the truncated ring.
+    must have coefficient d0 = +-1 at its apex, and the series a height cap.
+    Exact in the truncated ring.
 
     With N_h and D_t the terms of num and of den (apex left out) at one
     height, the quotient's level h is Q_h = d0 (N_h - sum_t Q_{h-t} D_t).
-    Every height vector is packed once into an int64 code of one radix, so a
-    pair's code is the sum of two stored codes.  The radix starts at the
-    coordinate maxima of num and den; whenever the quotient's maxima plus
-    den's exceed it, the coordinates exceeded double (never past the caps,
-    and only as far as needed when doubling would not pack) and the stored
-    codes are re-encoded, a few times per division.  Each level pulls its
-    remainder from the quotient levels below it, forming pairs only inside
-    the q cap: each level of den is sorted by q, and a quotient row of level
-    h-t pairs with the rows of D_t up to the q it has room for.  The pairs'
-    codes are merged with N_h by one sort and np.add.reduceat, so only one
-    level's products are ever held (the sums are exact, so the order of
-    equal codes is free).  A running bound max|N| + sum_h max|Q_h| sum|D| on
-    every partial sum keeps coefficients int64 while it is below 2^62 and
-    switches to Python-int object arrays otherwise.  The loop stops past the
-    height cap, or once no term of num, and no quotient row with q room for
-    a term of den, can reach h; it raises after _MAX_DIVISION_STEPS quotient
-    terms (the quotient then has unbounded support and a height cap is
-    required)."""
+    Every height vector is packed once into an int64 code of the one radix
+    `division_radix` sizes from the caps, so a pair's code is the sum of two
+    stored codes.  Each level pulls its remainder from the quotient levels
+    below it, forming pairs only inside the q cap: each level of den is
+    sorted by q, and a quotient row of level h-t pairs with the rows of D_t
+    up to the q it has room for.  The pairs' codes are merged with N_h by one
+    sort and np.add.reduceat, so only one level's products are ever held
+    (the sums are exact, so the order of equal codes is free).  A running
+    bound max|N| + sum_h max|Q_h| sum|D| on every partial sum keeps
+    coefficients int64 while it is below 2^62 and switches to Python-int
+    object arrays otherwise.  The loop stops past the height cap, or once no
+    term of num and no product of a quotient term with den can reach h; it
+    raises after _MAX_DIVISION_STEPS quotient terms."""
     _check_compatible(num, den)
+    hcap, qcap = num.caps()
+    if hcap is None:
+        raise ValueError("graded division needs a height cap")
     d0 = den.terms.get((0,) * (num.rank + 1), 0)
     if d0 not in (1, -1):
         raise ValueError("divisor leading coefficient at its apex must be +-1")
-    out = QSeries(num.rank, num.apex - den.apex, {}, *num.caps())
-    hcap, qcap = out.height_cap, out.q_cap
+    span, strides = division_radix(num.rank, hcap, qcap)
     n, d = _as_arrays(num), _as_arrays(den)
-    dmax = d.span
-    span = np.maximum(n.span, dmax)
     rest = d.heights > 0
     # den's other terms negated, so the remainder is N_h + sum_t Q_{h-t} D_t
     n, d = _levels(n), _levels(_Terms(d.coords[rest], -d.coefs[rest],
                                       d.heights[rest], d.span))
-    cap = _division_cap(num.rank, _EXACT_INT64 if hcap is None else hcap,
-                        qcap)
-    strides = _strides(span)
     ncodes, dcodes = n.coords @ strides, d.coords @ strides
     dlevels = np.flatnonzero(np.diff(d.start))  # the heights den has rows at
     pre = _q_prefix(d.coords[:, 0], d.start, qcap)
-    # den's lowest q: a quotient row with less q room pairs with no row
-    dq = int(d.coords[:, 0].min()) if qcap is not None and d.top > 0 else 0
     dsum = int(np.abs(d.coefs).sum(dtype=object))
     bound = int(np.abs(n.coefs).max()) if len(n.coefs) else 0
-    qmax = np.zeros_like(span)
     qcodes = np.zeros(0, dtype=np.int64)
-    qcoords = [np.zeros((0, num.rank + 1), dtype=np.int64)]
     qv = np.zeros(0, dtype=np.int64)
     room = np.zeros(0, dtype=np.intp)  # q cap minus each quotient row's q
     qstart = np.zeros(64, dtype=np.intp)  # level s: rows qstart[s]:qstart[s+1]
     last, h = None, 0
-    while ((hcap is None or h <= hcap)
-           and (h <= n.top or (last is not None and h - last <= d.top))):
+    while h <= hcap and (h <= n.top
+                         or (last is not None and h - last <= d.top)):
         dtype = np.int64 if bound < _EXACT_INT64 else object
         t = dlevels[:np.searchsorted(dlevels, h, "right")]
         i, k = _block_pairs(qstart[h - t], qstart[h - t + 1] - qstart[h - t],
@@ -362,60 +350,31 @@ def divide(num: QSeries, den: QSeries) -> QSeries:
         h += 1
         if not len(coefs):
             continue
-        coords = codes[:, None] // strides % (span + 1)
-        qcoords.append(coords)
+        last = h - 1
         qcodes = np.concatenate([qcodes, codes])
         qv = np.concatenate([qv, coefs if d0 == 1 else -coefs])
+        # coordinate 0 is the most significant, so a code's q is code // s_0
         lroom = (np.zeros(len(codes), dtype=np.intp) if qcap is None
-                 else qcap - coords[:, 0])
+                 else qcap - codes // strides[0])
         room = np.concatenate([room, lroom])
         bound += int(np.abs(coefs).max()) * dsum
         if len(qv) > _MAX_DIVISION_STEPS:
-            raise ValueError("division does not terminate within caps; "
-                             "set a height cap")
-        live = lroom >= dq  # rows with q room for some term of den
-        if not live.any():
-            continue
-        last = h - 1
-        # every later pair is a live quotient row plus a row of den
-        qmax = np.maximum(qmax, coords[live].max(0))
-        need = np.minimum(qmax + dmax, cap)
-        if (need > span).any():
-            span = _widen(span, need, cap)
-            strides = _strides(span)
-            qcoords = [np.concatenate(qcoords)]
-            ncodes, dcodes = n.coords @ strides, d.coords @ strides
-            qcodes = qcoords[0] @ strides
-    coords = np.concatenate(qcoords)
+            raise ValueError("division does not terminate within "
+                             f"{_MAX_DIVISION_STEPS} quotient terms")
+    out = QSeries(num.rank, num.apex - den.apex, {}, hcap, qcap)
+    coords = qcodes[:, None] // strides % (span + 1)
     out.terms = dict(zip(map(tuple, coords.tolist()), qv.tolist()))
     return out
 
 
-def _widen(span, need, cap):
-    """span grown to cover need, which is within cap: each coordinate that
-    need exceeds grows to the larger of need and twice its span, within cap,
-    or, when that radix would not pack, to need alone."""
-    grown = np.where(need > span, np.minimum(np.maximum(need, 2 * span), cap),
-                     span)
-    return grown if _packs(grown) else np.maximum(span, need)
-
-
-def _division_cap(rank, top, q_cap):
-    """The most each coordinate of a division's height vectors reaches when
-    its levels stop at height top: coordinates 1..l top, coordinate 0
-    min(q_cap, top)."""
-    cap = np.full(rank + 1, top, dtype=np.int64)
+def division_radix(rank, height_cap, q_cap):
+    """(span, strides) of the one radix of a division under height_cap and
+    q_cap (see `divide`): coordinates 1..l reach height_cap, coordinate 0
+    min(q_cap, height_cap).  Raises ValueError when it does not pack into
+    int64."""
+    span = np.full(rank + 1, height_cap, dtype=np.int64)
     if q_cap is not None:
-        cap[0] = min(q_cap, top)
-    return cap
-
-
-def division_radix(rank, top, q_cap):
-    """(span, strides) of the widest radix a division under height cap top
-    and q cap q_cap can grow to (see `divide`); when it packs, no such
-    division runs out of codes.  Raises ValueError when it does not pack
-    into int64."""
-    span = _division_cap(rank, top, q_cap)
+        span[0] = min(q_cap, height_cap)
     return span, _strides(span)
 
 

@@ -139,6 +139,32 @@ def test_super_verify_past_rank_cap_refused_before_any_work(capsys,
     assert code == 2 and "exceeds enumeration cap" in err
 
 
+def test_weights_past_the_count_cap_refused_before_any_work(capsys,
+                                                            monkeypatch):
+    # |P_{12,+}| at rank 40 is C(46, 6) = 9,366,819
+    def enumerate_all(*args):
+        raise AssertionError("weights enumerated past the count cap")
+
+    monkeypatch.setattr(cli, "enumerate_dominant", enumerate_all)
+    for level, count in (("12", "9366819"), (str(10**9), "more than 5000")):
+        code = main(["weights", "--rank", "40", "--level", level])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"--rank 40 --level {level} has {count}" in captured.err
+    # rank 12, level 8 has 1,820 weights: refused under a cap of 1,819,
+    # answered under the real one
+    monkeypatch.setattr(cli, "_WEIGHTS_CAP", 1819)
+    assert main(["weights", "--rank", "12", "--level", "8"]) == 2
+    assert "has 1820 dominant weights" in capsys.readouterr().err
+    monkeypatch.undo()
+    code, out = run(capsys, "weights", "--rank", "12", "--level", "8")
+    assert code == 0 and json.loads(out)["count"] == 1820
+    # an odd level keeps its message
+    assert main(["weights", "--rank", "2", "--level", "3"]) == 2
+    assert "level must be even" in capsys.readouterr().err
+
+
 def test_char_past_the_division_radix_refused_before_any_work(capsys,
                                                             monkeypatch):
     # at rank 6 and level 8 the division's radix packs up to depth 20 only
@@ -274,6 +300,10 @@ def test_usage_errors():
     pytest.param(("super", "osp", "--N", str(cli._N_CAP + 1)), "--N",
                  id="N-past-cap"),
     pytest.param(("super", "osp", "--N", "-1"), "--N", id="N-negative"),
+    pytest.param(("super", "osp", "--N", "1", "--rank", "9"), "--rank",
+                 id="super-osp-rank"),
+    pytest.param(("super", "verify", "--N", "7"), "--N",
+                 id="super-verify-N"),
 ])
 def test_rejected_input_exits_2_with_message(capsys, argv, flag):
     code = main(list(argv))

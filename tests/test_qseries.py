@@ -346,11 +346,10 @@ def test_divide_matches_reference(pair, sign):
     assert list(quot.terms) == list(ref.terms)  # same emission order
 
 
-@given(sparse_series(2, None, 3), sparse_series(2, None, 3),
+@given(sparse_series(2, 8, 3), sparse_series(2, 8, 3),
        st.sampled_from([1, -1]))
 @settings(max_examples=60, deadline=None)
-def test_divide_exact_product_under_q_cap_alone(a, b, sign):
-    # a finite quotient ends the division with no height cap
+def test_divide_exact_product_under_both_caps(a, b, sign):
     b = _unit_lead(b, sign)
     prod = qs.mul(a, b)
     assert qs.divide(prod, b) == _reference_divide(prod, b) == a
@@ -402,9 +401,12 @@ def test_divide_caps_its_steps(monkeypatch):
     with pytest.raises(ValueError, match="does not terminate"):
         qs.divide(QSeries.one(l, 9, None),
                   qs.binomial_factor(alpha, -1, 9, None))
-    # a q cap alone cannot stop the geometric series along alpha_1
-    monkeypatch.setattr(qs, "_MAX_DIVISION_STEPS", 50)
-    with pytest.raises(ValueError, match="does not terminate"):
+    # with a q cap alone the division is refused before any level is formed
+    def refuse(*args):
+        raise AssertionError("divide formed a level")
+
+    monkeypatch.setattr(qs, "_block_pairs", refuse)
+    with pytest.raises(ValueError, match="needs a height cap"):
         qs.divide(QSeries.one(l, None, 2),
                   qs.binomial_factor(alpha, -1, None, 2))
 
@@ -436,38 +438,39 @@ def test_divide_runs_apart_from_the_product_kernel(monkeypatch):
     assert qs.divide(num, den) == want
 
 
-def test_divide_grows_its_radix_without_a_height_cap(monkeypatch):
-    # 1/(1 - e^{-beta}) under a q cap alone: the quotient's coordinates grow
-    # past the first radix (num's and den's maxima), and each widening
-    # doubles the coordinates exceeded.  At rank 9 with beta = (1, 30, ...)
-    # and q cap 3 a doubled radix would not pack, so the last widening stops
-    # at the quotient's maxima plus beta
-    spans, levels = [], []
-    widen, block_pairs = qs._widen, qs._block_pairs
-    monkeypatch.setattr(qs, "_widen",
-                        lambda *args: spans.append(widen(*args)) or spans[-1])
+def test_divide_packs_once_on_the_radix_of_its_caps(monkeypatch):
+    # one radix per division, the one division_radix sizes from the caps
+    l = 2
+    alphas = simples(l)
+    cases = []
+    for caps in ((8, 3), (8, None), (5, 9)):
+        num = qs.mul(*[qs.binomial_factor(x, -1, *caps) for x in alphas])
+        den = qs.binomial_factor(alphas[1], 1, *caps)
+        cases.append((num, den, qs.division_radix(l, *caps)[0].tolist(),
+                      _reference_divide(num, den)))
+    spans = []
+    strides = qs._strides
+    monkeypatch.setattr(qs, "_strides",
+                        lambda span: spans.append(span.tolist())
+                        or strides(span))
+    for num, den, span, want in cases:
+        spans.clear()
+        assert qs.divide(num, den) == want
+        assert spans == [span]
+
+
+def test_divide_stops_after_the_last_level_den_can_reach(monkeypatch):
+    # a height cap far above the quotient does not lengthen the walk
+    levels = []
+    block_pairs = qs._block_pairs
     monkeypatch.setattr(qs, "_block_pairs",
                         lambda *args: levels.append(1) or block_pairs(*args))
-    for beta, q_cap, radix in (
-            ((1, 50, 60), 2, (2, 100, 120)),
-            ((1, 50, 60), 3, (3, 200, 240)),
-            ((1,) + (1000,) * 5, 2, (2,) + (2000,) * 5),
-            ((1,) + (30,) * 9, 3, (3,) + (90,) * 9)):
-        spans.clear()
-        levels.clear()
-        l = len(beta) - 1
-        num = QSeries.one(l, None, q_cap)
-        den = qs.binomial_factor(beta, -1, None, q_cap)
-        want = QSeries.one(l, None, q_cap)
-        for j in range(1, q_cap + 1):
-            want.add_term(tuple(j * b for b in beta), 1)
-        assert qs.divide(num, den) == _reference_divide(num, den) == want
-        assert tuple(spans[-1].tolist()) == radix
-        # the walk ends once no quotient row has q room for beta
-        assert len(levels) == q_cap * sum(beta) + 1
-    # with nothing in den below its apex the first radix still holds num
-    num = QSeries(2, Weight.zero(2), {(0, 1, 1): 1, (1, 0, 2): -1}, None, 3)
-    assert qs.divide(num, QSeries.one(2, None, 3)) == num
+    num = QSeries(1, Weight.zero(1), {(0, 1): 1, (2, 1): -3, (1, 4): 2},
+                  10**6, None)
+    den = QSeries.one(1, 10**6, None)
+    assert qs.divide(num, den) == num
+    n_top, d_top = 5, 0
+    assert len(levels) <= n_top + d_top + 1
 
 
 def _q_sorted_levels(draw, count, q_max):

@@ -2,7 +2,7 @@
 """Paired benchmark runs of two source checkouts, written to one JSON file.
 
     python3 scripts/bench_pairs.py --parent ../kacmod-parent --change . \
-        --run analytic-laws:1:10 --run suite:1:5 --trace analytic-laws:1 \
+        --run analytic-laws:1:10 --run suite:1:5 --trace analytic-laws:1:3 \
         --cli "verify sl2 --rank 4 --level 2" --seconds 30 --out BENCH_5.json
 
 `--parent` is a checkout directory, or else a git revision of the change
@@ -11,13 +11,16 @@ temporary directory for the runs; `parent_commit` records the commit either
 way, or null for a directory outside git.
 Each `--run WORKLOAD:SEED:PAIRS` runs `bench/run.py --trace 0` PAIRS times in
 each checkout, one process at a time, alternating which side goes first;
-PAIRS is at least 2, so each side has quartiles.  Each `--trace WORKLOAD:SEED`
-adds one `--trace 1` run per side.  Every spec is checked against the
-workloads of BENCHMARK.json before the first run.  The last
-stdout line of every run is kept verbatim under `runs`; `summary` gives the
-quartiles of each end-to-end metric per side, the change/parent ratio of the
-medians and the number of pairs the change wins; `same_outputs` says whether
-every `# digest` and `# failed` line of each pair agreed.  Each `--cli ARGV`
+PAIRS is at least 2, so each side has quartiles.  Each
+`--trace WORKLOAD:SEED:RUNS` runs `--trace 1` RUNS times per side (RUNS at
+least 2), alternating the same way.  Every spec is checked against the
+workloads of BENCHMARK.json before the first run.  The last stdout line of
+every run is kept verbatim under `runs`; `summary` gives the quartiles of
+each end-to-end metric per side, the change/parent ratio of the medians
+(null when the parent's median is 0) and the number of pairs the change
+wins, and `traced` the same for each per-layer metric of LAYERS that every
+traced run reports; `same_outputs` says whether every `# digest` and
+`# failed` line of each pair agreed.  Each `--cli ARGV`
 times CLI_PAIRS pairs of whole `python -m kacmod ARGV` processes, one per
 checkout, alternating which goes first, and records them under `cli` with
 the same quartiles, ratio and wins, the exit codes, and whether each pair
@@ -107,12 +110,7 @@ def time_cli(sides, argv, n):
               file=sys.stderr)
     return {"argv": shlex.join(argv), "pairs": n,
             "parent_s": secs["parent"], "change_s": secs["change"],
-            "parent_q1_med_q3": quartiles(secs["parent"]),
-            "change_q1_med_q3": quartiles(secs["change"]),
-            "change_over_parent_median": statistics.median(secs["change"])
-            / statistics.median(secs["parent"]),
-            "change_wins": sum(c < p for p, c in zip(secs["parent"],
-                                                     secs["change"])),
+            **compare(secs["parent"], secs["change"]),
             "exit_parent": codes["parent"], "exit_change": codes["change"],
             "same_stdout": same}
 
@@ -122,18 +120,28 @@ def quartiles(xs):
     return [q1, med, q3]
 
 
-def summarize(workload, seed, pairs):
-    metrics = {}
-    for name, lower in E2E.items():
-        par = [p["parent"]["metrics"][name]["value"] for p in pairs]
-        chg = [p["change"]["metrics"][name]["value"] for p in pairs]
-        wins = sum((c < p) if lower else (c > p) for p, c in zip(par, chg))
-        metrics[name] = {
-            "parent_q1_med_q3": quartiles(par),
+def compare(par, chg, lower=True):
+    """Quartiles of the parent's and the change's values of one metric, the
+    change/parent ratio of the medians (None when the parent's is 0) and the
+    number of pairs the change wins."""
+    med = statistics.median(par)
+    return {"parent_q1_med_q3": quartiles(par),
             "change_q1_med_q3": quartiles(chg),
             "change_over_parent_median":
-                statistics.median(chg) / statistics.median(par),
-            "change_wins": wins}
+                statistics.median(chg) / med if med else None,
+            "change_wins": sum((c < p) if lower else (c > p)
+                               for p, c in zip(par, chg))}
+
+
+def values(pairs, name):
+    """The parent's and the change's values of one metric over pairs."""
+    return ([p["parent"]["metrics"][name]["value"] for p in pairs],
+            [p["change"]["metrics"][name]["value"] for p in pairs])
+
+
+def summarize(workload, seed, pairs):
+    metrics = {name: compare(*values(pairs, name), lower)
+               for name, lower in E2E.items()}
     return {"workload": workload, "seed": seed, "pairs": len(pairs),
             "failed_parent": [p["parent"]["failed"] for p in pairs],
             "failed_change": [p["change"]["failed"] for p in pairs],
@@ -143,24 +151,24 @@ def summarize(workload, seed, pairs):
             "metrics": metrics}
 
 
-def parse_spec(ap, flag, spec, with_pairs):
-    """(workload, seed, pairs) from WORKLOAD:SEED:PAIRS, or (workload, seed)
-    from WORKLOAD:SEED; a malformed spec ends the program through ap.error."""
+def parse_spec(ap, flag, spec, count):
+    """(workload, seed, n) from WORKLOAD:SEED:N, where count names N (PAIRS
+    or RUNS); a malformed spec ends the program through ap.error."""
     parts = spec.split(":")
-    shape = "WORKLOAD:SEED:PAIRS" if with_pairs else "WORKLOAD:SEED"
-    if len(parts) != 2 + with_pairs:
+    shape = f"WORKLOAD:SEED:{count}"
+    if len(parts) != 3:
         ap.error(f"{flag} {spec!r}: expected {shape}")
     if parts[0] not in WORKLOADS:
         ap.error(f"{flag} {spec!r}: unknown workload {parts[0]!r} "
                  f"(choose from {', '.join(WORKLOADS)})")
     try:
-        nums = [int(p) for p in parts[1:]]
+        seed, n = int(parts[1]), int(parts[2])
     except ValueError:
-        ap.error(f"{flag} {spec!r}: expected {shape} with integer SEED"
-                 + (" and PAIRS" if with_pairs else ""))
-    if with_pairs and nums[1] < 2:
-        ap.error(f"{flag} {spec!r}: PAIRS must be at least 2 for quartiles")
-    return (parts[0], *nums)
+        ap.error(f"{flag} {spec!r}: expected {shape} with integer SEED "
+                 f"and {count}")
+    if n < 2:
+        ap.error(f"{flag} {spec!r}: {count} must be at least 2 for quartiles")
+    return parts[0], seed, n
 
 
 def parse_cli(ap, argv):
@@ -213,15 +221,15 @@ def main(argv=None):
     ap.add_argument("--run", action="append", default=[],
                     help="WORKLOAD:SEED:PAIRS with PAIRS >= 2, repeatable")
     ap.add_argument("--trace", action="append", default=[],
-                    help="WORKLOAD:SEED, repeatable")
+                    help="WORKLOAD:SEED:RUNS with RUNS >= 2, repeatable")
     ap.add_argument("--cli", action="append", default=[],
                     help="the arguments of one kacmod command, quoted; "
                          "repeatable")
     ap.add_argument("--seconds", type=float, default=30)
     ap.add_argument("--out", type=Path, required=True)
     args = ap.parse_args(argv)
-    runs = [parse_spec(ap, "--run", spec, True) for spec in args.run]
-    traces = [parse_spec(ap, "--trace", spec, False) for spec in args.trace]
+    runs = [parse_spec(ap, "--run", spec, "PAIRS") for spec in args.run]
+    traces = [parse_spec(ap, "--trace", spec, "RUNS") for spec in args.trace]
     clis = [parse_cli(ap, argv) for argv in args.cli]
     change = args.change.resolve()
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -229,6 +237,29 @@ def main(argv=None):
         doc = run_pairs(args.seconds, runs, traces, clis, commit,
                         {"parent": parent, "change": change})
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+def alternate(sides, workload, seed, seconds, trace, n):
+    """n pairs of run_bench, one per side, alternating which side goes
+    first; each pair keeps both results and whether their marks agree."""
+    pairs = []
+    for i in range(n):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"workload": workload, "seed": seed, "trace": trace,
+                "first": order[0]}
+        marks = {}
+        for side in order:
+            pair[side], marks[side] = run_bench(
+                sides[side], workload, seed, seconds, trace)
+        pair["same_outputs"] = marks["parent"] == marks["change"]
+        pairs.append(pair)
+        line = f"{workload} seed {seed} trace {trace} pair {i + 1}/{n}"
+        if not trace:  # a traced run reports per-layer metrics only
+            par, chg = (pair[s]["metrics"]["wall_s"]["value"]
+                        for s in ("parent", "change"))
+            line += f": wall_s {par:.3f} -> {chg:.3f}"
+        print(line, file=sys.stderr)
+    return pairs
 
 
 def run_pairs(seconds, runs, traces, clis, parent_commit, sides):
@@ -244,35 +275,20 @@ def run_pairs(seconds, runs, traces, clis, parent_commit, sides):
                        "numpy": numpy.__version__, "cpus": os.cpu_count()},
            "summary": [], "traced": [], "cli": [], "runs": []}
     for workload, seed, n in runs:
-        pairs = []
-        for i in range(n):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"workload": workload, "seed": seed, "trace": 0,
-                    "first": order[0]}
-            marks = {}
-            for side in order:
-                pair[side], marks[side] = run_bench(
-                    sides[side], workload, seed, seconds, 0)
-            pair["same_outputs"] = marks["parent"] == marks["change"]
-            pairs.append(pair)
-            print(f"{workload} seed {seed} pair {i + 1}/{n}: wall_s "
-                  f"{pair['parent']['metrics']['wall_s']['value']:.3f} -> "
-                  f"{pair['change']['metrics']['wall_s']['value']:.3f}",
-                  file=sys.stderr)
+        pairs = alternate(sides, workload, seed, seconds, 0, n)
         doc["runs"] += pairs
         doc["summary"].append(summarize(workload, seed, pairs))
-    for workload, seed in traces:
-        entry = {"workload": workload, "seed": seed}
-        marks = {}
-        for side in ("parent", "change"):
-            res, marks[side] = run_bench(sides[side], workload, seed,
-                                         seconds, 1)
-            doc["runs"].append({"workload": workload, "seed": seed,
-                                "trace": 1, "side": side, side: res})
-            entry[side] = {k: res["metrics"][k]["value"] for k in LAYERS
-                           if k in res["metrics"]}
-        entry["same_outputs"] = marks["parent"] == marks["change"]
-        doc["traced"].append(entry)
+    for workload, seed, n in traces:
+        pairs = alternate(sides, workload, seed, seconds, 1, n)
+        doc["runs"] += pairs
+        # the layers every traced run of both sides reports
+        names = [k for k in LAYERS if all(k in p[side]["metrics"]
+                                          for p in pairs
+                                          for side in ("parent", "change"))]
+        doc["traced"].append({
+            "workload": workload, "seed": seed, "runs": n,
+            "same_outputs": all(p["same_outputs"] for p in pairs),
+            "layers": {k: compare(*values(pairs, k)) for k in names}})
     for argv in clis:
         doc["cli"].append(time_cli(sides, argv, CLI_PAIRS))
     return doc

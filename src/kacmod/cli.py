@@ -90,6 +90,11 @@ _N_CAP = 100
 # weights builds and writes every weight of P_{k,+}, C(l + k/2, l) of them:
 # about a second per 5,000 as a process
 _WEIGHTS_CAP = 5000
+# roots and weights build and write rows of l + 1 exact coordinates; near
+# this cap `roots --rank 110` takes about half a second as a process, and
+# `weights --rank 157 --level 2` 4-6 s (each weight is summed from all l + 1
+# fundamental weights)
+_OUTPUT_CAP = 50_000
 
 
 def _parse_complex(s, flag):
@@ -134,11 +139,25 @@ def _check_args(args):
             raise ValueError(f"--rank {args.rank} --level {args.level} has "
                              f"{count} dominant weights; at most "
                              f"{_WEIGHTS_CAP} are listed")
+        # the weights, and the l + 1 fundamental weights they are sums of
+        _check_output(f"--rank {args.rank} --level {args.level}",
+                      count + args.rank + 1, args.rank)
+    if args.cmd == "roots":
+        # four bases of l + 1 weights, rho and the two level tables
+        _check_output(f"--rank {args.rank}", 4 * args.rank + 7, args.rank)
     if getattr(args, "depth", None) is not None and args.depth < 0:
         raise ValueError(f"--depth must be >= 0, got {args.depth}")
     if getattr(args, "tau", None) is None and (
             getattr(args, "z", None) or getattr(args, "t", None)):
         raise ValueError("--z and --t need --tau")
+
+
+def _check_output(flags, rows, l):
+    """Refuse rows of l + 1 coordinates past _OUTPUT_CAP numbers in all."""
+    if rows * (l + 1) > _OUTPUT_CAP:
+        raise ValueError(f"{flags} writes {rows} rows of {l + 1} coordinates,"
+                         f" {rows * (l + 1)} numbers; at most {_OUTPUT_CAP} "
+                         "are written")
 
 
 def _dominant_count(l, m):

@@ -12,12 +12,11 @@ sums, denominator products), while the height cap is required for objects
 with infinite q-slices (geometric series along finite roots, graded
 division).
 
-`mul` is the one product kernel: it packs each height vector into one int64
-code (a mixed radix sized per step from the summed coordinate bounds, or from
-the running product's true maxima when those do not pack; coordinate 0 most
-significant) and keeps coefficients int64 only while
-max|acc| * sum|factor| < 2^62, switching to Python-int object arrays
-otherwise, so no product ever wraps.
+`mul` is the one product kernel: it packs each distinct operand once into
+int64 codes on the one mixed radix `fold_radix` sizes per call (coordinate 0
+most significant), keeps the running product as sorted codes, decodes them
+once, and keeps coefficients int64 only while max|acc| * sum|factor| < 2^62,
+switching to Python-int object arrays otherwise, so no product ever wraps.
 
 `divide` is graded long division, level by level in total height, on the
 one radix `division_radix` sizes from the height and q caps: every height
@@ -31,7 +30,6 @@ re-multiplying runs two independent routes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -152,23 +150,31 @@ def sub(a: QSeries, b: QSeries) -> QSeries:
 
 
 def mul(a: QSeries, b: QSeries, *more: QSeries) -> QSeries:
-    """Product of two or more series over the apex sum, folded left to right
-    with the running product held as arrays."""
+    """Product of two or more series over the apex sum: a left fold on the
+    one radix `fold_radix` sizes, each distinct operand packed once and the
+    running product kept as sorted codes, decoded once at the end."""
     factors = (a, b) + more
     apex = a.apex
     for f in factors[1:]:
         _check_compatible(a, f)
         apex = apex + f.apex
     out = QSeries(a.rank, apex, {}, *a.caps())
-    arrays = [_as_arrays(f) for f in factors]
-    if any(not len(f.coefs) for f in arrays):
+    distinct = {id(f): f for f in factors}  # [f] * mult repeats one object
+    arrays = {key: _as_arrays(f) for key, f in distinct.items()}
+    if any(not len(t.coefs) for t in arrays.values()):
         return out
-    acc = arrays[0]
-    for f in arrays[1:]:
-        acc = _mul_arrays(acc, f, out.height_cap, out.q_cap)
-        if not len(acc.coefs):
+    span, strides = fold_radix([arrays[id(f)] for f in factors], *out.caps())
+    packed = {key: (t.coords @ strides, t.coefs, t.heights,
+                    int(np.abs(t.coefs).sum(dtype=object)))
+              for key, t in arrays.items()}
+    acc = tuple(np.array([[0], [1], [0]]))  # the series 1: code, coef, height
+    for f in factors:
+        acc = _fold_step(*acc, packed[id(f)], *out.caps(), strides[0])
+        if not len(acc[0]):
             return out
-    out.terms = dict(zip(map(tuple, acc.coords.tolist()), acc.coefs.tolist()))
+    codes, coefs, _ = acc
+    coords = codes[:, None] // strides % (span + 1)
+    out.terms = dict(zip(map(tuple, coords.tolist()), coefs.tolist()))
     return out
 
 
@@ -176,7 +182,6 @@ class _Terms(NamedTuple):
     coords: np.ndarray   # (n, l+1) int64 height vectors
     coefs: np.ndarray    # (n,) int64, or object holding Python ints
     heights: np.ndarray  # (n,) int64 total heights
-    span: np.ndarray     # (l+1,) int64 bound on each coordinate
 
 
 def _as_arrays(s: QSeries) -> _Terms:
@@ -195,89 +200,84 @@ def _as_arrays(s: QSeries) -> _Terms:
         keep &= heights <= s.height_cap
     if s.q_cap is not None:
         keep &= coords[:, 0] <= s.q_cap
-    coords = coords[keep]
-    return _Terms(coords, coefs[keep], heights[keep], coords.max(0, initial=0))
-
-
-def _packs(span) -> bool:
-    """Whether height vectors with coordinate j in 0..span[j] pack into
-    int64 codes."""
-    return math.prod(int(r) + 1 for r in span) <= _EXACT_INT64
+    return _Terms(coords[keep], coefs[keep], heights[keep])
 
 
 def _strides(span) -> np.ndarray:
-    """Mixed-radix strides packing height vectors with coordinate j in
-    0..span[j] into int64 codes, coordinate 0 most significant, so code order
-    is lexicographic order and a sum of vectors is a sum of codes."""
-    if not _packs(span):
-        raise ValueError("height vectors too far apart to pack into int64 "
-                         f"codes (coordinate maxima {span.tolist()})")
+    """Mixed-radix strides packing coordinate j in 0..span[j] into int64
+    codes below _EXACT_INT64 (else ValueError), coordinate 0 most significant:
+    code order is lexicographic order, and a sum of vectors a sum of codes."""
     strides = [1]
     for r in span[:0:-1]:
         strides.insert(0, strides[0] * (int(r) + 1))
+    if strides[0] * (int(span[0]) + 1) > _EXACT_INT64:
+        raise ValueError("height vectors too far apart to pack into int64 "
+                         f"codes (coordinate maxima {span.tolist()})")
     return np.array(strides, dtype=np.int64)
 
 
-def _mul_arrays(acc: _Terms, f: _Terms, height_cap, q_cap) -> _Terms:
-    """One product step.  Height vectors are packed into int64 codes with a
-    mixed radix just wide enough for the product (coordinate 0 most
-    significant), so a sum of vectors is a sum of codes and code order is
-    lexicographic order.  Candidate pairs are formed chunk by chunk over the
-    factor, cut to the caps, and merged into the sorted running result; the
-    result's rows are gathered from one source pair per surviving code."""
-    bound = (int(np.abs(acc.coefs).max())
-             * int(np.abs(f.coefs).sum(dtype=object)))
-    dtype = np.int64 if bound < _EXACT_INT64 else object
-    coefs = acc.coefs.astype(dtype, copy=False)
-    fcoefs = f.coefs.astype(dtype, copy=False)
-    span = _product_span(acc.span, f.span, height_cap, q_cap)
-    if not _packs(span):
-        # a bound summed over a fold can outgrow int64 while the terms
-        # themselves stay small: take the running product's true maxima
-        span = _product_span(acc.coords.max(0, initial=0), f.span,
-                             height_cap, q_cap)
-    strides = _strides(span)
-    codes, fcodes = acc.coords @ strides, f.coords @ strides
-    out_codes = np.zeros(0, dtype=np.int64)
-    out_coefs = np.zeros(0, dtype=dtype)
-    out_i = out_k = np.zeros(0, dtype=np.intp)
-    step = max(1, _CHUNK // len(codes))
-    for lo in range(0, len(fcodes), step):
-        hi = lo + step
-        keep = np.ones((len(fcodes[lo:hi]), len(codes)), dtype=bool)
-        if height_cap is not None:
-            keep &= f.heights[lo:hi, None] + acc.heights <= height_cap
-        if q_cap is not None:
-            keep &= f.coords[lo:hi, 0, None] + acc.coords[:, 0] <= q_cap
-        # factor term outer: each factor term adds one sorted run
-        k, i = np.nonzero(keep)
-        if not len(k):
-            continue
-        k += lo
-        cand = np.concatenate([out_codes, codes[i] + fcodes[k]])
-        order = np.argsort(cand, kind="stable")
-        cand = cand[order]
-        first = np.flatnonzero(np.r_[True, cand[1:] != cand[:-1]])
-        sums = np.add.reduceat(
-            np.concatenate([out_coefs, coefs[i] * fcoefs[k]])[order], first)
-        nonzero = sums != 0
-        rep = order[first[nonzero]]
-        out_codes, out_coefs = cand[first[nonzero]], sums[nonzero]
-        out_i = np.concatenate([out_i, i])[rep]
-        out_k = np.concatenate([out_k, k])[rep]
-    return _Terms(np.take(acc.coords, out_i, 0) + np.take(f.coords, out_k, 0),
-                  out_coefs, acc.heights[out_i] + f.heights[out_k], span)
-
-
-def _product_span(aspan, fspan, height_cap, q_cap):
-    """A bound on each coordinate of the product of terms bounded by aspan
-    and by fspan, cut to the caps."""
-    span = aspan + fspan
+def fold_radix(arrays, height_cap, q_cap):
+    """(span, strides) of the one radix of a fold of arrays (the factors'
+    nonempty `_Terms`, repeats included) under the caps.  Coordinate j of a
+    partial product is at most the least of the maxima summed, height_cap,
+    and under q_cap sum_f (f's largest c_j at q = 0) + the largest
+    floor(q_cap c_j / q) at q > 0, as each factor gives a q = 0 term or one
+    with c_j <= q times the largest ratio and the q's add up to at most q_cap.
+    Python ints keep every bound exact; ValueError if the radix won't pack."""
+    coords = np.concatenate([t.coords for t in arrays])
+    starts = np.cumsum([0] + [len(t.coords) for t in arrays[:-1]])
+    span = np.maximum.reduceat(coords, starts).sum(0, dtype=object)
     if height_cap is not None:
         span = np.minimum(span, height_cap)
     if q_cap is not None:
-        span[0] = min(span[0], q_cap)
-    return span
+        moving = coords[:, 0] > 0
+        flat = np.maximum.reduceat(np.where(moving[:, None], 0, coords),
+                                   starts).sum(0, dtype=object)
+        ratio = coords[moving].astype(object)
+        span = np.minimum(span, flat + (q_cap * ratio
+                                        // ratio[:, :1]).max(0, initial=0))
+    strides = _strides(span)
+    return span.astype(np.int64), strides
+
+
+def _fold_step(codes, coefs, heights, f, height_cap, q_cap, q_stride):
+    """The running product (sorted codes, coefficients, total heights under
+    a height cap) times packed f = (codes, coefficients, heights,
+    sum |coefficient|), cut to the caps chunk by chunk over f's rows: each
+    row gives one sorted run of the pairs inside the caps, one stable
+    argsort (timsort) merges the runs and np.add.reduceat sums equal codes.
+    Coefficients are int64 while max|acc| * sum|f| < 2^62, else Python ints."""
+    fcodes, fcoefs, fheights, fsum = f
+    bound = int(np.abs(coefs).max()) * fsum
+    dtype = np.int64 if bound < _EXACT_INT64 else object
+    coefs, fcoefs = (c.astype(dtype, copy=False) for c in (coefs, fcoefs))
+    if q_cap is not None:
+        # q leads the code, so the rows with q room for fq form a prefix
+        room = np.searchsorted(codes, q_stride * (1 + np.minimum(
+            q_cap - fcodes // q_stride, codes[-1] // q_stride)))
+    out_codes = out_heights = np.zeros(0, dtype=np.int64)
+    out_coefs = np.zeros(0, dtype=dtype)
+    step = max(1, _CHUNK // len(codes))
+    for lo in range(0, len(fcodes), step):
+        rows = slice(lo, lo + step)
+        keep = (True if q_cap is None
+                else np.arange(len(codes)) < room[rows, None])
+        if height_cap is not None:
+            pair_heights = fheights[rows, None] + heights
+            keep = keep & (pair_heights <= height_cap)
+        cand = np.concatenate([out_codes, (fcodes[rows, None] + codes)[keep]])
+        order = np.argsort(cand, kind="stable")
+        cand = cand[order]
+        first = np.flatnonzero(cand != np.concatenate(([-1], cand[:-1])))
+        sums = np.add.reduceat(np.concatenate(
+            [out_coefs, (fcoefs[rows, None] * coefs)[keep]])[order], first)
+        nonzero = sums != 0
+        first = first[nonzero]
+        out_codes, out_coefs = cand[first], sums[nonzero]
+        if height_cap is not None:
+            out_heights = np.concatenate([out_heights,
+                                          pair_heights[keep]])[order[first]]
+    return out_codes, out_coefs, out_heights
 
 
 def divide(num: QSeries, den: QSeries) -> QSeries:
@@ -312,7 +312,7 @@ def divide(num: QSeries, den: QSeries) -> QSeries:
     rest = d.heights > 0
     # den's other terms negated, so the remainder is N_h + sum_t Q_{h-t} D_t
     n, d = _levels(n), _levels(_Terms(d.coords[rest], -d.coefs[rest],
-                                      d.heights[rest], d.span))
+                                      d.heights[rest]))
     ncodes, dcodes = n.coords @ strides, d.coords @ strides
     dlevels = np.flatnonzero(np.diff(d.start))  # the heights den has rows at
     pre = _q_prefix(d.coords[:, 0], d.start, qcap)

@@ -24,8 +24,9 @@ def bench_pairs():
     ("--run", "suite:1"),            # PAIRS missing
     ("--run", "no-such-load:1:3"),   # unknown workload
     ("--run", "suite:one:3"),        # SEED not an integer
-    ("--trace", "suite:1:2"),        # a trace takes no PAIRS
-    ("--trace", "no-such-load:1"),
+    ("--trace", "suite:1:1"),        # one run per side has no quartiles
+    ("--trace", "no-such-load:1"),   # RUNS missing
+    ("--trace", "no-such-load:1:2"),
     ("--cli", ""),                   # no command
     ("--cli", "verify 'sl2"),        # unbalanced quote
 ])
@@ -64,21 +65,24 @@ def test_layers_are_per_layer_metrics_of_the_benchmark(bench_pairs):
 def test_two_pairs_write_summary_and_traced_layers(bench_pairs, monkeypatch,
                                                    tmp_path):
     walls = iter([4.0, 1.0, 1.1, 4.2])  # parent, change, change, parent
+    divides = iter([0.5, 0.4, 0.3, 0.6])  # the traced runs, in the same order
 
     def fake_run(root, workload, seed, seconds, trace):
-        metrics = {name: {"value": 1.0} for name in bench_pairs.E2E}
-        metrics["wall_s"] = {"value": next(walls) if not trace else 1.0}
+        # a traced run reports per-layer metrics and no end-to-end ones
         if trace:
-            metrics["qseries.divide.self_s"] = {"value": 0.5}
-            metrics["suite.criterion_12.s"] = {"value": 0.25}
-            metrics["no.such.layer"] = {"value": 9.0}
+            metrics = {"qseries.divide.self_s": {"value": next(divides)},
+                       "suite.criterion_12.s": {"value": 0.0},
+                       "no.such.layer": {"value": 9.0}}
+        else:
+            metrics = {name: {"value": 1.0} for name in bench_pairs.E2E}
+            metrics["wall_s"] = {"value": next(walls)}
         res = {"correct": True, "failed": 0, "metrics": metrics}
         return res, [f"# digest {workload} {seed}"]
     monkeypatch.setattr(bench_pairs, "run_bench", fake_run)
     out = tmp_path / "pairs.json"
     bench_pairs.main(["--parent", ".", "--change", ".",
                       "--run", "exact-division:1:2",
-                      "--trace", "exact-division:1", "--out", str(out)])
+                      "--trace", "exact-division:1:2", "--out", str(out)])
     doc = json.loads(out.read_text())
     (summary,) = doc["summary"]
     assert summary["pairs"] == 2 and summary["correct"]
@@ -86,9 +90,21 @@ def test_two_pairs_write_summary_and_traced_layers(bench_pairs, monkeypatch,
     wall = summary["metrics"]["wall_s"]
     assert wall["change_wins"] == 2
     assert wall["change_over_parent_median"] == pytest.approx(1.05 / 4.1)
+    # two traced runs per side, alternating which side goes first
     (traced,) = doc["traced"]
-    assert traced["change"] == {"qseries.divide.self_s": 0.5,
-                                "suite.criterion_12.s": 0.25}
+    assert traced["runs"] == 2 and traced["same_outputs"]
+    assert sorted(traced["layers"]) == ["qseries.divide.self_s",
+                                        "suite.criterion_12.s"]
+    divide = traced["layers"]["qseries.divide.self_s"]
+    assert divide["parent_q1_med_q3"] == pytest.approx([0.525, 0.55, 0.575])
+    assert divide["change_q1_med_q3"] == pytest.approx([0.325, 0.35, 0.375])
+    assert divide["change_over_parent_median"] == pytest.approx(0.35 / 0.55)
+    assert divide["change_wins"] == 2
+    # a layer that reads 0 on the parent has no ratio
+    assert traced["layers"]["suite.criterion_12.s"][
+        "change_over_parent_median"] is None
+    assert [r["first"] for r in doc["runs"] if r["trace"]] == ["parent",
+                                                               "change"]
 
 
 def test_cli_pairs_time_whole_processes(bench_pairs, monkeypatch, tmp_path):

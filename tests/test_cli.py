@@ -165,6 +165,36 @@ def test_weights_past_the_count_cap_refused_before_any_work(capsys,
     assert "level must be even" in capsys.readouterr().err
 
 
+def test_roots_and_weights_past_the_output_cap_refused_before_any_work(
+        capsys, monkeypatch):
+    def build(*args):
+        raise AssertionError("built past the output cap")
+
+    monkeypatch.setattr(cli, "enumerate_dominant", build)
+    monkeypatch.setattr(cli.RootSystemCtx, "build", build)
+    # one weight and the 10^6 + 1 fundamental weights it is summed from;
+    # 4 * 10^5 + 7 rows of 10^5 + 1 coordinates
+    for argv, size in ((("weights", "--rank", "1000000", "--level", "0"),
+                        "1000002 rows of 1000001 coordinates, "
+                        "1000003000002 numbers"),
+                       (("roots", "--rank", "100000"),
+                        "400007 rows of 100001 coordinates, 40001100007 "
+                        "numbers")):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"{' '.join(argv[1:])} writes {size}" in captured.err
+    # roots at rank 100 (40,905 numbers) and weights at rank 12, level 8
+    # (1,820 weights and 13 fundamental weights of 13 coordinates) are
+    # answered
+    monkeypatch.undo()
+    code, out = run(capsys, "roots", "--rank", "100")
+    assert code == 0 and len(json.loads(out)["simple_roots_I"]) == 101
+    code, out = run(capsys, "weights", "--rank", "12", "--level", "8")
+    assert code == 0 and json.loads(out)["count"] == 1820
+
+
 def test_char_past_the_division_radix_refused_before_any_work(capsys,
                                                             monkeypatch):
     # at rank 6 and level 8 the division's radix packs up to depth 20 only
@@ -304,6 +334,10 @@ def test_usage_errors():
                  id="super-osp-rank"),
     pytest.param(("super", "verify", "--N", "7"), "--N",
                  id="super-verify-N"),
+    pytest.param(("roots", "--rank", "100000"), "--rank",
+                 id="roots-past-output-cap"),
+    pytest.param(("weights", "--rank", "1000000", "--level", "0"), "--rank",
+                 id="weights-past-output-cap"),
 ])
 def test_rejected_input_exits_2_with_message(capsys, argv, flag):
     code = main(list(argv))

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kacmod.qseries as qs
@@ -217,13 +217,20 @@ def test_mul_rejects_codes_wider_than_int64():
     b.add_term((0, 2**21, 2**21, 2**21), 1)
     with pytest.raises(ValueError, match="int64"):
         qs.mul(a, b)
+    # bounds that would wrap in int64: maxima summed to 3 * 2^62, and
+    # q_cap * c_j = 2^64 in the q-cap bound
+    for vec, q_cap in (((0, 2**62), 1), ((1, 2**61), 8)):
+        c = QSeries.one(1, None, q_cap)
+        c.add_term(vec, 1)
+        with pytest.raises(ValueError, match="int64"):
+            qs.mul(c, c, c)
 
 
-def test_mul_falls_back_to_true_maxima_when_the_summed_bound_overflows(
-        monkeypatch):
+def test_mul_packs_a_fold_past_the_summed_bound_on_one_radix(monkeypatch):
     # nine factors 1 - e^{-v}: the coordinate bound summed over the fold
     # reaches 9 * 60 = 540 in seven coordinates, which does not pack, but
-    # under q cap 2 every partial product is 1 - j e^{-v}
+    # under q cap 2 each factor's one q > 0 term has c_j / q = 30, so every
+    # partial product has c_j <= 2 * 30 and the fold packs once
     l = 7
     v = (2,) + (60,) * l
     factor = qs.binomial_factor(v, -1, None, 2)
@@ -231,12 +238,46 @@ def test_mul_falls_back_to_true_maxima_when_the_summed_bound_overflows(
     want.add_term(v, -9)
     spans, strides = [], qs._strides
     monkeypatch.setattr(qs, "_strides",
-                        lambda span: spans.append(span[1]) or strides(span))
+                        lambda span: spans.append(span.tolist())
+                        or strides(span))
     assert qs.mul(*[factor] * 9) == want
-    # each step takes the summed bound while it packs (up to 6 * 60), the
-    # true maxima at the step where it does not, and the summed bound again
-    # from there
-    assert spans == [120, 180, 240, 300, 360, 120, 180, 240]
+    assert spans == [[2] + [60] * 7]
+
+
+@given(series_pairs(n=4), st.sampled_from(CAP_PAIRS))
+@settings(max_examples=100, deadline=None)
+def test_fold_radix_bounds_every_partial_product(series, caps):
+    # under both caps, the q cap only and the height cap only
+    series = [QSeries(s.rank, s.apex, dict(s.terms), *caps) for s in series]
+    arrays = [qs._as_arrays(s) for s in series]
+    # mul returns 0 before it sizes a radix when a factor has no term
+    assume(all(len(t.coefs) for t in arrays))
+    span, strides = qs.fold_radix(arrays, *caps)
+    assert strides.tolist() == qs._strides(span).tolist()
+    partial = series[0]
+    for s in series[1:]:
+        partial = _reference_mul(partial, s)
+        for vec in partial.terms:
+            assert all(0 <= c <= r for c, r in zip(vec, span.tolist()))
+
+
+def test_each_mul_sizes_one_radix(monkeypatch):
+    # one radix per call, however many factors it folds
+    l = 2
+    alphas = simples(l)
+    factors = [qs.binomial_factor(x, -1, 8, 3) for x in alphas]
+    geometric = qs.geometric_factor(alphas[1], 8, 3)
+    calls = []
+    strides = qs._strides
+    monkeypatch.setattr(qs, "_strides",
+                        lambda span: calls.append(1) or strides(span))
+    for operands in (factors[:2], factors, [geometric] * 3 + factors):
+        calls.clear()
+        want = operands[0]
+        for f in operands[1:]:
+            want = _reference_mul(want, f)
+        assert qs.mul(*operands) == want
+        assert calls == [1]
 
 
 def test_mul_empty_and_out_of_cap_operands():
@@ -434,7 +475,7 @@ def test_divide_runs_apart_from_the_product_kernel(monkeypatch):
     den = qs.binomial_factor(alphas[1], -1, 8, 3)
     want = _reference_divide(num, den)
     monkeypatch.setattr(qs, "mul", refuse)
-    monkeypatch.setattr(qs, "_mul_arrays", refuse)
+    monkeypatch.setattr(qs, "_fold_step", refuse)
     assert qs.divide(num, den) == want
 
 

@@ -91,9 +91,9 @@ _N_CAP = 100
 # about a second per 5,000 as a process
 _WEIGHTS_CAP = 5000
 # roots and weights build and write rows of l + 1 exact coordinates; near
-# this cap `roots --rank 110` takes about half a second as a process, and
-# `weights --rank 157 --level 2` 4-6 s (each weight is summed from all l + 1
-# fundamental weights)
+# this cap `roots --rank 110` and `weights --rank 157 --level 2` each take
+# about half a second as a process (a weight is summed from the fundamental
+# weights of its nonzero labels only)
 _OUTPUT_CAP = 50_000
 
 

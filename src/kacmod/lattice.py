@@ -133,16 +133,6 @@ class Weight:
     def lambda0_I(l):
         return _make((0,) * l + (0, 1), 1)
 
-    @staticmethod
-    def eps_basis_II(l, i):
-        """eps_i^(II) = -eps_{l+1-i} + delta/2, expressed in type-I storage."""
-        if not 1 <= i <= l:
-            raise ValueError(f"eps index {i} out of range 1..{l}")
-        v = [0] * (l + 2)
-        v[l - i] = -2
-        v[l] = 1
-        return _make(tuple(v), 2)
-
     # -- linear structure ---------------------------------------------------
 
     def _chk(self, other):

@@ -200,43 +200,111 @@ def _box(center, radius):
             np.floor(radius - center).astype(np.int64))
 
 
-def _finite_sums(totals):
-    if not np.isfinite(totals).all():
-        raise ValueError("the lattice sum exceeds the floating-point range "
-                         "at this point")
-    return totals
+# The most complex values one _row_sums temporary holds: the kernel takes
+# its points a block at a time and keeps only each row's reduced value, so
+# a call over many points needs no more memory than one
+_ROW_BUDGET = 2 ** 15
 
 
-def _row_sums(a, center, radius, quad, lin, z, sign=0, twisted=False):
-    """S[r, i, j]: the sum over gamma in the box of radius `radius` about
-    center[r], coordinate i alone, of f(x, z[j]), x = gamma + a[r, i] and
-    f(x, z) = exp(quad x^2 + lin x z) + sign exp(quad x^2 - lin x z) (the
-    second term only when sign is nonzero), negated at odd gamma when
-    twisted.  This is the one kernel of every Gaussian lattice sum: the form
-    |x|^2 is diagonal and the box a product of ranges, so a theta orbit or a
-    Poisson sum is the product over i of S[r, i, i], and an anti-invariant
-    is det S[r] by multilinearity.  Every term carries its own Gaussian
-    factor, so no factor leaves the float range alone.  The temporaries hold
-    n * l^2 * side complex values (side the widest range of the box, about 2
-    radius), linear in the box side."""
-    lo, hi = _box(center, radius)
-    gamma = lo[..., None] + np.arange(int((hi - lo).max()) + 1)
-    x = (gamma + a[..., None])[..., None]
-    xz = x * (lin * np.asarray(z))
+def _blocks(bounds, n, cell):
+    """(points, rows per chunk) of each block of points: consecutive points,
+    ascending in their side bounds, while points * n * cell * bound fits in
+    _ROW_BUDGET, and a point past it alone, its rows taken in chunks (one
+    row at least)."""
+    i, p = 0, len(bounds)
+    while i < p:
+        j = i + 1
+        while j < p and (j + 1 - i) * n * cell * bounds[j] <= _ROW_BUDGET:
+            j += 1
+        yield slice(i, j), max(1, _ROW_BUDGET // (cell * bounds[j - 1]))
+        i = j
+
+
+def _diagonal_products(sums):
+    """prod_i S[..., i, i]: the product form of a theta orbit or a Poisson
+    sum."""
+    return np.prod(np.diagonal(sums, axis1=-2, axis2=-1), axis=-1)
+
+
+def _block_values(a, lo, hi, sides, quad, lz, form, sign, twisted):
+    """form(S) of _row_sums for one block of points: each point's side, each
+    row's box lo..hi (points, rows, l), and quad and lz = lin z per
+    point."""
+    gamma = lo[..., None] + np.arange(max(sides))
+    x = (gamma + a[:, :, None])[..., None]
+    xz = x * lz
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.exp(quad * x * x + xz)
+        qxx = quad * x * x
+        terms = np.exp(qxx + xz)
         if sign:
-            terms += sign * np.exp(quad * x * x - xz)
+            terms += sign * np.exp(qxx - xz)
         if twisted:
             terms[gamma % 2 == 1] *= -1
-        terms[gamma > hi[..., None]] = 0.0  # past the row's range
-        return terms.sum(axis=2)
+        # zero past each row's range
+        np.copyto(terms, 0.0, where=(gamma > hi[..., None])[..., None])
+        # each run of points of one side is summed over that side
+        cuts = [0, *(i for i in range(1, len(sides))
+                     if sides[i] != sides[i - 1]), len(sides)]
+        sums = [terms[i:j, ..., :sides[i], :].sum(axis=3)
+                for i, j in zip(cuts, cuts[1:])]
+        return form(sums[0] if len(sums) == 1 else np.concatenate(sums))
 
 
-def _diagonal_product(sums):
-    """prod_i S[0, i, i]: a product-form lattice sum from _row_sums."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        return complex(_finite_sums(np.prod(np.diagonal(sums[0]))))
+def _row_sums(a, center, radius, quad, lin, z, form, sign=0, twisted=False):
+    """form(S)[p, r] for S[p, r, i, j]: at point p, the sum over gamma in
+    the box of radius radius[p] about center[r], coordinate i alone, of
+    f(x, z[p, j]), x = gamma + a[r, i] and f(x, z) = exp(quad[p] x^2
+    + lin x z) + sign exp(quad[p] x^2 - lin x z) (the second term only when
+    sign is nonzero), negated at odd gamma when twisted.  This is the one
+    kernel of every Gaussian lattice sum: the form |x|^2 is diagonal and the
+    box a product of ranges, so a theta orbit or a Poisson sum is the
+    product over i of S[p, r, i, i] (form _diagonal_products), and an
+    anti-invariant is det S[p, r] by multilinearity (form np.linalg.det).
+    Every term carries its own Gaussian factor, so no factor leaves the
+    float range alone; a non-finite value is refused.
+
+    The n rows a and their box centers, both (n, l), are the same at every
+    point; radius, quad and z hold one value (z one l-vector) per point.
+    Every row of a point is summed over the point's own side, the widest
+    range of its box (about 2 radius[p]), so a point's values are those of
+    a call on that point alone, bit for bit: numpy sums a one-coordinate row
+    pairwise, and padding it past that side could move its last bit.  A
+    point alone is one block, as a one-point call always was; several
+    points go through in the blocks of _blocks, whose temporaries hold
+    points * rows * l^2 * side complex values, and only the (points, n)
+    values outlive a block."""
+    n, l = a.shape
+    p = len(radius)
+    if p == 1:
+        lo, hi = _box(center, radius[0])
+        values = _block_values(a, lo[None], hi[None],
+                               [int((hi - lo).max()) + 1], quad[0],
+                               lin * np.asarray(z[0]), form, sign, twisted)
+    else:
+        # the points by radius, and so by side (a box grows with its
+        # radius): a block pads its points little, and one call sums each
+        # run of one side
+        order = sorted(range(p), key=radius.__getitem__)
+        radii = [radius[i] for i in order]
+        radius = np.array(radii, float)[:, None, None]
+        quad = np.array([quad[i] for i in order]).reshape(p, 1, 1, 1, 1)
+        lz = (lin * np.array([z[i] for i in order])).reshape(p, 1, 1, 1, l)
+        values = np.empty((p, n), complex)
+        # at most floor(2 radius) + 1 integers, and one more each way from
+        # rounding, lie in a range of length 2 radius
+        bounds = [int(2 * r) + 3 for r in radii]
+        for pts, step in _blocks(bounds, n, l * l):
+            lo, hi = _box(center, radius[pts])
+            sides = ((hi - lo).max(axis=(1, 2)) + 1).tolist()
+            for r in range(0, n, step):
+                rows = slice(r, r + step)
+                values[order[pts], rows] = _block_values(
+                    a[rows], lo[:, rows], hi[:, rows], sides, quad[pts],
+                    lz[pts], form, sign, twisted)
+    if not np.isfinite(values).all():
+        raise ValueError("the lattice sum exceeds the floating-point range "
+                         "at this point")
+    return values
 
 
 def _coords(w: Weight, sharp):
@@ -266,22 +334,26 @@ def _theta_shift(lam: Weight, sharp):
     return k, a
 
 
-def _theta_box(lams, sharp, y: YPoint, tol):
-    """(k, a, w, radius) of the theta orbits of lams, all of one level k:
-    the rows a of their shifts, w = Im z / Im tau and the shell radius that
-    bounds each orbit's Gaussian tail below tol."""
+def _theta_box(lams, sharp, ys, tol):
+    """(k, a, ws, radii) of the theta orbits of lams, all of one level k, at
+    the points ys: the rows a of their shifts and, per point, w = Im z / Im
+    tau and the shell radius that bounds each orbit's Gaussian tail below
+    tol."""
     data = [_theta_shift(lam, sharp) for lam in lams]
     k = data[0][0]
     if any(kj != k for kj, _ in data):
         raise ValueError("the weights of one call must share their level")
-    im_tau = y.tau.imag
-    if im_tau <= 0:
-        raise ValueError("Im(tau) must be positive")
-    w = [zi.imag / im_tau for zi in y.z]
-    decay = math.pi * k * im_tau
-    log_c = decay * sum(x * x for x in w)
-    radius = _shell_radius(y.rank, decay, log_c, tol)
-    return k, np.array([aj for _, aj in data]), w, radius
+    ws, radii = [], []
+    for y in ys:
+        im_tau = y.tau.imag
+        if im_tau <= 0:
+            raise ValueError("Im(tau) must be positive")
+        w = [zi.imag / im_tau for zi in y.z]
+        decay = math.pi * k * im_tau
+        log_c = decay * sum(x * x for x in w)
+        ws.append(w)
+        radii.append(_shell_radius(y.rank, decay, log_c, tol))
+    return k, np.array([aj for _, aj in data]), ws, radii
 
 
 def eval_theta(lam: Weight, sharp="I", twisted=False, y: YPoint = None,
@@ -290,17 +362,21 @@ def eval_theta(lam: Weight, sharp="I", twisted=False, y: YPoint = None,
     e^{2 pi i k t} sum_gamma [psi(t_gamma)] e^{pi i k tau |gamma+a|^2
     + 2 pi i k <gamma+a, z>} with a = pr^(sharp)(lam)/k; the Gaussian tail is
     bounded below tol."""
-    k, a, w, radius = _theta_box((lam,), sharp, y, tol)
-    sums = _row_sums(a, a + np.array(w), radius, 1j * math.pi * k * y.tau,
-                     TWO_PI_I * k, y.z, twisted=twisted)
-    return cmath.exp(TWO_PI_I * k * y.t) * _diagonal_product(sums)
+    k, a, (w,), radii = _theta_box((lam,), sharp, (y,), tol)
+    value = _row_sums(a, a + np.array(w), radii, [1j * math.pi * k * y.tau],
+                      TWO_PI_I * k, [y.z], _diagonal_products,
+                      twisted=twisted)[0, 0]
+    return cmath.exp(TWO_PI_I * k * y.t) * complex(value)
 
 
-def _eval_anti_invariants(lams, sharp, twisted, y: YPoint, tol) -> list:
-    """eval_anti_invariant of each weight of lams, all of one level, as one
-    determinant each.  Substituting gamma -> u.gamma in the theta orbit of
-    u.(lam + rho) (|u.x| = |x|, and u keeps the parity of sum(gamma)) turns
-    the signed W_f-sum of orbits into one sum over x in a + Z^l of
+def _eval_anti_invariants(lams, sharp, twisted, ys, tol, dens=None) -> list:
+    """eval_anti_invariant of each weight of lams, all of one level, at each
+    point of ys, divided by dens[p] at point p when dens is given: rows
+    [value per weight] per point, as one determinant each from one
+    _row_sums call over all the points, each with its own box.
+    Substituting gamma -> u.gamma in the theta orbit of u.(lam + rho)
+    (|u.x| = |x|, and u keeps the parity of sum(gamma)) turns the signed
+    W_f-sum of orbits into one sum over x in a + Z^l of
     e^{pi i k tau |x|^2} times the type-B/C Weyl denominator
     det[e^{c x_i z_j} -+ e^{-c x_i z_j}], c = 2 pi i k, with + for the
     psi-weighted type-I sum (epsilon psi(u) is the sign of u's
@@ -310,15 +386,19 @@ def _eval_anti_invariants(lams, sharp, twisted, y: YPoint, tol) -> list:
     certifies the sum."""
     l = lams[0].rank
     nw = 2 ** l * math.factorial(l)
-    k, a, w, radius = _theta_box([_shifted(lam) for lam in lams], sharp, y,
+    k, a, ws, radii = _theta_box([_shifted(lam) for lam in lams], sharp, ys,
                                  tol / nw)
-    sums = _row_sums(a, a, radius + max(map(abs, w)),
-                     1j * math.pi * k * y.tau, TWO_PI_I * k, y.z,
+    dets = _row_sums(a, a,
+                     [r + max(map(abs, w)) for r, w in zip(radii, ws)],
+                     [1j * math.pi * k * y.tau for y in ys], TWO_PI_I * k,
+                     [y.z for y in ys], np.linalg.det,
                      1 if twisted and sharp == "I" else -1, twisted)
-    with np.errstate(over="ignore", invalid="ignore"):
-        dets = _finite_sums(np.linalg.det(sums))
-    pre = cmath.exp(TWO_PI_I * k * y.t)
-    return [pre * complex(v) for v in dets]
+    pres = [cmath.exp(TWO_PI_I * k * y.t) for y in ys]
+    if dens is None:
+        return [[pre * complex(v) for v in row]
+                for pre, row in zip(pres, dets)]
+    return [[pre * complex(v) / den for v in row]
+            for pre, den, row in zip(pres, dens, dets)]
 
 
 def eval_anti_invariant(lam: Weight, sharp="I", twisted=False,
@@ -327,32 +407,35 @@ def eval_anti_invariant(lam: Weight, sharp="I", twisted=False,
     chart: the epsilon(-psi)-weighted sum of theta orbits over W_f^(sharp)
     (W_f^(II) lies in Ker psi), each to tol / |W_f|, summed in the
     determinant form of _eval_anti_invariants."""
-    return _eval_anti_invariants((lam,), sharp, twisted, y, tol)[0]
+    return _eval_anti_invariants((lam,), sharp, twisted, [y], tol)[0][0]
 
 
 # |A_rho(y)| below this makes eval_character refuse the point
 _DEN_THRESHOLD = 1e-10
 
 
-def _eval_characters(lams, sharp, twisted, y: YPoint, tol) -> list:
-    """eval_character of each weight of lams, all of one level: A_rho once,
-    refused below _DEN_THRESHOLD before any numerator, and every numerator
-    from one lattice-sum call."""
-    den = _eval_anti_invariants((Weight.zero(lams[0].rank),), sharp,
-                                twisted, y, tol)[0]
-    if abs(den) < _DEN_THRESHOLD:
-        raise DegeneratePointError(
-            f"denominator {abs(den):.3e} below threshold at tau={y.tau}; "
-            "move the sample point")
-    return [num / den
-            for num in _eval_anti_invariants(lams, sharp, twisted, y, tol)]
+def _eval_characters(lams, sharp, twisted, ys, tol) -> list:
+    """eval_character of each weight of lams, all of one level, at each
+    point of ys: rows [value per weight] per point.  A_rho at every point
+    comes from one lattice-sum call, and the first point, in order, where it
+    falls below _DEN_THRESHOLD is refused before any numerator; then every
+    numerator at every point comes from one more call.  The two calls stay
+    apart: their levels differ, and so do their boxes."""
+    dens = [row[0] for row in _eval_anti_invariants(
+        (Weight.zero(lams[0].rank),), sharp, twisted, ys, tol)]
+    for y, den in zip(ys, dens):
+        if abs(den) < _DEN_THRESHOLD:
+            raise DegeneratePointError(
+                f"denominator {abs(den):.3e} below threshold at tau={y.tau}; "
+                "move the sample point")
+    return _eval_anti_invariants(lams, sharp, twisted, ys, tol, dens)
 
 
 def eval_character(lam: Weight, sharp="I", twisted=False, y: YPoint = None,
                    tol=1e-10) -> complex:
     """chi_lam (chi^psi when twisted) at y: the ratio of anti-invariants.
     Raises DegeneratePointError when |A_rho(y)| falls below _DEN_THRESHOLD."""
-    return _eval_characters((lam,), sharp, twisted, y, tol)[0]
+    return _eval_characters((lam,), sharp, twisted, [y], tol)[0][0]
 
 
 def eval_qseries(series, sharp, y: YPoint) -> complex:
@@ -397,17 +480,17 @@ def _smatrix_rows(kind, k, lams, mus) -> list:
     src, grp = _KINDS[kind]
     rf = rho_f(l, src)
     # x = pr(lam) + rf (phi(rf) when src != grp) and y = pr(mu) + rho_f
-    # have no Lambda0 part, so their grp coordinates are those of lam and
-    # mu (pr keeps them) plus the shifts'
-    xr = _coords(rf if src == grp else phi_involution(rf), grp)
-    yr = _coords(rho_f(l, grp), grp)
-    c = [[Fraction(v + r) for v, r in zip(_coords(lam, grp), xr, strict=True)]
-         for lam in lams]
-    g = [[Fraction(v + r) for v, r in zip(_coords(mu, grp), yr, strict=True)]
-         for mu in mus]
-    den = math.lcm(*(v.denominator for row in (*c, *g) for v in row))
-    ci = [[int(v * den) for v in row] for row in c]
-    gi = [[int(v * den) for v in row] for row in g]
+    # have no Lambda0 part, so their grp coordinates are those of lam + rf
+    # and mu + rho_f (pr keeps them): the eps coefficients of the weight in
+    # numeration I and of its phi-image in II, integers over one lcm
+    xr = rf if src == grp else phi_involution(rf)
+    yr = rho_f(l, grp)
+    to_grp = phi_involution if grp == "II" else (lambda w: w)
+    xw = [to_grp(lam + xr) for lam in lams]
+    yw = [to_grp(mu + yr) for mu in mus]
+    den = math.lcm(*(w.den for w in (*xw, *yw)))
+    ci = [[v * (den // w.den) for v in w.nums[:-2]] for w in xw]
+    gi = [[v * (den // w.den) for v in w.nums[:-2]] for w in yw]
     modulus = den * den * m
     # frac[a, b, i, j] = theta_ij / 2 pi mod 1 for x = x_a, y = y_b: reduced
     # in Python ints, then rounded once
@@ -503,29 +586,35 @@ def _verify_law(key, law, lam: Weight, k, y: YPoint, tol, theta_tol):
     l = lam.rank
     m = k + 2 * l + 1
     if law == "T":
-        lhs = ev((lam,), sharp, twisted, t_point(y), theta_tol)[0]
+        if sharp == "I":
+            # one twist on both sides: T(y) and y are one call
+            (lhs,), (at_y,) = ev((lam,), sharp, twisted, [t_point(y), y],
+                                 theta_tol)
+        else:
+            # the type-II T-laws swap the twist
+            lhs = ev((lam,), sharp, twisted, [t_point(y)], theta_tol)[0][0]
+            at_y = ev((lam,), sharp, not twisted, [y], theta_tol)[0][0]
         nsq = norm_sq(_shifted(lam).project_finite(sharp))
         arg = Fraction(nsq, m)
         if family == "prop":
             # conformal anomaly of the normalization
             arg -= Fraction(norm_sq(rho(l).project_finite(sharp)), 2 * l + 1)
         phase = cmath.exp(1j * math.pi * float(arg % 2))
-        rhs = phase * ev((lam,), sharp, twisted != (sharp == "II"), y,
-                         theta_tol)[0]
+        rhs = phase * at_y
     else:
-        lhs = ev((lam,), sharp, twisted, s_point(y), theta_tol)[0]
+        lhs = ev((lam,), sharp, twisted, [s_point(y)], theta_tol)[0][0]
         pref = _sqrt_tau_over_i(y.tau, l)
         if family == "lemma" and k == 0:
             # the corollary: a constant in place of the mu-sum
             law = "S-corollary"
             rhs = pref * i_power(i_exp(l)) * ev(
-                (Weight.zero(l),), tsharp, ttwisted, y, theta_tol)[0]
+                (Weight.zero(l),), tsharp, ttwisted, [y], theta_tol)[0][0]
         else:
             first = phi_involution(lam) if sharp != tsharp else lam
             mus = enumerate_dominant(l, k)
             acc = 0.0 + 0.0j
             for a, v in zip(_smatrix_rows(kind, k, (first,), mus)[0],
-                            ev(mus, tsharp, ttwisted, y, theta_tol)):
+                            ev(mus, tsharp, ttwisted, [y], theta_tol)[0]):
                 acc += a * v
             const = i_power(i_exp(l)) if family == "prop" else pref
             rhs = m ** (-l / 2) * const * acc
@@ -622,9 +711,10 @@ def verify_sl2_closure(l, k, tol=1e-6, theta_tol=1e-10, arrows=SL2_ARROWS,
                 "arrows": [], "gram_rank": 1, "expected_gram_rank": 1}
 
     def sample(fam, pts):
+        # two lattice-sum calls: A_rho at every point, then the numerators
         sharp, twisted = _FAMILIES[fam]
-        return np.array([_eval_characters(lams, sharp, twisted, y, theta_tol)
-                         for y in pts])
+        return np.array(_eval_characters(lams, sharp, twisted, pts,
+                                         theta_tol))
 
     # 3*dim + 2 rows, so the Gram stack of the three families can reach
     # full column rank 3*dim
@@ -693,10 +783,11 @@ def _gaussian_sum(l, q, shift, lin, tol):
     radius = _shell_radius(l, math.pi * im_q, log_c, tol)
     # 2 pi i <lin, m> = 2 pi i <lin, m + shift> - 2 pi i <lin, shift>: the
     # complex shift is the kernel's offset, and the constant leaves the sum
-    sums = _row_sums(np.array([shift], complex), np.array([center]),
-                     radius + 1, 1j * math.pi * q, TWO_PI_I, lin)
+    value = _row_sums(np.array([shift], complex), np.array([center]),
+                      [radius + 1], [1j * math.pi * q], TWO_PI_I, [lin],
+                      _diagonal_products)[0, 0]
     pre = cmath.exp(-TWO_PI_I * sum(li * c for li, c in zip(lin, shift)))
-    return pre * _diagonal_product(sums)
+    return pre * complex(value)
 
 
 def poisson_args(rng, l):

@@ -74,9 +74,6 @@ class QSeries:
         return (self.rank == other.rank and self.apex == other.apex
                 and self.terms == other.terms)
 
-    def is_zero(self):
-        return not self.terms
-
     def weight_of(self, vec) -> Weight:
         return self.apex - from_root_coords(vec)
 
@@ -485,13 +482,22 @@ def qexpansion_json(a: QSeries) -> list:
 
 
 def diff_report(a: QSeries, b: QSeries) -> dict:
-    """Termwise difference; identifies the first mismatching q-degree."""
-    d = sub(a, b)
-    if d.is_zero():
+    """Termwise difference; identifies the first mismatching q-degree.  Over
+    one apex the two term dicts are compared directly, with the vectors sub
+    would keep; otherwise the difference is built by sub."""
+    if a.apex == b.apex:
+        _check_compatible(a, b)
+        ta, tb = a.terms, b.terms
+        diff = [] if ta == tb else [
+            v for v in ta.keys() | tb.keys()
+            if ta.get(v, 0) != tb.get(v, 0) and a._inside(v)]
+    else:
+        diff = sub(a, b).terms
+    if not diff:
         return {"equal": True, "mismatches": 0, "first_mismatch_q": None}
-    first = min(v[0] for v in d.terms)
+    first = min(v[0] for v in diff)
     return {
         "equal": False,
-        "mismatches": len(d.terms),
+        "mismatches": len(diff),
         "first_mismatch_q": first,
     }

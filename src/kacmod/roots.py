@@ -117,13 +117,14 @@ def finite_fundamental_weight(l, i):
 
 
 def rho_f(l, sharp="I"):
+    """rho_f^(sharp) on integer numerators: eps_i coefficients
+    (2(l - i) + 1)/2 in numeration I, and in II the sum of
+    (l - i + 1) eps_i^(II), eps_i^(II) = -eps_{l+1-i} + delta/2: eps_j
+    coefficient -j and delta coefficient l(l + 1)/4."""
     if sharp == "I":
-        return Weight(tuple(Fraction(2 * (l - i) + 1, 2)
-                            for i in range(1, l + 1)))
-    w = Weight.zero(l)
-    for i in range(1, l + 1):
-        w = w + Weight.eps_basis_II(l, i).scale(l - i + 1)
-    return w
+        return Weight.from_numerators((*range(2 * l - 1, 0, -2), 0, 0), 2)
+    return Weight.from_numerators(
+        (*range(-4, -4 * l - 1, -4), l * (l + 1), 0), 4)
 
 
 def fundamental_weight_I(l, j):
@@ -148,16 +149,19 @@ def fundamental_weights_II(l):
 def rho(l):
     """The sum of the fundamental weights Lambda_j^(I), canonical: rho_f^(I)
     at level 2l+1."""
-    return Weight(rho_f(l, "I").eps, Fraction(0), Fraction(2 * l + 1, 2))
+    return Weight.from_numerators((*range(2 * l - 1, 0, -2), 0, 2 * l + 1),
+                                  2)
 
 
 def from_dynkin_labels(l, m):
-    """sum m_j Lambda_j^(I) as a canonical weight; m has l+1 entries."""
+    """sum m_j Lambda_j^(I) as a canonical weight; m has l+1 entries.  Only
+    the nonzero labels' fundamental weights are built."""
     if len(m) != l + 1:
         raise ValueError(f"expected {l + 1} labels, got {len(m)}")
     w = Weight.zero(l)
-    for mj, fwj in zip(m, fundamental_weights_I(l)):
-        w = w + fwj.scale(mj)
+    for j, mj in enumerate(m):
+        if mj:
+            w = w + fundamental_weight_I(l, j).scale(mj)
     return w.canonical()
 
 

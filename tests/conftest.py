@@ -32,12 +32,20 @@ def lambda0_II(l):
     return Weight((Fraction(1, 2),) * l, -Fraction(l, 8), Fraction(1, 2))
 
 
+def eps_basis_II(l, i):
+    """eps_i^(II) = -eps_{l+1-i} + delta/2 in type-I storage, 1-based i."""
+    nums = [0] * (l + 2)
+    nums[l - i] = -2
+    nums[l] = 1
+    return Weight.from_numerators(nums, 2)
+
+
 def from_type_II_coords(l, eps2, delta2=0, lambda02=0):
     """The weight with the given coefficients on the type-II basis
     eps_i^(II), delta, Lambda0^(II)."""
     w = Weight.delta_weight(l).scale(delta2) + lambda0_II(l).scale(lambda02)
     for i, c in enumerate(eps2, start=1):
-        w = w + Weight.eps_basis_II(l, i).scale(c)
+        w = w + eps_basis_II(l, i).scale(c)
     return w
 
 

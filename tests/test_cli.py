@@ -390,6 +390,10 @@ PINNED_STDOUT = {
         "a794876566da92d077b9bb8af36098f47c3881aa5746bed035c47b1d8c7ac506",
     "verify sl2 --rank 1 --level 2":
         "14b56cb915c647393fe81b292aae59b4803a7dcd8484323d129f6ed393472488",
+    "verify sl2 --rank 2 --level 4":
+        "75f1062f9d21835896ad5fc00ad246f2b95246e7f145098dc2eebb5fb35ad381",
+    "verify sl2 --rank 3 --level 2":
+        "4b66bea375efe99b972bb6e2e3b1375efa1d66b64e9d42c64a09364b37eb4833",
     "verify poisson --rank 2":
         "07b0b1c077df02a08b186081b8400f465d76ed714a834c82b0078c3383036b3a",
     "verify sinprod":

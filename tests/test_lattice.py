@@ -10,8 +10,8 @@ from kacmod.lattice import (Weight, frac_to_str, inner, level, norm_sq,
                             phi_involution, weight_to_json)
 from kacmod.roots import rho
 
-from conftest import (from_type_II_coords, lambda0_II, small_fractions,
-                      weights)
+from conftest import (eps_basis_II, from_type_II_coords, lambda0_II,
+                      small_fractions, weights)
 
 H = Fraction(1, 2)
 
@@ -52,7 +52,7 @@ def test_type_II_basis_vectors():
     # eps_i^(II) = -eps_{l+1-i} + delta/2
     for l in (1, 2, 3):
         for i in range(1, l + 1):
-            e2 = Weight.eps_basis_II(l, i)
+            e2 = eps_basis_II(l, i)
             assert e2 == Weight.delta_weight(l).scale(H) - Weight.eps_basis(l, l + 1 - i)
     # Lambda0^(II) for l=1: Lambda0^(I)/2 + eps_1/2 - delta/8
     expect = Weight.lambda0_I(1).scale(H) + Weight.eps_basis(1, 1).scale(H) \
@@ -77,7 +77,7 @@ def test_type_II_coords_are_inner_products(w):
     # the eps^(II) basis is orthonormal and orthogonal to delta, Lambda0^(II)
     eps2, _, _ = w.to_type_II_coords()
     for i in range(1, 3):
-        assert inner(w, Weight.eps_basis_II(2, i)) == eps2[i - 1]
+        assert inner(w, eps_basis_II(2, i)) == eps2[i - 1]
 
 
 def test_project_finite_examples():
@@ -94,7 +94,7 @@ def test_project_finite_II_of_lambda0():
         proj = w.project_finite("II")
         oracle = Weight.zero(l)
         for i in range(1, l + 1):
-            e2 = Weight.eps_basis_II(l, i)
+            e2 = eps_basis_II(l, i)
             oracle = oracle + e2.scale(inner(w, e2))
         assert proj == oracle
         # explicitly: coefficient +1 on every eps_i^(II)
@@ -108,7 +108,7 @@ def test_project_finite_II_oracle(w):
     proj = w.project_finite("II")
     oracle = Weight.zero(2)
     for i in range(1, 3):
-        e2 = Weight.eps_basis_II(2, i)
+        e2 = eps_basis_II(2, i)
         oracle = oracle + e2.scale(inner(w, e2))
     assert proj == oracle
 

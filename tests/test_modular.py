@@ -22,7 +22,7 @@ from kacmod.modular import (ChartWeight, DegeneratePointError, YPoint,
 from kacmod.roots import enumerate_dominant, from_dynkin_labels, rho, rho_f
 from kacmod.weyl import enumerate_finite
 
-from conftest import lambda0_II
+from conftest import eps_basis_II, lambda0_II
 from test_characters import theta_formal
 from test_weyl import (enumerate_ker_psi_finite, finite_compose,
                        finite_reflection)
@@ -167,6 +167,33 @@ def _reference_smatrix_entry(kind, k, lam, mu):
     return total
 
 
+def _fraction_smatrix_rows(kind, k, lams, mus):
+    """_smatrix_rows with every coordinate a Fraction: the same integer
+    reduction over the lcm of the coordinates' own denominators, which any
+    common denominator leaves the same rational."""
+    l = lams[0].rank
+    m = k + 2 * l + 1
+    src, grp = modular._KINDS[kind]
+    rf = rho_f(l, src)
+    xr = modular._coords(rf if src == grp else phi_involution(rf), grp)
+    yr = modular._coords(rho_f(l, grp), grp)
+    c = [[Fraction(v + r) for v, r in zip(modular._coords(lam, grp), xr)]
+         for lam in lams]
+    g = [[Fraction(v + r) for v, r in zip(modular._coords(mu, grp), yr)]
+         for mu in mus]
+    den = math.lcm(*(v.denominator for row in (*c, *g) for v in row))
+    ci = [[int(v * den) for v in row] for row in c]
+    gi = [[int(v * den) for v in row] for row in g]
+    modulus = den * den * m
+    frac = np.array([[[[p * q % modulus / modulus for q in y] for p in x]
+                      for y in gi] for x in ci])
+    trig, (re, im) = ((np.cos, (1, 0)) if kind == "aI" else
+                      (np.sin, ((1, 0), (0, -1), (-1, 0), (0, 1))[l % 4]))
+    dets = 2 ** l * np.linalg.det(trig(2 * math.pi * frac))
+    return [[complex(re * v + 0.0, im * v + 0.0) for v in row]
+            for row in dets]
+
+
 def _smatrix_tables_close(got, want, l):
     """Whether two S-matrix tables agree entry by entry to within
     _both_roundings: an entry sums |W_f| = 2^l l! terms of modulus 1."""
@@ -299,7 +326,7 @@ def test_chart_weights_match_the_exact_basis():
     for sharp, lam0, basis in (
             ("I", Weight.lambda0_I(l).scale(Fraction(-1, 2)),
              Weight.eps_basis),
-            ("II", -lambda0_II(l), Weight.eps_basis_II)):
+            ("II", -lambda0_II(l), eps_basis_II)):
         # (exact basis weight, its coefficient at y) of the chart weight
         terms = [(lam0, y.tau)] + [(basis(l, i), y.z[i - 1])
                                    for i in range(1, l + 1)]
@@ -550,25 +577,116 @@ def _count_batches(monkeypatch):
 
 
 def test_sl2_closure_samples_each_family_once(monkeypatch):
-    # one batched call per family and point, each over the whole P_{2,+}:
-    # 3 families x 8 points and 6 arrows x 8 transformed points, with one
-    # A_rho evaluation each
+    # one batched call per sample, over the whole P_{2,+} and all 8 points:
+    # 3 families and 6 arrows' transformed points, with one A_rho call each
     batches, dens = _count_batches(monkeypatch)
     assert verify_sl2_closure(1, 2)["pass"]
-    assert len(batches) == 72 and len(dens) == 72
+    assert len(batches) == 9 and len(dens) == 9
     assert {b[0] for b in batches} == {tuple(enumerate_dominant(1, 2))}
 
 
 def test_psi_I_closure_samples_only_its_family(monkeypatch):
-    # the psi^(I) arrows only target psiI, which is sampled once: 8 calls
-    # for it and 2 arrows x 8 transformed points
+    # the psi^(I) arrows only target psiI, which is sampled once: one call
+    # for it and one for each of the 2 arrows' transformed points
     batches, dens = _count_batches(monkeypatch)
     rep = verify_sl2_closure(1, 2, arrows=modular.PSI_I_ARROWS,
                              include_gram=False)
     assert rep["pass"]
-    assert len(batches) == 24 and len(dens) == 24
+    assert len(batches) == 3 and len(dens) == 3
     assert {b[0] for b in batches} == {tuple(enumerate_dominant(1, 2))}
     assert {b[1:] for b in batches} == {("I", True)}
+
+
+@pytest.mark.parametrize("l,k", ((1, 2), (1, 4), (2, 2), (2, 4), (3, 2)))
+def test_batched_closure_samples_match_one_point_calls(l, k):
+    # a sample over all the closure's points is the one-point calls' values
+    # bit for bit: each point keeps its own box and summing length
+    lams = enumerate_dominant(l, k)
+    points = modular._closure_points(l, max(3 * len(lams) + 2, 8))
+    for sharp, twisted in modular._FAMILIES.values():
+        for act in (lambda y: y, s_point, t_point):
+            pts = [act(y) for y in points]
+            batch = modular._eval_characters(lams, sharp, twisted, pts, 1e-10)
+            one = [modular._eval_characters(lams, sharp, twisted, [y],
+                                            1e-10)[0] for y in pts]
+            assert batch == one, (sharp, twisted)
+
+
+@pytest.mark.parametrize("budget", (modular._ROW_BUDGET, 1))
+@pytest.mark.parametrize("l", (1, 2))
+def test_batched_points_of_many_box_sides_match_one_point_calls(
+        monkeypatch, l, budget):
+    # boxes of 5 to 47 points a side: at l = 1 numpy sums a row pairwise
+    # in blocks of 8, so a row padded past its point's own side would move
+    # in its last bit; at a budget of 1 each block is one row of one point,
+    # still summed over its point's side
+    rng = random.Random(20 + l)
+    pts = [YPoint(complex(rng.uniform(-0.5, 0.5), 0.5 * 0.04 ** (i / 15)),
+                  tuple(complex(rng.uniform(-0.5, 0.5),
+                                rng.uniform(-0.25, 0.25)) for _ in range(l)),
+                  rng.uniform(-0.2, 0.2))
+           for i in rng.sample(range(16), 16)]
+    for k in (0, 2, 4):
+        lams = enumerate_dominant(l, k)
+        for sharp in ("I", "II"):
+            for twisted in (False, True):
+                one = [modular._eval_anti_invariants(lams, sharp, twisted,
+                                                     [y], 1e-10)[0]
+                       for y in pts]
+                with monkeypatch.context() as m:
+                    m.setattr(modular, "_ROW_BUDGET", budget)
+                    batch = modular._eval_anti_invariants(
+                        lams, sharp, twisted, pts, 1e-10)
+                assert batch == one, (k, sharp, twisted)
+
+
+def test_closure_is_blind_to_the_block_budget(monkeypatch):
+    # one row per kernel block gives the same report as the default budget
+    want = [repr(modular.verify_sl2(l, k)) for l, k in ((1, 2), (2, 2))]
+    monkeypatch.setattr(modular, "_ROW_BUDGET", 1)
+    assert [repr(modular.verify_sl2(l, k)) for l, k in ((1, 2), (2, 2))] \
+        == want
+
+
+@pytest.mark.parametrize("budget", (modular._ROW_BUDGET, 2 ** 12))
+def test_row_sums_temporaries_stay_within_budget(monkeypatch, budget):
+    # every exp the kernel takes is one of its largest temporaries; at
+    # 2^12, below the 12,150 values of the widest one-point call, the
+    # blocks must split the points' rows
+    sizes = []
+    monkeypatch.setattr(modular, "_ROW_BUDGET", budget)
+
+    class CountingNumpy:
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+        @staticmethod
+        def exp(x, *args, **kwargs):
+            sizes.append(np.size(x))
+            return np.exp(x, *args, **kwargs)
+    monkeypatch.setattr(modular, "np", CountingNumpy())
+    assert modular.verify_sl2(3, 4)[0]
+    assert sizes and max(sizes) <= budget
+
+
+def test_degenerate_sample_refuses_its_first_point_before_numerators(
+        monkeypatch):
+    # A_rho vanishes on z = 0: the first such point of a sample is refused
+    # with its own tau, and no numerator of that sample is summed (the one
+    # kernel call is A_rho's, one row at each of the 3 points)
+    calls = []
+    row_sums = modular._row_sums
+
+    def recording(a, center, radius, *args, **kwargs):
+        calls.append((len(a), len(radius)))
+        return row_sums(a, center, radius, *args, **kwargs)
+    monkeypatch.setattr(modular, "_row_sums", recording)
+    good = sample_points(1, 1)[0]
+    pts = [good, YPoint(0.1 + 1j, (0.0,), 0.0), YPoint(0.2 + 1j, (0.0,), 0.0)]
+    with pytest.raises(DegeneratePointError, match=r"tau=\(0\.1\+1j\)"):
+        modular._eval_characters(enumerate_dominant(1, 2), "I", False, pts,
+                                 1e-10)
+    assert calls == [(1, 3)]
 
 
 # -- the batched kernels against the reference loops --------------------------
@@ -654,6 +772,21 @@ def test_smatrix_entry_matches_reference(l):
                                          l), kind
 
 
+@pytest.mark.parametrize("l,k", ((1, 2), (1, 4), (1, 6), (2, 2), (2, 4),
+                                 (2, 6), (3, 2), (3, 4), (4, 2)))
+def test_smatrix_rows_match_fraction_coordinates(l, k):
+    # the integer coordinates give the Fraction route's floats exactly, for
+    # rows lam and phi(lam) and for weights past int64
+    lams = enumerate_dominant(l, k)
+    firsts = lams + [phi_involution(lam) for lam in lams]
+    if l == 2:
+        firsts += [Weight((Fraction(2 ** 70 + 1, 3), Fraction(1, 2))),
+                   Weight((Fraction(1, 2 ** 30 + 1), Fraction(1, 2)))]
+    for kind in ("aI", "aI_II", "aII_I", "aII"):
+        assert modular._smatrix_rows(kind, k, firsts, lams) \
+            == _fraction_smatrix_rows(kind, k, firsts, lams), kind
+
+
 def test_smatrix_entries_against_mpmath():
     # every entry at k = 2, ranks 1-4, within the rounding of one float sum
     # of the |W_f| unit phases, against their W_f-sum at 50 digits (the
@@ -711,8 +844,8 @@ def test_eval_characters_match_reference(l):
                     want.append((num / den, (_rounding(abs_sum)
                                              + abs(num / den) * den_err)
                                  / abs(den)))
-                got = modular._eval_characters(lams, sharp, twisted, y,
-                                               1e-10)
+                (got,) = modular._eval_characters(lams, sharp, twisted, [y],
+                                                  1e-10)
                 assert all(abs(g - w) <= allow
                            for g, (w, allow) in zip(got, want, strict=True)), \
                     (k, sharp, twisted)

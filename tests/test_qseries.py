@@ -284,9 +284,9 @@ def test_mul_empty_and_out_of_cap_operands():
     l = 2
     one = QSeries.one(l, 4, None)
     empty = QSeries(l, Weight.zero(l), {}, 4, None)
-    assert qs.mul(one, one, empty).is_zero()
+    assert not qs.mul(one, one, empty).terms
     outside = QSeries(l, Weight.zero(l), {(2, 2, 1): 7}, 4, None)
-    assert qs.mul(outside, one).is_zero()
+    assert not qs.mul(outside, one).terms
 
 
 def test_monomial_multiplication():
@@ -604,3 +604,33 @@ def test_diff_report():
     rep = qs.diff_report(a, b)
     assert not rep["equal"] and rep["first_mismatch_q"] == 1
     assert qs.diff_report(a, a)["equal"]
+
+
+def _sub_report(a, b):
+    """diff_report through sub, term by term: the oracle of its one-apex
+    dict comparison."""
+    d = qs.sub(a, b).terms
+    return {"equal": not d, "mismatches": len(d),
+            "first_mismatch_q": min(v[0] for v in d) if d else None}
+
+
+def test_diff_report_on_a_perturbed_series():
+    # the denominator identity's two sides, one perturbed: a changed, a
+    # dropped and an added coefficient over the same apex, and the same
+    # series moved to another apex
+    from kacmod.characters import anti_invariant, denominator_product
+    anti = anti_invariant(Weight.zero(2), "I", False, 6, None)
+    prod = denominator_product(2, False, 6)
+    assert qs.diff_report(anti, prod) == _sub_report(anti, prod) \
+        == {"equal": True, "mismatches": 0, "first_mismatch_q": None}
+    terms = dict(prod.terms)
+    vecs = sorted(terms, key=lambda v: (v[0], v))
+    terms[vecs[-1]] += 3
+    del terms[vecs[len(vecs) // 2]]
+    terms[(2, 5, 0)] = -1 if (2, 5, 0) not in terms else terms[(2, 5, 0)] + 1
+    bent = QSeries(2, prod.apex, terms, *prod.caps())
+    rep = qs.diff_report(anti, bent)
+    assert rep == _sub_report(anti, bent) and rep["mismatches"] == 3
+    moved = prod.shift_apex_delta(1)
+    assert qs.diff_report(anti, moved) == _sub_report(anti, moved)
+    assert not qs.diff_report(anti, moved)["equal"]

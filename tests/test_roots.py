@@ -7,13 +7,14 @@ from hypothesis import given, settings
 
 from kacmod.lattice import Weight, inner, level, phi_involution
 from kacmod.roots import (RootSystemCtx, _label_vectors, dynkin_labels,
-                          enumerate_dominant, from_root_coords,
+                          enumerate_dominant, from_dynkin_labels,
+                          from_root_coords,
                           fundamental_weights_I,
                           fundamental_weights_II, labels, rho, rho_f,
                           root_coords, simple_roots_I, simple_roots_II,
                           positive_roots)
 
-from conftest import coroot, lambda0_II, weights
+from conftest import coroot, eps_basis_II, lambda0_II, weights
 
 
 # -- the root set by membership test: the oracle of positive_roots ------------
@@ -173,7 +174,7 @@ def test_rho():
         for fw in fundamental_weights_I(l):
             total = total + fw
         assert rho(l) == total.canonical()
-    for l in (1, 2, 3):
+    for l in range(1, 7):
         r = rho(l)
         assert level(r) == 2 * l + 1
         assert r.delta == 0
@@ -183,7 +184,7 @@ def test_rho():
         # rho_f^(II) = sum (l-i+1) eps_i^(II)
         expect = Weight.zero(l)
         for i in range(1, l + 1):
-            expect = expect + Weight.eps_basis_II(l, i).scale(l - i + 1)
+            expect = expect + eps_basis_II(l, i).scale(l - i + 1)
         assert rho_f(l, "II") == expect
 
 
@@ -226,6 +227,19 @@ def test_label_vectors_match_brute_force(l):
         assert _label_vectors(l, k) == _brute_label_vectors(l, k)
 
 
+@pytest.mark.parametrize("l", range(1, 7))
+def test_from_dynkin_labels_matches_the_full_sum(l):
+    # skipping the zero labels leaves the sum over all l + 1 scaled
+    # fundamental weights, at every level up to 6
+    fw = fundamental_weights_I(l)
+    for k in range(7):
+        for m in _brute_label_vectors(l, k):
+            w = Weight.zero(l)
+            for mj, fwj in zip(m, fw):
+                w = w + fwj.scale(mj)
+            assert from_dynkin_labels(l, m) == w.canonical(), m
+
+
 def test_label_vectors_at_rank_12_level_8():
     # 5^12 heads to try by brute force; C(16, 4) = 1820 to keep
     vecs = _label_vectors(12, 8)
@@ -250,7 +264,7 @@ def test_phi_examples():
             lambda0_II(l).scale(2)
         for i in range(1, l + 1):
             assert phi_involution(Weight.eps_basis(l, i)) == \
-                Weight.eps_basis_II(l, i)
+                eps_basis_II(l, i)
 
 
 @given(weights(3))

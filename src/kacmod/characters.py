@@ -203,7 +203,15 @@ class CharacterRequest:
 
 def character(req: CharacterRequest, height_cap=None) -> QSeries:
     """chi_Lambda = A_{Lambda+rho} / A_rho (twisted variants with A^psi),
-    by graded series division; the output apex is Lambda - c_Lambda delta."""
+    by graded series division; the output apex is Lambda - c_Lambda delta.
+
+    chi is invariant under W_f^(I), which contains -1.  With A_j the partial
+    sums of lambda's eps-coefficients, -1 sends the term at height vector
+    (n0, n_1..n_l) to (n0, 2A_j + 4 n0 - n_j), and a total height h to
+    2c(n0) - h about the centre c(n0) = n0 (2l+1) + sum_j A_j.  So the
+    division runs only up to the window top = min(height_cap, floor(c(q
+    cap))), and the terms above it are the mirrors of those below their
+    centre (`_reflect`)."""
     l = req.ctx.rank
     if height_cap is None:
         height_cap = default_height_cap(l, req.k, req.depth)
@@ -211,9 +219,44 @@ def character(req: CharacterRequest, height_cap=None) -> QSeries:
     # into int64 codes, the request is refused before any series is built
     check_rank(l)
     qs.division_radix(l, height_cap, req.depth)
-    num = anti_invariant(req.lam, req.sharp, req.twisted, req.depth, height_cap)
-    den = _denominator(l, req.sharp, req.twisted, req.depth, height_cap)
-    return qs.divide(num, den)
+    two_a = list(itertools.accumulate(_doubled_eps(req.lam, "lambda")))
+    top = min(height_cap, (req.depth * (4 * l + 2) + sum(two_a)) // 2)
+    num = anti_invariant(req.lam, req.sharp, req.twisted, req.depth, top)
+    full = _denominator(l, req.sharp, req.twisted, req.depth, height_cap)
+    den = QSeries(l, full.apex, {v: c for v, c in full.terms.items()
+                                 if sum(v) <= top}, top, req.depth)
+    return _reflect(qs.divide(num, den), two_a, height_cap)
+
+
+def _reflect(chi: QSeries, two_a, height_cap) -> QSeries:
+    """chi, divided up to its height cap top, extended to height_cap by the
+    -1 mirror v -> (v0, two_a[j] + 4 v0 - v_j) (see `character`).  Every
+    term whose mirror lies in the window must find it there with the same
+    coefficient; the terms come out by total height, then lexicographically,
+    as `qs.divide` gives them."""
+    l, top, terms = chi.rank, chi.height_cap, chi.terms
+    # per q-depth v0: the mirror is base - v, and its height 2c(v0) - h
+    s2 = sum(two_a)
+    bases = [((2 * v0, *[a + 4 * v0 for a in two_a]), v0 * (4 * l + 2) + s2)
+             for v0 in range(chi.q_cap + 1)]
+    above = {}
+    for vec, c in terms.items():
+        base, twice_centre = bases[vec[0]]
+        mirror = tuple(map(int.__sub__, base, vec))
+        height = twice_centre - sum(vec)
+        if height <= top:
+            # the quotient's keys are nonnegative, so a found mirror is too
+            if terms.get(mirror) != c:
+                raise AssertionError(f"term {vec} of coefficient {c} has no "
+                                     f"W_f mirror {mirror} in the quotient")
+        elif height <= height_cap:
+            if min(mirror) < 0:
+                raise AssertionError(f"W_f mirror {mirror} of term {vec} "
+                                     "outside the positive cone")
+            above[mirror] = c
+    for vec in sorted(above, key=lambda v: (sum(v), v)):
+        terms[vec] = above[vec]
+    return QSeries(l, chi.apex, terms, height_cap, chi.q_cap)
 
 
 @functools.lru_cache(maxsize=32)

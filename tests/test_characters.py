@@ -10,7 +10,7 @@ from kacmod.characters import (CharacterRequest, _accumulate_theta,
                                anti_invariant, character,
                                check_denominator_identity, conformal_anomaly,
                                default_height_cap, denominator_product,
-                               is_dominant)
+                               is_dominant, theta_height_bound)
 from kacmod.lattice import Weight, level, norm_sq
 from kacmod.qseries import QSeries
 from kacmod.roots import (RootSystemCtx, enumerate_dominant,
@@ -336,6 +336,90 @@ def test_character_builds_its_divisor_once(monkeypatch):
     assert cached == anti_invariant(Weight.zero(l), "I", True, 6,
                                     ch.height_cap)
     characters._denominator.cache_clear()
+
+
+# -- the W_f mirror: characters divided up to the window, reflected above it --
+
+def mirror_window(lam: Weight, depth, height_cap) -> int:
+    """floor(c(depth)), the largest -1 mirror centre c(n0) = n0 (2l+1) +
+    sum_j A_j (A_j the partial sums of lam's eps-coefficients) over the
+    q-slices, capped at height_cap."""
+    l = lam.rank
+    centre = depth * (2 * l + 1) + sum(itertools.accumulate(lam.eps))
+    return min(height_cap, math.floor(centre))
+
+
+def divided_at_full_cap(req: CharacterRequest, height_cap) -> QSeries:
+    """The character by one division at the full height cap."""
+    num = anti_invariant(req.lam, req.sharp, req.twisted, req.depth,
+                         height_cap)
+    den = characters._denominator(req.ctx.rank, req.sharp, req.twisted,
+                                  req.depth, height_cap)
+    return qs.divide(num, den)
+
+
+@pytest.mark.parametrize("l,k,depth", ((1, 2, 10), (1, 6, 8), (2, 2, 8),
+                                       (2, 4, 8), (3, 2, 7), (4, 2, 3)))
+def test_mirrored_character_matches_full_cap_division(monkeypatch, l, k,
+                                                      depth):
+    # caps: the default; 20, below the window; the one check_super_character
+    # passes; two past the window, so the cap cuts through the mirrored terms
+    divide, caps_divided = qs.divide, []
+
+    def recording(num, den):
+        caps_divided.append((num.caps(), den.caps()))
+        return divide(num, den)
+
+    monkeypatch.setattr(characters.qs, "divide", recording)
+    ctx = RootSystemCtx.build(l)
+    default = default_height_cap(l, k, depth)
+    mirrored = 0
+    for lam in enumerate_dominant(l, k):
+        caps = {default, 20, mirror_window(lam, depth, default) + 2,
+                theta_height_bound(l, k + 2 * l + 1, norm_sq(lam + rho(l)),
+                                   depth)}
+        for sharp, tw, hc in itertools.product(("I", "II"), (False, True),
+                                               sorted(caps)):
+            req = CharacterRequest(ctx, lam, k, sharp, tw, depth)
+            caps_divided.clear()
+            got = character(req, height_cap=hc)
+            # one division, up to the window only
+            top = mirror_window(lam, depth, hc)
+            assert caps_divided == [((top, depth), (top, depth))]
+            want = divided_at_full_cap(req, hc)
+            assert got.apex == want.apex and got.caps() == want.caps()
+            # the order counts too: by total height, then lexicographic
+            assert list(got.terms.items()) == list(want.terms.items()), \
+                (lam, sharp, tw, hc)
+            mirrored += any(sum(v) > top for v in got.terms)
+    assert mirrored
+
+
+@pytest.mark.parametrize("fault", ("coefficient", "missing", "cone"))
+def test_mirror_check_refuses_a_wrong_quotient(monkeypatch, fault):
+    # lam = 2 eps_1 + 2 eps_2 (A = 2, 4), depth 6, window c(6) = 36: the apex
+    # term's mirror (0, 4, 8) lies inside the window; an extra term (6, 29, 0)
+    # below the centre of its q-slice has the mirror (6, -1, 32) above it
+    divide = qs.divide
+
+    def faulty(num, den):
+        out = divide(num, den)
+        apex = (0,) * (num.rank + 1)
+        if fault == "coefficient":
+            out.terms[apex] += 1
+        elif fault == "missing":
+            del out.terms[apex]
+        else:
+            out.terms[(6, 29, 0)] = 1
+        return out
+
+    monkeypatch.setattr(characters.qs, "divide", faulty)
+    l = 2
+    lam = next(w for w in enumerate_dominant(l, 4) if w.eps == (2, 2))
+    assert mirror_window(lam, 6, default_height_cap(l, 4, 6)) == 36
+    with pytest.raises(AssertionError, match="mirror"):
+        character(CharacterRequest(RootSystemCtx.build(l), lam, 4, "I",
+                                   False, 6))
 
 
 def test_character_weyl_invariant_slices():

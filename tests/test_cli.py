@@ -371,6 +371,10 @@ PINNED_STDOUT = {
         "975bfdb0f5b7f12ae97579a858502d7d9a751369f5a02d4fdc91a1b9e2a2eb89",
     "char --rank 3 --labels 0,0,0,2 --depth 7 --json":
         "45c7730f60ae9378ce15de24e9ae06ed82b950a9c8dd2ee7cfebe3a5cf08e825",
+    "char --rank 3 --labels 0,0,0,2 --depth 7 --twisted --json":
+        "c426c851b17d8c6281acc06bd5e9cf6d7eb3c5b96cb8bcd54208a352a5683869",
+    "char --rank 2 --labels 0,0,4 --depth 8 --twisted --sharp II --json":
+        "a2121b6f1c72cfa86b017033b249cdf71efed3bf8ecc236b79bd221b11595d15",
     "check denominator --rank 2 --depth 10":
         "b38fd0606ecba176a41b8a8b3ef9d60a9ca8f624935a0f585b70c06a5edba771",
     "check denominator --rank 2 --depth 10 --twisted":

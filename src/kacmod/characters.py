@@ -74,8 +74,8 @@ def _accumulate_theta(out: QSeries, coset: Weight, m: int, sign: int,
     apex2 = _doubled_eps(out.apex, "apex")
     cos2 = _doubled_eps(coset, "coset")
     base_nsq = sum(a * a for a in apex2)  # 4 |apex_f|^2
-    qeff = out.q_cap if out.q_cap is not None else out.height_cap
-    r2 = base_nsq + 8 * m * qeff  # 4 (|apex|^2 + 2 m qeff)
+    hcap, qcap = out.height_cap, out.q_cap
+    r2 = base_nsq + 8 * m * qcap  # 4 (|apex|^2 + 2 m qcap)
     rad = math.isqrt(r2) + 1
     # the (nu_i, gamma_i) of each coordinate with nu_i^2 <= r2, in doubled
     # coordinates nu_i = c_i + 2 m gamma_i
@@ -85,7 +85,6 @@ def _accumulate_theta(out: QSeries, coset: Weight, m: int, sign: int,
         hi = math.floor((rad - c) / (2 * m))
         axes.append([(v, g) for g in range(lo, hi + 1)
                      if (v := c + 2 * m * g) * v <= r2])
-    hcap, qcap = out.height_cap, out.q_cap
     for point in itertools.product(*axes):
         num = sum(v * v for v, _ in point) - base_nsq
         if num < 0:
@@ -93,7 +92,7 @@ def _accumulate_theta(out: QSeries, coset: Weight, m: int, sign: int,
         x, rem = divmod(num, 8 * m)
         if rem:
             raise AssertionError("non-integral q-offset")
-        if qcap is not None and x > qcap:
+        if x > qcap:
             continue
         vec = [x]
         acc = 2 * x  # 2x + partial sums of (apex - nu)

@@ -4,13 +4,12 @@ A QSeries is a finite sum of integer multiples of e^w with all w inside the
 cone apex - Z_{>=0}.Pi, stored as a map from height vectors (n_0..n_l) to
 integer coefficients (term weight = apex - sum n_i alpha_i^(I)).
 
-Truncation: terms with total height > height_cap and/or n_0 > q_cap are
-discarded.  Both filtrations are multiplicative, so every operation is an
-exact computation in the corresponding quotient ring.  At least one cap must
-be set; the q cap alone suffices whenever all factors are polynomials (theta
-sums, denominator products), while the height cap is required for objects
-with infinite q-slices (geometric series along finite roots, graded
-division).
+Truncation: every series drops the terms with n_0 > q_cap, and, when it has
+a height cap, those with total height > height_cap.  Both filtrations are
+multiplicative, so every operation is exact in the quotient ring.  The q cap
+is required; the height cap is needed only where a q-slice is infinite
+(geometric series along finite roots, graded division).  As every n_i >= 0,
+n_0 <= total height, so caps (H, H) give the ring of a height cap H alone.
 
 `mul` is the one product kernel: it packs each distinct operand once into
 int64 codes on the one mixed radix `fold_radix` sizes per call (coordinate 0
@@ -30,7 +29,7 @@ re-multiplying runs two independent routes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -48,13 +47,13 @@ _CHUNK = 1 << 16        # candidate pairs formed per merge round
 class QSeries:
     rank: int
     apex: Weight
-    terms: dict = field(default_factory=dict)
-    height_cap: int | None = None
-    q_cap: int | None = None
+    terms: dict
+    height_cap: int | None
+    q_cap: int
 
     def __post_init__(self):
-        if self.height_cap is None and self.q_cap is None:
-            raise ValueError("at least one truncation cap must be set")
+        if self.q_cap is None:
+            raise ValueError("a series needs a q cap")
 
     # -- basics --------------------------------------------------------------
 
@@ -62,11 +61,8 @@ class QSeries:
         return (self.height_cap, self.q_cap)
 
     def _inside(self, vec):
-        if self.height_cap is not None and sum(vec) > self.height_cap:
-            return False
-        if self.q_cap is not None and vec[0] > self.q_cap:
-            return False
-        return True
+        return vec[0] <= self.q_cap and (self.height_cap is None
+                                         or sum(vec) <= self.height_cap)
 
     def __eq__(self, other):
         if not isinstance(other, QSeries):
@@ -98,13 +94,13 @@ class QSeries:
     # -- constructors ----------------------------------------------------------
 
     @staticmethod
-    def monomial(w: Weight, coeff=1, height_cap=None, q_cap=None) -> "QSeries":
+    def monomial(w: Weight, coeff, height_cap, q_cap) -> "QSeries":
         s = QSeries(w.rank, w, {}, height_cap, q_cap)
         s.add_term((0,) * (w.rank + 1), coeff)
         return s
 
     @staticmethod
-    def one(l, height_cap=None, q_cap=None) -> "QSeries":
+    def one(l, height_cap, q_cap) -> "QSeries":
         return QSeries.monomial(Weight.zero(l), 1, height_cap, q_cap)
 
 
@@ -192,11 +188,9 @@ def _as_arrays(s: QSeries) -> _Terms:
     if len(vals) and coords.min() < 0:
         raise ValueError("height vectors must be nonnegative")
     heights = coords.sum(1)
-    keep = coefs != 0
+    keep = (coefs != 0) & (coords[:, 0] <= s.q_cap)
     if s.height_cap is not None:
         keep &= heights <= s.height_cap
-    if s.q_cap is not None:
-        keep &= coords[:, 0] <= s.q_cap
     return _Terms(coords[keep], coefs[keep], heights[keep])
 
 
@@ -217,7 +211,7 @@ def fold_radix(arrays, height_cap, q_cap):
     """(span, strides) of the one radix of a fold of arrays (the factors'
     nonempty `_Terms`, repeats included) under the caps.  Coordinate j of a
     partial product is at most the least of the maxima summed, height_cap,
-    and under q_cap sum_f (f's largest c_j at q = 0) + the largest
+    and sum_f (f's largest c_j at q = 0) + the largest
     floor(q_cap c_j / q) at q > 0, as each factor gives a q = 0 term or one
     with c_j <= q times the largest ratio and the q's add up to at most q_cap.
     Python ints keep every bound exact; ValueError if the radix won't pack."""
@@ -226,13 +220,12 @@ def fold_radix(arrays, height_cap, q_cap):
     span = np.maximum.reduceat(coords, starts).sum(0, dtype=object)
     if height_cap is not None:
         span = np.minimum(span, height_cap)
-    if q_cap is not None:
-        moving = coords[:, 0] > 0
-        flat = np.maximum.reduceat(np.where(moving[:, None], 0, coords),
-                                   starts).sum(0, dtype=object)
-        ratio = coords[moving].astype(object)
-        span = np.minimum(span, flat + (q_cap * ratio
-                                        // ratio[:, :1]).max(0, initial=0))
+    moving = coords[:, 0] > 0
+    flat = np.maximum.reduceat(np.where(moving[:, None], 0, coords),
+                               starts).sum(0, dtype=object)
+    ratio = coords[moving].astype(object)
+    span = np.minimum(span, flat + (q_cap * ratio
+                                    // ratio[:, :1]).max(0, initial=0))
     strides = _strides(span)
     return span.astype(np.int64), strides
 
@@ -248,17 +241,15 @@ def _fold_step(codes, coefs, heights, f, height_cap, q_cap, q_stride):
     bound = int(np.abs(coefs).max()) * fsum
     dtype = np.int64 if bound < _EXACT_INT64 else object
     coefs, fcoefs = (c.astype(dtype, copy=False) for c in (coefs, fcoefs))
-    if q_cap is not None:
-        # q leads the code, so the rows with q room for fq form a prefix
-        room = np.searchsorted(codes, q_stride * (1 + np.minimum(
-            q_cap - fcodes // q_stride, codes[-1] // q_stride)))
+    # q leads the code, so the rows with q room for fq form a prefix
+    room = np.searchsorted(codes, q_stride * (1 + np.minimum(
+        q_cap - fcodes // q_stride, codes[-1] // q_stride)))
     out_codes = out_heights = np.zeros(0, dtype=np.int64)
     out_coefs = np.zeros(0, dtype=dtype)
     step = max(1, _CHUNK // len(codes))
     for lo in range(0, len(fcodes), step):
         rows = slice(lo, lo + step)
-        keep = (True if q_cap is None
-                else np.arange(len(codes)) < room[rows, None])
+        keep = np.arange(len(codes)) < room[rows, None]
         if height_cap is not None:
             pair_heights = fheights[rows, None] + heights
             keep = keep & (pair_heights <= height_cap)
@@ -351,9 +342,7 @@ def divide(num: QSeries, den: QSeries) -> QSeries:
         qcodes = np.concatenate([qcodes, codes])
         qv = np.concatenate([qv, coefs if d0 == 1 else -coefs])
         # coordinate 0 is the most significant, so a code's q is code // s_0
-        lroom = (np.zeros(len(codes), dtype=np.intp) if qcap is None
-                 else qcap - codes // strides[0])
-        room = np.concatenate([room, lroom])
+        room = np.concatenate([room, qcap - codes // strides[0]])
         bound += int(np.abs(coefs).max()) * dsum
         if len(qv) > _MAX_DIVISION_STEPS:
             raise ValueError("division does not terminate within "
@@ -370,8 +359,7 @@ def division_radix(rank, height_cap, q_cap):
     min(q_cap, height_cap).  Raises ValueError when it does not pack into
     int64."""
     span = np.full(rank + 1, height_cap, dtype=np.int64)
-    if q_cap is not None:
-        span[0] = min(q_cap, height_cap)
+    span[0] = min(q_cap, height_cap)
     return span, _strides(span)
 
 
@@ -394,10 +382,7 @@ def _levels(t: _Terms) -> _Levels:
 
 def _q_prefix(q, start, q_cap) -> np.ndarray:
     """pre[t, a]: the number of rows of level t (rows start[t]:start[t+1],
-    sorted by q <= q_cap) with q <= a, for a in 0..q_cap; with no q cap,
-    the one column a = 0 holds each whole level."""
-    if q_cap is None:
-        return np.diff(start)[:, None]
+    sorted by q <= q_cap) with q <= a, for a in 0..q_cap."""
     levels = np.arange(len(start) - 1)
     key = np.repeat(levels, np.diff(start)) * (q_cap + 1) + q
     grid = levels[:, None] * (q_cap + 1) + np.arange(q_cap + 1)
@@ -420,7 +405,7 @@ def _runs(lo, size):
             + np.repeat(lo - np.cumsum(size) + size, size))
 
 
-def binomial_factor(vec, sign=-1, height_cap=None, q_cap=None) -> QSeries:
+def binomial_factor(vec, sign, height_cap, q_cap) -> QSeries:
     """1 + sign * e^{-root} for a positive root with height vector vec."""
     vec = _height_vector(vec)
     s = QSeries.one(len(vec) - 1, height_cap, q_cap)
@@ -428,14 +413,14 @@ def binomial_factor(vec, sign=-1, height_cap=None, q_cap=None) -> QSeries:
     return s
 
 
-def geometric_factor(vec, height_cap=None, q_cap=None) -> QSeries:
+def geometric_factor(vec, height_cap, q_cap) -> QSeries:
     """(1 - e^{-root})^{-1} = sum_j e^{-j root}, truncated, for a nonzero
     positive root with height vector vec."""
     vec = _height_vector(vec)
     if not any(vec):
         raise ValueError("expected a nonzero height vector")
     l = len(vec) - 1
-    if height_cap is None and (q_cap is None or vec[0] == 0):
+    if height_cap is None and vec[0] == 0:
         raise ValueError("geometric series needs a height cap in this direction")
     s = QSeries.one(l, height_cap, q_cap)
     j = 1

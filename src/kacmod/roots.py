@@ -37,10 +37,10 @@ def simple_roots_II(l):
     return [si[l - i] for i in range(l + 1)]
 
 
-def positive_roots(l, q_cap=None, height_cap=None, super_=False):
+def positive_roots(l, q_cap, height_cap=None, super_=False):
     """Yield (height vector, multiplicity, parity) for the positive roots
-    with delta offset <= q_cap and total height <= height_cap, by increasing
-    offset n.
+    with delta offset <= q_cap and, with a height cap, total height
+    <= height_cap, by increasing offset n.
 
     At each n: the imaginary root n delta (multiplicity l, n >= 1); for each
     eps_i and sign s the short root n delta + s eps_i (odd) and the long root
@@ -48,7 +48,9 @@ def positive_roots(l, q_cap=None, height_cap=None, super_=False):
     the system B^(1)(0,l)); then the middle roots n delta + s eps_i + s' eps_j
     (i < j, even).  The root n delta + sum c_i eps_i has height vector
     (n, 2n + c_1, 2n + c_1 + c_2, ..), so each finite part c is kept as its
-    partial sums.  Without caps the generator does not end."""
+    partial sums."""
+    if q_cap is None:
+        raise ValueError("positive_roots needs a q cap")
     finite = []  # (partial sums of c, their minimum and sum, parity, long)
     for i in range(l):
         for s in (1, -1):
@@ -58,14 +60,12 @@ def positive_roots(l, q_cap=None, height_cap=None, super_=False):
         for si in (1, -1):
             for sj in (1, -1):
                 finite.append(_finite_part(l, {i: si, j: sj}, "even", False))
-    offsets = itertools.count()
+    top = q_cap
     if height_cap is not None:
         # the lowest root at offset n >= 1, n delta - 2 eps_1, has height
         # (2l+1) n - 2l
-        offsets = range((height_cap + 2 * l) // (2 * l + 1) + 1)
-    for n in offsets:
-        if q_cap is not None and n > q_cap:
-            return
+        top = min(q_cap, (height_cap + 2 * l) // (2 * l + 1))
+    for n in range(top + 1):
         d, base = 2 * n, (2 * l + 1) * n
         if n and (height_cap is None or base <= height_cap):
             yield (n,) + (d,) * l, l, "even"

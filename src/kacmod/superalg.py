@@ -179,9 +179,8 @@ def _psi_weyl_sum(l, base: Weight, height_cap, depth) -> QSeries:
     each is formed once, and every pair costs one u-action."""
     m = int(level(base))
     out = QSeries(l, base, {}, height_cap, depth)
-    qeff = depth if depth is not None else height_cap
     nsq = float(norm_sq(base.project_finite("I")))
-    rad = math.sqrt(nsq + 2 * m * qeff) + 1.0
+    rad = math.sqrt(nsq + 2 * m * depth) + 1.0
     ranges = []
     for c in base.eps:
         lo = math.ceil((-rad - float(c)) / m)

@@ -124,8 +124,7 @@ def _brute_orbit(out: QSeries, coset: Weight, m, sign, twisted):
     over every gamma in a box two shells wider on each side than the one
     _accumulate_theta walks."""
     l = out.rank
-    qeff = out.q_cap if out.q_cap is not None else out.height_cap
-    radius = math.sqrt(sum(e * e for e in out.apex.eps) + 2 * m * qeff)
+    radius = math.sqrt(sum(e * e for e in out.apex.eps) + 2 * m * out.q_cap)
     boxes = [range(math.floor((-radius - c) / m) - 2,
                    math.ceil((radius - c) / m) + 3) for c in coset.eps]
     got = QSeries(l, out.apex, {}, out.height_cap, out.q_cap)
@@ -147,6 +146,8 @@ def _brute_orbit(out: QSeries, coset: Weight, m, sign, twisted):
     (3, 2, None, 6),
 ))
 def test_theta_walk_matches_brute_force_orbit(l, k, q_cap, height_cap):
+    if q_cap is None:
+        q_cap = height_cap  # no q cap below H: caps (H, H), the ring of H
     m = k + 2 * l + 1
     base = (enumerate_dominant(l, k)[-1] + rho(l)).canonical()
     apex = base + Weight.delta_weight(l).scale(-norm_sq(base) / (2 * m))

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import kacmod
-from kacmod import characters, cli, suite, superalg
+from kacmod import characters, cli, modular, suite, superalg
 from kacmod import qseries as qs
 from kacmod.cli import main
 
@@ -193,6 +193,35 @@ def test_roots_and_weights_past_the_output_cap_refused_before_any_work(
     assert code == 0 and len(json.loads(out)["simple_roots_I"]) == 101
     code, out = run(capsys, "weights", "--rank", "12", "--level", "8")
     assert code == 0 and json.loads(out)["count"] == 1820
+
+
+def test_smatrix_past_the_phase_cap_refused_before_any_work(capsys,
+                                                           monkeypatch):
+    # rank 20, level 6: dim C(23, 3) = 1,771 and 1771^2 * 20^2 phases
+    def build(*args):
+        raise AssertionError("S-matrix built past the phase cap")
+
+    monkeypatch.setattr(modular, "_smatrix_rows", build)
+    monkeypatch.setattr(modular, "enumerate_dominant", build)
+    for level, count in (("6", "1254576400"),
+                         (str(10**9), f"more than {modular._SMATRIX_PHASES}")):
+        code = main(["smatrix", "--kind", "aI", "--rank", "20", "--level",
+                     level])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"has {count} phases" in captured.err
+    # rank 1, level 2 has 2^2 * 1^2 = 4 phases: refused under a cap of 3,
+    # answered under the real one
+    monkeypatch.undo()
+    monkeypatch.setattr(modular, "_SMATRIX_PHASES", 3)
+    assert main(["smatrix", "--kind", "aI", "--rank", "1", "--level", "2"]) \
+        == 2
+    assert "has 4 phases" in capsys.readouterr().err
+    monkeypatch.undo()
+    code, out = run(capsys, "smatrix", "--kind", "aI", "--rank", "1",
+                    "--level", "2", "--json")
+    assert code == 0 and len(json.loads(out)["entries"]) == 2
 
 
 def test_char_past_the_division_radix_refused_before_any_work(capsys,

@@ -556,6 +556,38 @@ def test_sl2_closure_full_gram_rank(l, k):
     assert rep["gram_sigma_ratio"] >= 1e-6
 
 
+# a wrong target family for every arrow: no S or T image lies in its span
+_WRONG_ARROWS = (("S", "I", "I"), ("T", "II", "II"), ("S", "II", "I"),
+                 ("T", "I", "psiII"), ("T", "psiI", "I"))
+
+
+@pytest.mark.parametrize("l", (1, 2))
+def test_sl2_closure_fails_on_wrong_arrows(l):
+    # negative control: the least-squares residuals that pass the true
+    # arrows at 1e-6 stay far above it on wrong ones (0.12-0.38 here)
+    rep = verify_sl2_closure(l, 2, arrows=_WRONG_ARROWS, include_gram=False)
+    assert rep["pass"] is False
+    assert len(rep["arrows"]) == len(_WRONG_ARROWS)
+    assert all(a["residual"] > 1e-2 and not a["pass"] for a in rep["arrows"])
+
+
+def test_sl2_closure_fails_on_a_dependent_gram_column(monkeypatch):
+    # negative control: at (1, 4), dim 3, the type-I family's third column
+    # replaced by the sum of the other two drops the Gram rank below 3 dim
+    chars = modular._eval_characters
+
+    def dependent(lams, sharp, twisted, *args):
+        rows = chars(lams, sharp, twisted, *args)
+        if (sharp, twisted) == ("I", False):
+            rows = [[a, b, a + b] for a, b, _ in rows]
+        return rows
+    monkeypatch.setattr(modular, "_eval_characters", dependent)
+    rep = verify_sl2_closure(1, 4)
+    assert rep["expected_gram_rank"] == 9
+    assert rep["gram_rank"] < rep["expected_gram_rank"]
+    assert rep["pass"] is False
+
+
 def _count_batches(monkeypatch):
     """Record (weights, sharp, twisted) of every _eval_characters call, and
     every A_rho evaluation: an _eval_anti_invariants call on the zero

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 import kacmod.qseries as qs
 from kacmod.lattice import Weight
 from kacmod.qseries import QSeries
-from kacmod.roots import from_dynkin_labels, rho, simple_roots_I
+from kacmod.roots import (from_dynkin_labels, positive_roots, rho,
+                          simple_roots_I)
 
-CAPS = dict(height_cap=8, q_cap=None)
+CAPS = dict(height_cap=8, q_cap=8)
 
 
 def simple(l, i):
@@ -22,7 +23,7 @@ def simples(l):
     return [simple(l, i) for i in range(l + 1)]
 
 
-def sparse_series(l=2, height_cap=8, q_cap=None):
+def sparse_series(l=2, height_cap=8, q_cap=8):
     """Random sparse series; apexes lie in the root lattice so that sums of
     any two are defined."""
     vec = st.tuples(*([st.integers(0, 3)] * (l + 1)))
@@ -55,7 +56,7 @@ def _reference_mul(a: QSeries, b: QSeries) -> QSeries:
         s0 = svec[0]
         sh = sum(svec)
         for bvec, bc in big.terms.items():
-            if qcap is not None and bvec[0] + s0 > qcap:
+            if bvec[0] + s0 > qcap:
                 continue
             if hcap is not None and sum(bvec) + sh > hcap:
                 continue
@@ -106,7 +107,7 @@ def _reference_divide(num: QSeries, den: QSeries) -> QSeries:
         for dvec, dh, dc in den_rest:
             if hcap is not None and d + dh > hcap:
                 continue
-            if qcap is not None and q0 + dvec[0] > qcap:
+            if q0 + dvec[0] > qcap:
                 continue
             key = tuple(x + y for x, y in zip(vec, dvec))
             old = rem.get(key)
@@ -124,8 +125,9 @@ def _reference_divide(num: QSeries, den: QSeries) -> QSeries:
     return out
 
 
-# (height_cap, q_cap): height cap only, q cap only, both
-CAP_PAIRS = [(8, None), (None, 3), (8, 3)]
+# (height_cap, q_cap): caps (8, 8) are the ring of height cap 8 alone (every
+# n_0 <= total height), then the q cap only, then both
+CAP_PAIRS = [(8, 8), (None, 3), (8, 3)]
 SMALL = st.integers(-4, 4)
 # magnitudes around 2^62, where the kernel leaves int64 for Python ints
 HUGE = st.integers(2**62 - 4, 2**62 + 4) | st.integers(-2**70, 2**70)
@@ -172,9 +174,9 @@ def test_mul_large_operands():
     # operands of ~10^3 terms: more candidate pairs than one chunk holds
     l = 2
     alphas = simples(l)
-    a = qs.mul(*[qs.geometric_factor(x, 16, None) for x in alphas])
-    b = qs.mul(qs.binomial_factor((1, 1, 0), 1, 16, None),
-               *[qs.geometric_factor(x, 16, None) for x in alphas[1:]])
+    a = qs.mul(*[qs.geometric_factor(x, 16, 16) for x in alphas])
+    b = qs.mul(qs.binomial_factor((1, 1, 0), 1, 16, 16),
+               *[qs.geometric_factor(x, 16, 16) for x in alphas[1:]])
     b = qs.mul(b, b)
     assert len(a.terms) * len(b.terms) > qs._CHUNK
     assert qs.mul(a, b) == _reference_mul(a, b)
@@ -200,9 +202,9 @@ def test_mul_coefficients_near_two_to_62():
     l = 1
     alpha = simple(l, 1)
     for big in (2**60 - 1, 2**62 - 1, 2**62, 2**63 + 5, -(2**90)):
-        a = qs.binomial_factor(alpha, -1, 6, None)
+        a = qs.binomial_factor(alpha, -1, 6, 6)
         a.terms[(0, 0)] = big
-        b = qs.binomial_factor(alpha, 3, 6, None)
+        b = qs.binomial_factor(alpha, 3, 6, 6)
         prod = qs.mul(a, b, b)
         assert prod == _reference_mul(_reference_mul(a, b), b)
         assert all(type(c) is int for c in prod.terms.values())
@@ -247,7 +249,7 @@ def test_mul_packs_a_fold_past_the_summed_bound_on_one_radix(monkeypatch):
 @given(series_pairs(n=4), st.sampled_from(CAP_PAIRS))
 @settings(max_examples=100, deadline=None)
 def test_fold_radix_bounds_every_partial_product(series, caps):
-    # under both caps, the q cap only and the height cap only
+    # under both caps, the q cap only and the height cap alone as (8, 8)
     series = [QSeries(s.rank, s.apex, dict(s.terms), *caps) for s in series]
     arrays = [qs._as_arrays(s) for s in series]
     # mul returns 0 before it sizes a radix when a factor has no term
@@ -282,10 +284,10 @@ def test_each_mul_sizes_one_radix(monkeypatch):
 
 def test_mul_empty_and_out_of_cap_operands():
     l = 2
-    one = QSeries.one(l, 4, None)
-    empty = QSeries(l, Weight.zero(l), {}, 4, None)
+    one = QSeries.one(l, 4, 4)
+    empty = QSeries(l, Weight.zero(l), {}, 4, 4)
     assert not qs.mul(one, one, empty).terms
-    outside = QSeries(l, Weight.zero(l), {(2, 2, 1): 7}, 4, None)
+    outside = QSeries(l, Weight.zero(l), {(2, 2, 1): 7}, 4, 4)
     assert not qs.mul(outside, one).terms
 
 
@@ -306,9 +308,25 @@ def test_one_is_neutral(a):
 def test_geometric_series_inverts_binomial():
     l = 1
     alpha = simple(l, 1)
-    b = qs.binomial_factor(alpha, -1, 12, None)
-    g = qs.geometric_factor(alpha, 12, None)
-    assert qs.mul(b, g) == QSeries.one(l, 12, None)
+    b = qs.binomial_factor(alpha, -1, 12, 12)
+    g = qs.geometric_factor(alpha, 12, 12)
+    assert qs.mul(b, g) == QSeries.one(l, 12, 12)
+
+
+def test_every_series_refuses_a_missing_q_cap():
+    # a height cap H alone is the ring of caps (H, H): no series omits q_cap
+    from kacmod.characters import anti_invariant
+    alpha = simple(2, 0)
+    for build in (lambda: QSeries(2, Weight.zero(2), {}, 8, None),
+                  lambda: QSeries.one(2, 8, None),
+                  lambda: QSeries.monomial(rho(2), 1, 8, None),
+                  lambda: qs.binomial_factor(alpha, -1, 8, None),
+                  lambda: qs.geometric_factor(alpha, 8, None),
+                  lambda: list(positive_roots(2, None, 8)),
+                  lambda: anti_invariant(Weight.zero(2), "I", False, None,
+                                         40)):
+        with pytest.raises(ValueError, match="q cap"):
+            build()
 
 
 @given(sparse_series(), sparse_series(), sparse_series())
@@ -343,12 +361,12 @@ def test_truncation_is_multiplicative(a, b):
 def test_invert_examples():
     l = 1
     alpha = simple(l, 1)
-    one = QSeries.one(l, 9, None)
-    inv = qs.divide(one, qs.binomial_factor(alpha, -1, 9, None))
-    assert inv == qs.geometric_factor(alpha, 9, None)
+    one = QSeries.one(l, 9, 9)
+    inv = qs.divide(one, qs.binomial_factor(alpha, -1, 9, 9))
+    assert inv == qs.geometric_factor(alpha, 9, 9)
     r = rho(l)
-    inv_mono = qs.divide(one, QSeries.monomial(r, 1, 9, None))
-    assert inv_mono == QSeries.monomial(-r, 1, 9, None)
+    inv_mono = qs.divide(one, QSeries.monomial(r, 1, 9, 9))
+    assert inv_mono == QSeries.monomial(-r, 1, 9, 9)
 
 
 @given(sparse_series())
@@ -361,10 +379,10 @@ def test_invert_round_trip(a):
 
 def test_invert_requires_unit():
     l = 1
-    s = qs.binomial_factor(simple(l, 1), -1, 6, None)
+    s = qs.binomial_factor(simple(l, 1), -1, 6, 6)
     s.terms[(0, 0)] = 2
     with pytest.raises(ValueError):
-        qs.divide(QSeries.one(l, 6, None), s)
+        qs.divide(QSeries.one(l, 6, 6), s)
 
 
 # the level-by-level division kernel against the dict-and-heap oracle
@@ -374,7 +392,7 @@ def _unit_lead(s: QSeries, sign) -> QSeries:
     return s
 
 
-@given(st.sampled_from([(8, None), (8, 3)]).flatmap(
+@given(st.sampled_from([(8, 8), (8, 3)]).flatmap(
     lambda caps: st.tuples(sparse_series(2, *caps), sparse_series(2, *caps))),
     st.sampled_from([1, -1]))
 @settings(max_examples=150, deadline=None)
@@ -440,8 +458,8 @@ def test_divide_caps_its_steps(monkeypatch):
     # 10 quotient terms under a height cap of 9
     monkeypatch.setattr(qs, "_MAX_DIVISION_STEPS", 5)
     with pytest.raises(ValueError, match="does not terminate"):
-        qs.divide(QSeries.one(l, 9, None),
-                  qs.binomial_factor(alpha, -1, 9, None))
+        qs.divide(QSeries.one(l, 9, 9),
+                  qs.binomial_factor(alpha, -1, 9, 9))
     # with a q cap alone the division is refused before any level is formed
     def refuse(*args):
         raise AssertionError("divide formed a level")
@@ -455,10 +473,10 @@ def test_divide_caps_its_steps(monkeypatch):
 def test_divide_rejects_codes_wider_than_int64():
     # ten coordinates of one level at 100 each need more than 62 bits
     l = 9
-    num = QSeries(l, Weight.zero(l), {}, 100, None)
+    num = QSeries(l, Weight.zero(l), {}, 100, 100)
     for j in range(l + 1):
         num.add_term(tuple(100 * (i == j) for i in range(l + 1)), 1)
-    den = qs.binomial_factor(simple(l, 1), -1, 100, None)
+    den = qs.binomial_factor(simple(l, 1), -1, 100, 100)
     with pytest.raises(ValueError, match="int64"):
         qs.divide(num, den)
 
@@ -484,7 +502,7 @@ def test_divide_packs_once_on_the_radix_of_its_caps(monkeypatch):
     l = 2
     alphas = simples(l)
     cases = []
-    for caps in ((8, 3), (8, None), (5, 9)):
+    for caps in ((8, 3), (8, 8), (5, 9)):
         num = qs.mul(*[qs.binomial_factor(x, -1, *caps) for x in alphas])
         den = qs.binomial_factor(alphas[1], 1, *caps)
         cases.append((num, den, qs.division_radix(l, *caps)[0].tolist(),
@@ -507,8 +525,8 @@ def test_divide_stops_after_the_last_level_den_can_reach(monkeypatch):
     monkeypatch.setattr(qs, "_block_pairs",
                         lambda *args: levels.append(1) or block_pairs(*args))
     num = QSeries(1, Weight.zero(1), {(0, 1): 1, (2, 1): -3, (1, 4): 2},
-                  10**6, None)
-    den = QSeries.one(1, 10**6, None)
+                  10**6, 10**6)
+    den = QSeries.one(1, 10**6, 10**6)
     assert qs.divide(num, den) == num
     n_top, d_top = 5, 0
     assert len(levels) <= n_top + d_top + 1
@@ -522,29 +540,26 @@ def _q_sorted_levels(draw, count, q_max):
     return np.array(sum(levels, []), dtype=np.int64), start
 
 
-@given(st.data(), st.sampled_from([None, 0, 1, 2, 4]))
+@given(st.data(), st.sampled_from([0, 1, 2, 4]))
 @settings(max_examples=200, deadline=None)
 def test_block_pairs_are_the_pairs_inside_the_q_cap(data, q_cap):
     # divide's runs against every pair of the blocks, cut to the q cap
-    q_max = 4 if q_cap is None else q_cap
     dq, dstart = _q_sorted_levels(data.draw, data.draw(st.integers(1, 4)),
-                                  q_max)
+                                  q_cap)
     qq, qstart = _q_sorted_levels(data.draw, data.draw(st.integers(1, 4)),
-                                  q_max)
+                                  q_cap)
     blocks = data.draw(st.lists(st.tuples(
         st.integers(0, len(qstart) - 2), st.integers(0, len(dstart) - 2)),
         max_size=5))
     s = np.array([b[0] for b in blocks], dtype=np.intp)
     t = np.array([b[1] for b in blocks], dtype=np.intp)
     pre = qs._q_prefix(dq, dstart, q_cap)
-    room = (np.zeros(len(qq), dtype=np.intp) if q_cap is None
-            else q_cap - qq)
     i, k = qs._block_pairs(qstart[s], qstart[s + 1] - qstart[s], t, dstart,
-                           pre, room)
+                           pre, q_cap - qq)
     want = [(a, b) for sb, tb in blocks
             for a in range(qstart[sb], qstart[sb + 1])
             for b in range(dstart[tb], dstart[tb + 1])
-            if q_cap is None or qq[a] + dq[b] <= q_cap]
+            if qq[a] + dq[b] <= q_cap]
     assert list(zip(i.tolist(), k.tolist())) == want
 
 
@@ -574,8 +589,8 @@ def test_delta_expansion():
     exp = qs.delta_expansion(mono)
     assert exp == {Fraction(0): [(lam, 1)]}
     # slice totals add up to the full term count
-    s = qs.mul(qs.binomial_factor(simple(l, 0), -1, 8, None),
-               qs.geometric_factor(simple(l, 1), 8, None))
+    s = qs.mul(qs.binomial_factor(simple(l, 0), -1, 8, 8),
+               qs.geometric_factor(simple(l, 1), 8, 8))
     exp = qs.delta_expansion(s)
     assert sum(len(v) for v in exp.values()) == len(s.terms)
 
@@ -599,8 +614,8 @@ def test_weyl_polynomial_constant_slice():
 
 def test_diff_report():
     l = 1
-    a = QSeries.one(l, 6, None)
-    b = qs.binomial_factor(simple(l, 0), -1, 6, None)
+    a = QSeries.one(l, 6, 6)
+    b = qs.binomial_factor(simple(l, 0), -1, 6, 6)
     rep = qs.diff_report(a, b)
     assert not rep["equal"] and rep["first_mismatch_q"] == 1
     assert qs.diff_report(a, a)["equal"]

@@ -110,7 +110,7 @@ def test_root_set_weyl_stable_small_height():
 
     for l in (1, 2):
         roots = [from_root_coords(vec) for vec, _, _
-                 in positive_roots(l, height_cap=3)]
+                 in positive_roots(l, 3, 3)]
         roots = [w for w in roots if any(w.eps)]
         assert roots
         refs = [reflection(l, a) for a in simple_roots_I(l)]
@@ -304,7 +304,7 @@ def _root_oracle(l, q_cap, height_cap, super_):
     the roots `classify` accepts, plus the long roots +-2 eps_i + (even)
     delta of the super system.  Heights come from root_coords and are
     checked against the simple roots."""
-    nmax = min(c for c in (q_cap, height_cap) if c is not None)
+    nmax = q_cap if height_cap is None else min(q_cap, height_cap)
     si = simple_roots_I(l)
     out = set()
     for n in range(nmax + 1):
@@ -334,6 +334,8 @@ def _root_oracle(l, q_cap, height_cap, super_):
                           (12, None), (5, None)))
 @pytest.mark.parametrize("super_", (False, True))
 def test_positive_roots_against_scan(l, q_cap, height_cap, super_):
+    if q_cap is None:
+        q_cap = height_cap  # no q cap below H: caps (H, H), the same roots
     got = list(positive_roots(l, q_cap, height_cap, super_))
     assert all(type(n) is int for vec, _, _ in got for n in vec)
     assert len(set(got)) == len(got)

@@ -264,7 +264,7 @@ def test_enumeration_counts():
 def test_psi_factors_through_root_lattice_parity():
     # psi(s_beta) = (-1)^(alpha_l coefficient of beta) for real roots
     for l in (1, 2):
-        for vec, mult, _ in positive_roots(l, height_cap=3):
+        for vec, mult, _ in positive_roots(l, 3, 3):
             beta = from_root_coords(vec)
             if classify(beta).length_class == "imaginary":
                 continue

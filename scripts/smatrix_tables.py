@@ -10,7 +10,7 @@ import argparse
 import sys
 
 from kacmod.lattice import phi_involution
-from kacmod.modular import smatrix, smatrix_entry
+from kacmod.modular import _smatrix_rows, smatrix
 from kacmod.roots import enumerate_dominant
 
 
@@ -23,13 +23,14 @@ def print_tables(l, k):
         for row in sm.entries:
             print("  " + "  ".join(f"{e.real:+.6f}{e.imag:+.6f}i" for e in row))
 
+    # lhs[a][b] = aI_II(phi lam_a, lam_b) against rhs[b][a] =
+    # aII_I(phi lam_b, lam_a): two tables over the phi-images, one call each
     lams = enumerate_dominant(l, k)
-    worst = 0.0
-    for lam in lams:
-        for mu in lams:
-            lhs = smatrix_entry("aI_II", k, phi_involution(lam), mu)
-            rhs = smatrix_entry("aII_I", k, phi_involution(mu), lam)
-            worst = max(worst, abs(lhs - rhs))
+    phis = [phi_involution(lam) for lam in lams]
+    lhs = _smatrix_rows("aI_II", k, phis, lams)
+    rhs = _smatrix_rows("aII_I", k, phis, lams)
+    worst = max(abs(lhs[a][b] - rhs[b][a])
+                for a in range(len(lams)) for b in range(len(lams)))
     print(f"\nmixed-kind symmetry residual: {worst:.3e}")
 
 

@@ -7,11 +7,12 @@ orbit has the normal form
     sum_{nu in coset + m Z^l} (sign) e^{nu + (m/2) Lambda0 - (|nu|^2/2m) delta},
 
 independent of the delta representative of its weight.  The anti-invariants
-sum such orbits over the finite Weyl group of either numeration in one signed
-loop: epsilon(u), times psi(u) = (-1)^{#negative signs} in the twisted type-I
-sum.  W_f^(II) lies in Ker psi, so the type-II route carries plain epsilon
-signs; it runs through the type-II signed-permutation action and provides an
-independent grouping of the same W-sum.
+sum such orbits over W_f^(I) in one signed loop: epsilon(u), times psi(u) =
+(-1)^{#negative signs} in the twisted sum.  The two numerations split W as
+W_f ltimes t(M) in two ways, but A_{lam+rho} and A^psi_{lam+rho} are the same
+formal series in both (W_f^(II) lies in Ker psi, and its plain-epsilon
+grouping gives the same sum), so a numeration only picks the chart `modular`
+evaluates in.
 """
 
 from __future__ import annotations
@@ -116,31 +117,41 @@ def _accumulate_theta(out: QSeries, coset: Weight, m: int, sign: int,
 # Anti-invariants
 # ---------------------------------------------------------------------------
 
+def _integrable_level(lam: Weight) -> int:
+    """The level k of lam, which must be dominant of even level: the weights
+    of the integrable modules whose (super-)characters are built here.  A
+    dominant weight has the level 2 m_0 + 2 (m_1 + .. + m_{l-1}) + m_l >= 0
+    in its Dynkin labels m_i, so k is even iff m_l is.  Raises ValueError
+    otherwise."""
+    if not is_dominant(lam):
+        raise ValueError("lambda is not dominant")
+    k = int(level(lam))
+    if k % 2:
+        raise ValueError("dominant weight of even nonnegative level required, "
+                         f"got level {k}")
+    return k
+
+
 def anti_invariant(lam: Weight, sharp="I", twisted=False, depth=8,
                    height_cap=None) -> QSeries:
     """A_{lam+rho} (twisted: A^psi_{lam+rho}) as a truncated series.
 
     lam must be dominant of even level k >= 0; the apex is
-    (lam + rho) - (|lam+rho|^2 / 2(k+2l+1)) delta with coefficient 1."""
+    (lam + rho) - (|lam+rho|^2 / 2(k+2l+1)) delta with coefficient 1.  The
+    series is the same in both numerations: sharp is validated, and selects
+    only the chart `modular` evaluates in."""
     if sharp not in ("I", "II"):
         raise ValueError(f"sharp must be 'I' or 'II', got {sharp!r}")
     lam = lam.canonical()
     l = lam.rank
-    k = level(lam)
-    if Fraction(k).denominator != 1 or k < 0 or int(k) % 2 != 0:
-        raise ValueError(f"dominant weight of even nonnegative level required, got level {k}")
-    if not is_dominant(lam):
-        raise ValueError("lambda is not dominant")
-    m = int(k) + 2 * l + 1
+    m = _integrable_level(lam) + 2 * l + 1
     base = (lam + rho(l)).canonical()
     apex = base + Weight.delta_weight(l).scale(-norm_sq(base) / (2 * m))
     out = QSeries(l, apex, {}, height_cap, depth)
-
-    # psi(u) = (-1)^{#negative signs} on W_f^(I); W_f^(II) lies in Ker psi
-    use_psi = twisted and sharp == "I"
+    # psi(u) = (-1)^{#negative signs} on W_f^(I)
     for u in enumerate_finite(l):
-        sgn = u.det() * (-1) ** u.neg_count() if use_psi else u.det()
-        _accumulate_theta(out, u.act(base, sharp), m, sgn, twisted)
+        sgn = u.det() * (-1) ** u.neg_count() if twisted else u.det()
+        _accumulate_theta(out, u.act(base), m, sgn, twisted)
     return out
 
 
@@ -181,6 +192,9 @@ def conformal_anomaly(Lambda: Weight) -> Fraction:
 
 @dataclass
 class CharacterRequest:
+    """A normalized character to build.  sharp is recorded, and validated by
+    `anti_invariant`; the series is the same in both numerations."""
+
     ctx: RootSystemCtx
     lam: Weight
     k: int
@@ -194,10 +208,7 @@ class CharacterRequest:
             raise ValueError("rank mismatch between lambda and context")
         if level(self.lam) != self.k:
             raise ValueError(f"level(lambda) = {level(self.lam)} != k = {self.k}")
-        if self.k % 2 != 0 or self.k < 0:
-            raise ValueError("even nonnegative level required")
-        if not is_dominant(self.lam):
-            raise ValueError("lambda is not dominant")
+        _integrable_level(self.lam)
 
 
 def character(req: CharacterRequest, height_cap=None) -> QSeries:
@@ -221,7 +232,7 @@ def character(req: CharacterRequest, height_cap=None) -> QSeries:
     two_a = list(itertools.accumulate(_doubled_eps(req.lam, "lambda")))
     top = min(height_cap, (req.depth * (4 * l + 2) + sum(two_a)) // 2)
     num = anti_invariant(req.lam, req.sharp, req.twisted, req.depth, top)
-    full = _denominator(l, req.sharp, req.twisted, req.depth, height_cap)
+    full = _denominator(l, req.twisted, req.depth, height_cap)
     den = QSeries(l, full.apex, {v: c for v, c in full.terms.items()
                                  if sum(v) <= top}, top, req.depth)
     return _reflect(qs.divide(num, den), two_a, height_cap)
@@ -259,11 +270,11 @@ def _reflect(chi: QSeries, two_a, height_cap) -> QSeries:
 
 
 @functools.lru_cache(maxsize=32)
-def _denominator(l, sharp, twisted, depth, height_cap) -> QSeries:
+def _denominator(l, twisted, depth, height_cap) -> QSeries:
     """A_rho (A^psi_rho when twisted), the divisor of every character with
-    these parameters, built once; qs.divide only reads it, and it is never
-    handed to a caller."""
-    return anti_invariant(Weight.zero(l), sharp, twisted, depth, height_cap)
+    these parameters in either numeration, built once; qs.divide only reads
+    it, and it is never handed to a caller."""
+    return anti_invariant(Weight.zero(l), "I", twisted, depth, height_cap)
 
 
 def check_denominator_identity(l, depth=10, twisted=False) -> dict:

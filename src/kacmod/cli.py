@@ -381,7 +381,9 @@ def build_parser():
                    help="comma-separated Dynkin labels m0,...,ml")
     q.add_argument("--depth", type=int, default=8)
     q.add_argument("--twisted", action="store_true")
-    q.add_argument("--sharp", choices=("I", "II"), default="I")
+    q.add_argument("--sharp", choices=("I", "II"), default="I",
+                   help="numeration, only recorded: the series is the same "
+                        "in both")
     q.add_argument("--json", action="store_true")
     q.set_defaults(fn=cmd_char)
 

@@ -36,7 +36,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .lattice import Weight, frac_to_str, weight_to_json
-from .roots import from_root_coords, root_coords
+from .roots import from_root_coords
 
 _MAX_DIVISION_STEPS = 2_000_000
 _EXACT_INT64 = 1 << 62  # int64 coefficients and codes stay below this
@@ -111,35 +111,21 @@ def _check_compatible(a: QSeries, b: QSeries):
         raise ValueError(f"truncation mismatch: {a.caps()} vs {b.caps()}")
 
 
-def _apex_offset(a: QSeries, b: QSeries):
-    off = root_coords(a.apex - b.apex)
-    if off is None:
-        raise ValueError("apex difference is not in the root lattice")
-    return off
+def _check_one_apex(a: QSeries, b: QSeries):
+    _check_compatible(a, b)
+    if a.apex != b.apex:
+        raise ValueError(f"apex mismatch: {a.apex} vs {b.apex}")
 
 
 def add(a: QSeries, b: QSeries) -> QSeries:
-    """Sum over the componentwise-max apex of the two cones."""
-    _check_compatible(a, b)
-    off = _apex_offset(a, b)  # a.apex - b.apex in alpha coordinates
-    lift_a = tuple(max(0, -n) for n in off)
-    lift_b = tuple(max(0, n) for n in off)
-    apex = a.weight_of(tuple(-n for n in lift_a))
-    out = QSeries(a.rank, apex, {}, *a.caps())
-    for vec, c in a.terms.items():
-        out.add_term(tuple(v + s for v, s in zip(vec, lift_a)), c)
-    for vec, c in b.terms.items():
-        out.add_term(tuple(v + s for v, s in zip(vec, lift_b)), c)
+    """Sum of two series of one ring over one apex.  Raises ValueError when
+    the ranks, caps or apexes differ."""
+    _check_one_apex(a, b)
+    out = QSeries(a.rank, a.apex, {}, *a.caps())
+    for s in (a, b):
+        for vec, c in s.terms.items():
+            out.add_term(vec, c)
     return out
-
-
-def neg(a: QSeries) -> QSeries:
-    return QSeries(a.rank, a.apex, {v: -c for v, c in a.terms.items()},
-                   *a.caps())
-
-
-def sub(a: QSeries, b: QSeries) -> QSeries:
-    return add(a, neg(b))
 
 
 def mul(a: QSeries, b: QSeries, *more: QSeries) -> QSeries:
@@ -467,17 +453,14 @@ def qexpansion_json(a: QSeries) -> list:
 
 
 def diff_report(a: QSeries, b: QSeries) -> dict:
-    """Termwise difference; identifies the first mismatching q-degree.  Over
-    one apex the two term dicts are compared directly, with the vectors sub
-    would keep; otherwise the difference is built by sub."""
-    if a.apex == b.apex:
-        _check_compatible(a, b)
-        ta, tb = a.terms, b.terms
-        diff = [] if ta == tb else [
-            v for v in ta.keys() | tb.keys()
-            if ta.get(v, 0) != tb.get(v, 0) and a._inside(v)]
-    else:
-        diff = sub(a, b).terms
+    """Termwise difference of two series of one ring over one apex;
+    identifies the first mismatching q-degree.  Raises ValueError when the
+    ranks, caps or apexes differ."""
+    _check_one_apex(a, b)
+    ta, tb = a.terms, b.terms
+    diff = [] if ta == tb else [
+        v for v in ta.keys() | tb.keys()
+        if ta.get(v, 0) != tb.get(v, 0) and a._inside(v)]
     if not diff:
         return {"equal": True, "mismatches": 0, "first_mismatch_q": None}
     first = min(v[0] for v in diff)

@@ -38,9 +38,10 @@ def simple_roots_II(l):
 
 
 def positive_roots(l, q_cap, height_cap=None, super_=False):
-    """Yield (height vector, multiplicity, parity) for the positive roots
-    with delta offset <= q_cap and, with a height cap, total height
-    <= height_cap, by increasing offset n.
+    """The list of (height vector, multiplicity, parity) for the positive
+    roots with delta offset <= q_cap and, with a height cap, total height
+    <= height_cap, by increasing offset n.  A missing q cap is refused at the
+    call.
 
     At each n: the imaginary root n delta (multiplicity l, n >= 1); for each
     eps_i and sign s the short root n delta + s eps_i (odd) and the long root
@@ -65,15 +66,17 @@ def positive_roots(l, q_cap, height_cap=None, super_=False):
         # the lowest root at offset n >= 1, n delta - 2 eps_1, has height
         # (2l+1) n - 2l
         top = min(q_cap, (height_cap + 2 * l) // (2 * l + 1))
+    roots = []
     for n in range(top + 1):
         d, base = 2 * n, (2 * l + 1) * n
         if n and (height_cap is None or base <= height_cap):
-            yield (n,) + (d,) * l, l, "even"
+            roots.append(((n,) + (d,) * l, l, "even"))
         for part, low, total, parity, long in finite:
             if (low + d < 0 or (long and not (super_ or n % 2))
                     or (height_cap is not None and base + total > height_cap)):
                 continue
-            yield (n,) + tuple(d + p for p in part), 1, parity
+            roots.append(((n,) + tuple(d + p for p in part), 1, parity))
+    return roots
 
 
 def _finite_part(l, coeffs, parity, long):

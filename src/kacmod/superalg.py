@@ -16,13 +16,12 @@ import math
 from fractions import Fraction
 
 from . import qseries as qs
-from .characters import (CharacterRequest, anti_invariant, character,
-                         conformal_anomaly, default_height_cap, is_dominant,
-                         theta_height_bound)
+from .characters import (CharacterRequest, _integrable_level,
+                         anti_invariant, character, conformal_anomaly,
+                         default_height_cap, theta_height_bound)
 from .lattice import Weight, level, norm_sq
 from .qseries import QSeries
-from .roots import (RootSystemCtx, dynkin_labels, positive_roots, rho,
-                    root_coords)
+from .roots import RootSystemCtx, positive_roots, rho, root_coords
 from .weyl import check_rank, enumerate_finite, translate
 
 # ---------------------------------------------------------------------------
@@ -140,14 +139,6 @@ def osp_action_matrix(generator, lambda_H, i_max):
     return mat
 
 
-def integrable(Lambda: Weight) -> bool:
-    """L(Lambda) is integrable iff the labels at 0..l-1 are nonnegative
-    integers and the label at l is a nonnegative even integer (dominant with
-    even level)."""
-    l = Lambda.rank
-    return is_dominant(Lambda) and dynkin_labels(l, Lambda)[l] % 2 == 0
-
-
 def super_denominator(l, depth=8) -> QSeries:
     """e^rho prod_{even +}(1-e^{-a})^mult / prod_{odd +}(1-e^{-a})^mult,
     expanded from the super parity decomposition (a code path independent of
@@ -207,9 +198,7 @@ def super_character(Lambda: Weight, depth=8) -> QSeries:
     orbits of Lambda + rho."""
     l = Lambda.rank
     Lambda = Lambda.canonical()
-    if not integrable(Lambda):
-        raise ValueError("Lambda is not integrable (dominant with even level)")
-    k = int(level(Lambda))
+    k = _integrable_level(Lambda)
     height_cap = theta_height_bound(
         l, k + 2 * l + 1, norm_sq(Lambda + rho(l)), depth)
     base = (Lambda + rho(l)).canonical()

@@ -2,10 +2,10 @@
 t_gamma, gamma in the lattice M^(I) = Z eps_1 + .. + Z eps_l, that make up
 the affine Weyl group W = W_f ltimes t(M).
 
-The finite Weyl groups of both numerations are exposed: W_f^(I) acts by
-signed permutations of the type-I eps coordinates, W_f^(II) by signed
-permutations of the type-II coordinates (its elements are genuinely affine
-in type-I terms).
+W_f^(I) acts by signed permutations of the type-I eps coordinates.  The same
+signed permutations of the type-II coordinates form W_f^(II), whose elements
+are affine in type-I terms (phi u phi, phi the coordinate involution); the
+W-sums built here do not need it, as both numerations split the same W.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .lattice import Weight, phi_involution
+from .lattice import Weight
 from .roots import RANK_CAP
 
 
@@ -36,13 +36,11 @@ class FiniteWeylElement:
             out[self.perm[i]] = self.signs[i] * vec[i]
         return tuple(out)
 
-    def act(self, w: Weight, sharp="I") -> Weight:
-        if sharp == "I":
-            nums = w.nums
-            return Weight.from_numerators(
-                self.apply_vec(nums[:-2]) + nums[-2:], w.den)
-        # phi carries the type-I coordinates to the type-II ones and back
-        return phi_involution(self.act(phi_involution(w)))
+    def act(self, w: Weight) -> Weight:
+        """The image of w, its type-I eps coordinates signed and permuted."""
+        nums = w.nums
+        return Weight.from_numerators(
+            self.apply_vec(nums[:-2]) + nums[-2:], w.den)
 
     def det(self):
         s = 1
@@ -85,8 +83,8 @@ def check_rank(l):
 
 
 def enumerate_finite(l):
-    """All 2^l l! signed permutations of l coordinates, in deterministic
-    order: W_f^(I) on the type-I and W_f^(II) on the type-II coordinates."""
+    """All 2^l l! signed permutations of l coordinates, W_f^(I), in
+    deterministic order."""
     check_rank(l)
     for perm in itertools.permutations(range(l)):
         for signs in itertools.product((1, -1), repeat=l):

@@ -17,7 +17,7 @@ from kacmod.roots import (RootSystemCtx, enumerate_dominant,
                           from_dynkin_labels, rho, root_coords)
 from kacmod.weyl import enumerate_finite, translate
 
-from test_weyl import (enumerate_ker_psi_finite, finite_compose,
+from test_weyl import (enumerate_ker_psi_finite, finite_act, finite_compose,
                        finite_reflection)
 
 
@@ -154,7 +154,7 @@ def test_theta_walk_matches_brute_force_orbit(l, k, q_cap, height_cap):
     nonempty = 0
     for sharp in ("I", "II"):
         for u in list(enumerate_finite(l))[::2 * l - 1]:
-            coset = u.act(base, sharp)
+            coset = finite_act(u, base, sharp)
             for tw in (False, True):
                 walk = QSeries(l, apex, {}, height_cap, q_cap)
                 _accumulate_theta(walk, coset, m, u.det(), tw)
@@ -175,23 +175,27 @@ def test_theta_walk_keeps_points_on_its_shell():
     assert walk.terms.get(root_coords(apex - nu)) == 1
 
 
-# -- the Ker psi rewriting: the oracle of anti_invariant's one signed loop ----
+# -- the Ker psi rewriting and the type-II grouping: the oracles of
+# -- anti_invariant's one signed W_f^(I) loop
 
-def _reference_anti_invariant(lam: Weight, sharp, twisted, depth, height_cap):
-    """A_{lam+rho} (A^psi when twisted) with the twisted type-I sum rewritten
-    over W_{f;m}^(I) = W_f^(I) cap Ker psi and its s_{alpha_l} coset: psi is
-    +1 on the subgroup, and the coset enters with the same epsilon prefactor.
-    W_f^(II) lies in Ker psi, so the type-II sum carries plain epsilon."""
+def _empty_anti_invariant(lam: Weight, depth, height_cap):
+    """(base lam + rho, its level m, the empty series below its apex)."""
     lam = lam.canonical()
     l = lam.rank
     m = int(level(lam)) + 2 * l + 1
     base = (lam + rho(l)).canonical()
     apex = Weight(base.eps, -norm_sq(base) / (2 * m), base.lambda0)
-    out = QSeries(l, apex, {}, height_cap, depth)
-    if sharp == "II":
-        for u in enumerate_finite(l):
-            _accumulate_theta(out, u.act(base, "II"), m, u.det(), twisted)
-    elif not twisted:
+    return base, m, QSeries(l, apex, {}, height_cap, depth)
+
+
+def _reference_anti_invariant(lam: Weight, twisted, depth, height_cap):
+    """A_{lam+rho} (A^psi when twisted) with the twisted type-I sum rewritten
+    over W_{f;m}^(I) = W_f^(I) cap Ker psi and its s_{alpha_l} coset: psi is
+    +1 on the subgroup, and the coset enters with the same epsilon
+    prefactor."""
+    base, m, out = _empty_anti_invariant(lam, depth, height_cap)
+    l = out.rank
+    if not twisted:
         for u in enumerate_finite(l):
             _accumulate_theta(out, Weight(u.apply_vec(base.eps)), m, u.det(),
                               False)
@@ -204,27 +208,46 @@ def _reference_anti_invariant(lam: Weight, sharp, twisted, depth, height_cap):
     return out
 
 
+def _type_II_grouping(lam: Weight, twisted, depth, height_cap):
+    """The same W-sum grouped as W_f^(II) ltimes t(M): theta orbits of the
+    images phi u phi (base), each with the plain epsilon sign, twisted or
+    not, as W_f^(II) lies in Ker psi."""
+    base, m, out = _empty_anti_invariant(lam, depth, height_cap)
+    for u in enumerate_finite(out.rank):
+        _accumulate_theta(out, finite_act(u, base, "II"), m, u.det(), twisted)
+    return out
+
+
 @pytest.mark.parametrize("l,depth", ((1, 12), (2, 8), (3, 6)))
 def test_anti_invariant_matches_reference(l, depth):
     for k in (0, 2, 4):
         hc = default_height_cap(l, k, depth)
         for lam in enumerate_dominant(l, k):
-            for sharp in ("I", "II"):
-                for tw in (False, True):
+            for tw in (False, True):
+                want = _reference_anti_invariant(lam, tw, depth, hc)
+                for sharp in ("I", "II"):
                     got = anti_invariant(lam, sharp, tw, depth, hc)
-                    want = _reference_anti_invariant(lam, sharp, tw, depth,
-                                                     hc)
                     assert got == want and got.terms, (l, k, lam, sharp, tw)
 
 
 def test_anti_invariant_sharp_independence():
-    for l in (1, 2):
-        for lam_labels in ((0,) * l + (2,), (1,) + (0,) * l):
-            lam = from_dynkin_labels(l, lam_labels)
-            for tw in (False, True):
-                a1 = anti_invariant(lam, "I", tw, 6, None)
-                a2 = anti_invariant(lam, "II", tw, 6, None)
-                assert a1 == a2, (l, lam_labels, tw)
+    # A_{lam+rho} and A^psi_{lam+rho} are one series in both numerations:
+    # the W_f^(I) loop, whatever sharp says, equals the type-II grouping on
+    # 164 cases, l <= 2 at k <= 6 and l = 3, 4 at k <= 2, both twists, under
+    # the default height cap and half of it
+    cases = 0
+    for l, depth in ((1, 12), (2, 8), (3, 6), (4, 3)):
+        for k in (0, 2, 4, 6) if l <= 2 else (0, 2):
+            full = default_height_cap(l, k, depth)
+            for lam, tw, hc in itertools.product(enumerate_dominant(l, k),
+                                                 (False, True),
+                                                 (full, full // 2)):
+                want = _type_II_grouping(lam, tw, depth, hc)
+                for sharp in ("I", "II"):
+                    got = anti_invariant(lam, sharp, tw, depth, hc)
+                    assert got == want and got.terms, (lam, sharp, tw, hc)
+                cases += 1
+    assert cases == 164
 
 
 def test_anti_invariant_antisymmetry():
@@ -243,7 +266,8 @@ def test_anti_invariant_antisymmetry():
             v = finite_compose(u0, u)
             _accumulate_theta(twisted_order, Weight(v.apply_vec(base.eps)),
                               m, u.det(), False)
-        assert twisted_order == (plain if u0.det() == 1 else qs.neg(plain))
+        want = {v: u0.det() * c for v, c in plain.terms.items()}
+        assert twisted_order.terms == want
 
 
 def test_anti_invariant_requires_dominant():
@@ -312,8 +336,9 @@ def test_character_division_round_trip():
 
 
 def test_character_builds_its_divisor_once(monkeypatch):
-    # A_rho depends only on (l, sharp, twisted, depth, height cap): the
-    # characters of one level share it, and dividing by it leaves it intact
+    # A_rho depends only on (l, twisted, depth, height cap): the characters
+    # of one level share it in both numerations, and dividing by it leaves
+    # it intact
     built = []
 
     def counting(lam, *args):
@@ -325,15 +350,15 @@ def test_character_builds_its_divisor_once(monkeypatch):
     l = 2
     ctx = RootSystemCtx.build(l)
     lams = enumerate_dominant(l, 2)
-    for _ in range(2):
+    for sharp in ("I", "II"):
         for lam in lams:
-            ch = character(CharacterRequest(ctx, lam, 2, "I", True, 6))
+            ch = character(CharacterRequest(ctx, lam, 2, sharp, True, 6))
             den = anti_invariant(Weight.zero(l), "I", True, 6, ch.height_cap)
             num = anti_invariant(lam, "I", True, 6, ch.height_cap)
             assert qs.mul(ch, den) == num
     assert built.count(Weight.zero(l)) == 1
     assert len(built) == 2 * len(lams) + 1
-    cached = characters._denominator(l, "I", True, 6, ch.height_cap)
+    cached = characters._denominator(l, True, 6, ch.height_cap)
     assert cached == anti_invariant(Weight.zero(l), "I", True, 6,
                                     ch.height_cap)
     characters._denominator.cache_clear()
@@ -354,8 +379,8 @@ def divided_at_full_cap(req: CharacterRequest, height_cap) -> QSeries:
     """The character by one division at the full height cap."""
     num = anti_invariant(req.lam, req.sharp, req.twisted, req.depth,
                          height_cap)
-    den = characters._denominator(req.ctx.rank, req.sharp, req.twisted,
-                                  req.depth, height_cap)
+    den = characters._denominator(req.ctx.rank, req.twisted, req.depth,
+                                  height_cap)
     return qs.divide(num, den)
 
 
@@ -432,7 +457,7 @@ def test_character_weyl_invariant_slices():
     for vec, c in ch.terms.items():
         w = ch.weight_of(vec)
         for u in gens:
-            off = root_coords(ch.apex - u.act(w, "I"))
+            off = root_coords(ch.apex - u.act(w))
             assert ch.terms.get(off, 0) == c
 
 

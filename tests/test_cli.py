@@ -402,6 +402,10 @@ PINNED_STDOUT = {
         "45c7730f60ae9378ce15de24e9ae06ed82b950a9c8dd2ee7cfebe3a5cf08e825",
     "char --rank 3 --labels 0,0,0,2 --depth 7 --twisted --json":
         "c426c851b17d8c6281acc06bd5e9cf6d7eb3c5b96cb8bcd54208a352a5683869",
+    "char --rank 3 --labels 0,0,0,2 --depth 7 --sharp II --json":
+        "bc511eac8c452323b5b6f80bf143fbc7e66ce9c8dd1795dd50a899b014bfc026",
+    "char --rank 3 --labels 0,0,0,2 --depth 7 --twisted --sharp II --json":
+        "64abdbd9a694f1ac88a15aeae541cbc34a8f7f0717d4691fdaf1b6e8c9da5f89",
     "char --rank 2 --labels 0,0,4 --depth 8 --twisted --sharp II --json":
         "a2121b6f1c72cfa86b017033b249cdf71efed3bf8ecc236b79bd221b11595d15",
     "check denominator --rank 2 --depth 10":

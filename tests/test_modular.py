@@ -24,7 +24,7 @@ from kacmod.weyl import enumerate_finite
 
 from conftest import eps_basis_II, lambda0_II
 from test_characters import theta_formal
-from test_weyl import (enumerate_ker_psi_finite, finite_compose,
+from test_weyl import (enumerate_ker_psi_finite, finite_act, finite_compose,
                        finite_reflection)
 
 TOL = 1e-12
@@ -101,7 +101,8 @@ def _reference_eval_anti_invariant(lam, sharp, twisted, y, tol):
         sgn = u.det()
         if sharp == "I" and twisted and u.neg_count() % 2:
             sgn = -sgn
-        k, a, _, radius = _theta_box(u.act(base, sharp), sharp, y, tol_u)
+        k, a, _, radius = _theta_box(finite_act(u, base, sharp), sharp, y,
+                                     tol_u)
         values += [sgn * _reference_theta_term(k, a, y, twisted, g)
                    for g in _reference_box(a, radius + w)]
     pre = cmath.exp(TWO_PI_I * k * y.t)
@@ -156,7 +157,8 @@ def _reference_smatrix_phases(kind, k, lam, mu):
         sgn = u.det()
         if use_psi and u.neg_count() % 2:
             sgn = -sgn
-        phases.append((sgn, Fraction(inner(u.act(x, grp), yv), m) % 1))
+        r = Fraction(inner(finite_act(u, x, grp), yv), m) % 1
+        phases.append((sgn, r))
     return phases
 
 
@@ -214,7 +216,7 @@ def smatrix_entry_via_ker_psi(k, lam, mu):
     total = 0.0 + 0.0j
     for u in enumerate_ker_psi_finite(l):
         for v in (u, finite_compose(u, s_l)):
-            r = Fraction(inner(v.act(x, "I"), yv), m) % 1
+            r = Fraction(inner(v.act(x), yv), m) % 1
             total += u.det() * cmath.exp(-TWO_PI_I * float(r))
     return total
 
@@ -767,8 +769,8 @@ def test_eval_theta_matches_reference(l):
         for lam in enumerate_dominant(l, k):
             base = (lam + rho(l)).canonical()
             for sharp in ("I", "II"):
-                mu = rng.choice(list(enumerate_finite(l))).act(base,
-                                                                      sharp)
+                mu = finite_act(rng.choice(list(enumerate_finite(l))), base,
+                                sharp)
                 for y in _grid_points(l, rng.random()):
                     y = YPoint(y.tau, y.z, complex(y.t, 0.1))
                     for twisted in (False, True):
@@ -957,8 +959,8 @@ def test_theta_tail_certificate_against_mpmath(im_tau):
             lam = rng.choice(enumerate_dominant(l, rng.choice((0, 2))))
             sharp = rng.choice(("I", "II"))
             twisted = rng.random() < 0.5
-            mu = rng.choice(list(enumerate_finite(l))).act(
-                (lam + rho(l)).canonical(), sharp)
+            mu = finite_act(rng.choice(list(enumerate_finite(l))),
+                            (lam + rho(l)).canonical(), sharp)
             y = YPoint(complex(rng.uniform(-0.5, 0.5), im_tau),
                        tuple(complex(rng.uniform(-0.5, 0.5),
                                      rng.uniform(-0.25, 0.25))

@@ -14,7 +14,7 @@ from kacmod.roots import (RootSystemCtx, enumerate_dominant,
                           fundamental_weights_I, positive_roots, rho,
                           root_coords)
 from kacmod.superalg import (check_bracket_relations, check_super_character,
-                             integrable, osp_action, osp_action_matrix,
+                             osp_action, osp_action_matrix,
                              osp_irreducible_dim, singular_indices,
                              super_character, super_denominator,
                              verma_reducible)
@@ -95,12 +95,17 @@ def test_super_positive_roots_long_family():
 
 
 def test_integrable():
+    # the super and theta routes share one check, dominant of even level:
+    # a level-1 weight and a non-dominant one are refused by both
     l = 2
     fw = fundamental_weights_I(l)
-    assert integrable(fw[l].scale(2))
-    assert not integrable(fw[l])  # level 1
-    assert integrable(Weight.zero(l))
-    assert not integrable(-fw[0])
+    for build in (anti_invariant, super_character):
+        for lam in (fw[l].scale(2), Weight.zero(l)):
+            assert build(lam, depth=2).terms
+        with pytest.raises(ValueError, match="even nonnegative level"):
+            build(fw[l], depth=2)  # level 1
+        with pytest.raises(ValueError, match="not dominant"):
+            build(-fw[0], depth=2)
 
 
 def test_super_denominator_matches_twisted_route():

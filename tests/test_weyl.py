@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kacmod.lattice import Weight, inner
+from kacmod.lattice import Weight, inner, phi_involution
 from kacmod.roots import from_root_coords, positive_roots, simple_roots_I
 from kacmod.weyl import FiniteWeylElement, enumerate_finite, translate
 
@@ -80,6 +80,15 @@ def finite_reflection(l, root: Weight) -> FiniteWeylElement:
     else:
         raise ValueError("not a rank-1 reflection datum")
     return FiniteWeylElement(tuple(perm), tuple(signs))
+
+
+def finite_act(u, w: Weight, sharp) -> Weight:
+    """u in W_f^(sharp) acting on w: a signed permutation of the type-I
+    coordinates, or of the type-II ones, phi u phi (phi carries the type-I
+    coordinates to the type-II ones and back)."""
+    if sharp == "I":
+        return u.act(w)
+    return phi_involution(u.act(phi_involution(w)))
 
 
 def enumerate_ker_psi_finite(l):
@@ -285,7 +294,8 @@ def test_conjugation_of_translations(w, mu):
 def test_type_II_group_in_ker_psi():
     for l in (1, 2):
         for u in enumerate_finite(l):
-            aff = affine_from_action(l, lambda v, u=u: u.act(v, "II"))
+            aff = affine_from_action(
+                l, lambda v, u=u: finite_act(u, v, "II"))
             assert psi(aff) == 1
         # ... whereas W_f^(I) is not contained in Ker psi
         assert any(psi(from_finite(u)) == -1

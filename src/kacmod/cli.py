@@ -66,21 +66,6 @@ def _emit(payload, as_json):
         print(json.dumps(_jsonable(payload)))
 
 
-# the flags each subcommand of verify (besides --tol) and of super takes,
-# with their defaults; any other flag of that command given on the command
-# line is rejected
-_LEMMA_FLAGS = {"which": "4.2", "rank": 1, "level": 2, "index": 0,
-                "tau": None, "z": None, "t": None}
-_SUB_FLAGS = {
-    ("verify", "s-lemma"): _LEMMA_FLAGS,
-    ("verify", "t-lemma"): _LEMMA_FLAGS,
-    ("verify", "prop"): {**_LEMMA_FLAGS, "which": "4.6", "law": "S"},
-    ("verify", "sl2"): {"rank": 1, "level": 2},
-    ("verify", "poisson"): {"rank": 1},
-    ("verify", "sinprod"): {"nmax": 50},
-    ("super", "verify"): {"rank": 1, "level": 2, "depth": 8},
-    ("super", "osp"): {"N": 3},
-}
 # verify sinprod does O(nmax^2) work, about a second at this cap on one core;
 # a larger --nmax is refused rather than run for hours
 _NMAX_CAP = 4000
@@ -109,27 +94,15 @@ def _parse_complex(s, flag):
 
 
 def _check_args(args):
-    """Reject foreign and out-of-range flags before any work is done, and
-    fill in the defaults of the flags a subcommand takes."""
-    taken = _SUB_FLAGS.get((args.cmd, getattr(args, "what", None)))
-    if taken is not None:
-        flags = (flag for (cmd, _), fl in _SUB_FLAGS.items()
-                 if cmd == args.cmd for flag in fl)
-        for flag in dict.fromkeys(flags):
-            if getattr(args, flag) is None:
-                setattr(args, flag, taken.get(flag))
-            elif flag not in taken:
-                raise ValueError(f"--{flag} does not apply to {args.cmd} "
-                                 f"{args.what}")
-    if getattr(args, "rank", None) is not None and args.rank < 1:
+    """Reject out-of-range flags before any work is done."""
+    if "rank" in args and args.rank < 1:
         raise ValueError(f"--rank must be >= 1, got {args.rank}")
     if not 0 < getattr(args, "tol", 1) < float("inf"):
         raise ValueError(f"--tol must be finite and > 0, got {args.tol}")
-    if getattr(args, "nmax", None) is not None and not \
-            2 <= args.nmax <= _NMAX_CAP:
+    if "nmax" in args and not 2 <= args.nmax <= _NMAX_CAP:
         raise ValueError(f"--nmax must be in 2..{_NMAX_CAP} (the check costs "
                          f"O(nmax^2)), got {args.nmax}")
-    if getattr(args, "N", None) is not None and not 0 <= args.N <= _N_CAP:
+    if "N" in args and not 0 <= args.N <= _N_CAP:
         raise ValueError(f"--N must be in 0..{_N_CAP} (the output has "
                          f"O(N^2) entries), got {args.N}")
     if args.cmd == "weights" and args.level >= 0 and args.level % 2 == 0:
@@ -145,7 +118,7 @@ def _check_args(args):
     if args.cmd == "roots":
         # four bases of l + 1 weights, rho and the two level tables
         _check_output(f"--rank {args.rank}", 4 * args.rank + 7, args.rank)
-    if getattr(args, "depth", None) is not None and args.depth < 0:
+    if "depth" in args and args.depth < 0:
         raise ValueError(f"--depth must be >= 0, got {args.depth}")
     if getattr(args, "tau", None) is None and (
             getattr(args, "z", None) or getattr(args, "t", None)):
@@ -287,6 +260,11 @@ _LAW_VERIFIERS = {"s-lemma": verify_S, "t-lemma": verify_T,
 
 
 def cmd_verify(args):
+    if args.what == "sinprod":
+        bad = sin_product_failures(args.nmax, args.tol)
+        _emit({"verify": "sinprod", "nmax": args.nmax, "pass": not bad,
+               "failures": bad}, True)
+        return 0 if not bad else 1
     l = args.rank
     if args.what == "sl2":
         ok, out, out_psi = verify_sl2(l, args.level, args.tol, THETA_TOL)
@@ -301,13 +279,8 @@ def cmd_verify(args):
         _emit({"verify": "poisson", "rank": l, "pass": ok,
                "reports": [_report_payload(r) for r in reports]}, True)
         return 0 if ok else 1
-    if args.what == "sinprod":
-        bad = sin_product_failures(args.nmax, args.tol)
-        _emit({"verify": "sinprod", "nmax": args.nmax, "pass": not bad,
-               "failures": bad}, True)
-        return 0 if not bad else 1
     theta_tol = T_THETA_TOL if args.what == "t-lemma" else THETA_TOL
-    law = (args.law,) if args.law else ()
+    law = (args.law,) if args.what == "prop" else ()
     rep = _LAW_VERIFIERS[args.what](args.which, _weight_from_args(args, l),
                                     args.level, _point_from_args(args, l),
                                     args.tol, theta_tol, *law)
@@ -357,8 +330,16 @@ def cmd_suite(args):
 
 # -- parser ------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as ValueError, so that main refuses it like any
+    other bad input: one error line and exit 2."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="kacmod",
         description="Characters, theta series and modular transformation "
                     "laws of the twisted affine root system BC_l^(2).")
@@ -404,34 +385,44 @@ def build_parser():
     q.set_defaults(fn=cmd_smatrix)
 
     q = sub.add_parser("verify", help="numerical transformation laws")
-    q.add_argument("what", choices=("s-lemma", "t-lemma", "prop", "sl2",
-                                    "poisson", "sinprod"))
-    q.add_argument("--which", default=None,
-                   help="lemma 4.2..4.5 (default 4.2) or proposition "
-                        "4.6..4.9 (default 4.6)")
-    q.add_argument("--rank", type=int, default=None, help="default 1")
-    q.add_argument("--level", type=int, default=None, help="default 2")
-    q.add_argument("--index", type=int, default=None,
-                   help="index into the dominant-weight list (default 0)")
-    q.add_argument("--law", choices=("S", "T"), default=None,
-                   help="prop only (default S)")
-    q.add_argument("--tau", default=None, help="complex, e.g. 0.37+1.13i")
-    q.add_argument("--z", default=None, help="comma-separated complex values")
-    q.add_argument("--t", default=None)
-    q.add_argument("--tol", type=float, default=1e-6)
-    q.add_argument("--nmax", type=int, default=None,
-                   help="sinprod only (default 50)")
+    what = q.add_subparsers(dest="what", required=True)
+    tol = argparse.ArgumentParser(add_help=False)
+    tol.add_argument("--tol", type=float, default=1e-6)
+    point = argparse.ArgumentParser(add_help=False)
+    point.add_argument("--rank", type=int, default=1)
+    point.add_argument("--level", type=int, default=2)
+    point.add_argument("--index", type=int, default=0,
+                       help="index into the dominant-weight list")
+    point.add_argument("--tau", help="complex, e.g. 0.37+1.13i")
+    point.add_argument("--z", help="comma-separated complex values")
+    point.add_argument("--t")
+    for name, which, about in (
+            ("s-lemma", "4.2", "S law of lemma 4.2..4.5"),
+            ("t-lemma", "4.2", "T law of lemma 4.2..4.5"),
+            ("prop", "4.6", "S or T law of proposition 4.6..4.9")):
+        w = what.add_parser(name, parents=[tol, point], help=about)
+        w.add_argument("--which", default=which)
+    w.add_argument("--law", choices=("S", "T"), default="S")  # prop only
+    w = what.add_parser("sl2", parents=[tol],
+                        help="SL2(Z) closure of the character spans")
+    w.add_argument("--rank", type=int, default=1)
+    w.add_argument("--level", type=int, default=2)
+    w = what.add_parser("poisson", parents=[tol],
+                        help="Poisson resummation at five seeded points")
+    w.add_argument("--rank", type=int, default=1)
+    w = what.add_parser("sinprod", parents=[tol], help="the sine product")
+    w.add_argument("--nmax", type=int, default=50)
     q.set_defaults(fn=cmd_verify)
 
     q = sub.add_parser("super", help="superalgebra checks")
-    q.add_argument("what", choices=("verify", "osp"))
-    q.add_argument("--rank", type=int, default=None,
-                   help="verify only (default 1)")
-    q.add_argument("--level", type=int, default=None,
-                   help="verify only (default 2)")
-    q.add_argument("--depth", type=int, default=None,
-                   help="verify only (default 8)")
-    q.add_argument("--N", type=int, default=None, help="osp only (default 3)")
+    what = q.add_subparsers(dest="what", required=True)
+    w = what.add_parser("verify",
+                        help="super-denominator and super-characters")
+    w.add_argument("--rank", type=int, default=1)
+    w.add_argument("--level", type=int, default=2)
+    w.add_argument("--depth", type=int, default=8)
+    w = what.add_parser("osp", help="exact action matrices on L(N a)")
+    w.add_argument("--N", type=int, default=3)
     q.set_defaults(fn=cmd_super)
 
     q = sub.add_parser("suite", help="run the acceptance battery")
@@ -443,9 +434,8 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_args(args)
         code = args.fn(args)
         sys.stdout.flush()

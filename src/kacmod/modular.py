@@ -269,18 +269,20 @@ def _row_sums(a, center, radius, quad, lin, z, form, sign=0, twisted=False):
     range of its box (about 2 radius[p]), so a point's values are those of
     a call on that point alone, bit for bit: numpy sums a one-coordinate row
     pairwise, and padding it past that side could move its last bit.  A
-    point alone skips the sort and the block sizing: routing one-point calls
-    through the block path made analytic-laws wall_s about 6 % higher
-    (median 0.063 -> 0.066 s, 4 of 4 alternating pairs on a 2-CPU machine,
-    same outputs and accuracy).  Several points go through in the blocks
-    of _blocks, whose temporaries hold points * rows * l^2 * side complex
+    point alone whose n * l^2 * side values fit in _ROW_BUDGET skips the
+    sort and the block sizing: routing one-point calls through the block
+    path made analytic-laws wall_s about 6 % higher (median 0.063 -> 0.066
+    s, 4 of 4 alternating pairs on a 2-CPU machine, same outputs and
+    accuracy).  Every other call goes through in the blocks of _blocks,
+    whose temporaries hold points * rows * l^2 * side complex
     values, and only the (points, n) values outlive a block."""
     n, l = a.shape
     p = len(radius)
     if p == 1:
         lo, hi = _box(center, radius[0])
-        values = _block_values(a, lo[None], hi[None],
-                               [int((hi - lo).max()) + 1], quad[0],
+        side = int((hi - lo).max()) + 1
+    if p == 1 and n * l * l * side <= _ROW_BUDGET:
+        values = _block_values(a, lo[None], hi[None], [side], quad[0],
                                lin * np.asarray(z[0]), form, sign, twisted)
     else:
         # the points by radius, and so by side (a box grows with its

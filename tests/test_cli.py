@@ -274,13 +274,28 @@ def test_deterministic_output(capsys):
     assert c1 == c2
 
 
-def test_usage_errors():
-    with pytest.raises(SystemExit) as exc:
-        main(["nonsense"])
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["roots"])  # missing --rank
-    assert exc.value.code == 2
+def test_usage_errors(capsys):
+    # argparse's refusals take the path of every other refused input
+    for argv, cause in ((["nonsense"], "invalid choice: 'nonsense'"),
+                        (["roots"], "required: --rank")):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.count("\n") == 1 and cause in captured.err
+
+
+def test_subcommand_help_lists_only_its_flags(capsys):
+    for argv, flags, foreign in (
+            (["verify", "sinprod", "--help"], ("--nmax", "--tol"),
+             ("--rank",)),
+            (["super", "osp", "--help"], ("--N",),
+             ("--rank", "--level", "--depth", "--tol"))):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        out = capsys.readouterr().out
+        assert exc.value.code == 0
+        assert all(f in out for f in flags)
+        assert not any(f in out for f in foreign)
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -363,6 +378,8 @@ def test_usage_errors():
                  id="super-osp-rank"),
     pytest.param(("super", "verify", "--N", "7"), "--N",
                  id="super-verify-N"),
+    pytest.param(("verify", "--rank", "2", "sl2"), "invalid choice: '2'",
+                 id="flag-before-subcommand"),
     pytest.param(("roots", "--rank", "100000"), "--rank",
                  id="roots-past-output-cap"),
     pytest.param(("weights", "--rank", "1000000", "--level", "0"), "--rank",

@@ -682,11 +682,12 @@ def test_closure_is_blind_to_the_block_budget(monkeypatch):
         == want
 
 
-@pytest.mark.parametrize("budget", (modular._ROW_BUDGET, 2 ** 12))
+@pytest.mark.parametrize("budget", (modular._ROW_BUDGET, 2 ** 12, 2 ** 8))
 def test_row_sums_temporaries_stay_within_budget(monkeypatch, budget):
     # every exp the kernel takes is one of its largest temporaries; at
-    # 2^12, below the 12,150 values of the widest one-point call, the
-    # blocks must split the points' rows
+    # 2^12, below the 12,150 values of the closure's widest point, the blocks
+    # must split the points' rows, and at 2^8 so must the rows of a
+    # one-point call (the S-law at rank 2, level 12: 336 values in one)
     sizes = []
     monkeypatch.setattr(modular, "_ROW_BUDGET", budget)
 
@@ -700,6 +701,8 @@ def test_row_sums_temporaries_stay_within_budget(monkeypatch, budget):
             return np.exp(x, *args, **kwargs)
     monkeypatch.setattr(modular, "np", CountingNumpy())
     assert modular.verify_sl2(3, 4)[0]
+    lam = enumerate_dominant(2, 12)[0]
+    assert modular.verify_S("4.2", lam, 12, sample_points(2, 1)[0]).passed
     assert sizes and max(sizes) <= budget
 
 

@@ -332,7 +332,11 @@ def cmd_suite(args):
 
 class _Parser(argparse.ArgumentParser):
     """Raises a usage error as ValueError, so that main refuses it like any
-    other bad input: one error line and exit 2."""
+    other bad input: one error line and exit 2.  A flag must be spelled in
+    full, so that `--t` never stands for `--tol`."""
+
+    def __init__(self, *a, **kw):
+        super().__init__(*a, allow_abbrev=False, **kw)
 
     def error(self, message):
         raise ValueError(message)
@@ -386,13 +390,15 @@ def build_parser():
 
     q = sub.add_parser("verify", help="numerical transformation laws")
     what = q.add_subparsers(dest="what", required=True)
+    d = "default %(default)s"
     tol = argparse.ArgumentParser(add_help=False)
-    tol.add_argument("--tol", type=float, default=1e-6)
+    tol.add_argument("--tol", type=float, default=1e-6, help=d)
     point = argparse.ArgumentParser(add_help=False)
-    point.add_argument("--rank", type=int, default=1)
-    point.add_argument("--level", type=int, default=2)
+    point.add_argument("--rank", type=int, default=1, help=d)
+    point.add_argument("--level", type=int, default=2, help=d)
     point.add_argument("--index", type=int, default=0,
-                       help="index into the dominant-weight list")
+                       help="index into the dominant-weight list "
+                            "(default %(default)s)")
     point.add_argument("--tau", help="complex, e.g. 0.37+1.13i")
     point.add_argument("--z", help="comma-separated complex values")
     point.add_argument("--t")
@@ -401,28 +407,29 @@ def build_parser():
             ("t-lemma", "4.2", "T law of lemma 4.2..4.5"),
             ("prop", "4.6", "S or T law of proposition 4.6..4.9")):
         w = what.add_parser(name, parents=[tol, point], help=about)
-        w.add_argument("--which", default=which)
-    w.add_argument("--law", choices=("S", "T"), default="S")  # prop only
+        w.add_argument("--which", default=which, help=d)
+    what.choices["prop"].add_argument("--law", choices=("S", "T"),
+                                      default="S", help=d)
     w = what.add_parser("sl2", parents=[tol],
                         help="SL2(Z) closure of the character spans")
-    w.add_argument("--rank", type=int, default=1)
-    w.add_argument("--level", type=int, default=2)
+    w.add_argument("--rank", type=int, default=1, help=d)
+    w.add_argument("--level", type=int, default=2, help=d)
     w = what.add_parser("poisson", parents=[tol],
                         help="Poisson resummation at five seeded points")
-    w.add_argument("--rank", type=int, default=1)
+    w.add_argument("--rank", type=int, default=1, help=d)
     w = what.add_parser("sinprod", parents=[tol], help="the sine product")
-    w.add_argument("--nmax", type=int, default=50)
+    w.add_argument("--nmax", type=int, default=50, help=d)
     q.set_defaults(fn=cmd_verify)
 
     q = sub.add_parser("super", help="superalgebra checks")
     what = q.add_subparsers(dest="what", required=True)
     w = what.add_parser("verify",
                         help="super-denominator and super-characters")
-    w.add_argument("--rank", type=int, default=1)
-    w.add_argument("--level", type=int, default=2)
-    w.add_argument("--depth", type=int, default=8)
+    w.add_argument("--rank", type=int, default=1, help=d)
+    w.add_argument("--level", type=int, default=2, help=d)
+    w.add_argument("--depth", type=int, default=8, help=d)
     w = what.add_parser("osp", help="exact action matrices on L(N a)")
-    w.add_argument("--N", type=int, default=3)
+    w.add_argument("--N", type=int, default=3, help=d)
     q.set_defaults(fn=cmd_super)
 
     q = sub.add_parser("suite", help="run the acceptance battery")

@@ -286,9 +286,11 @@ def test_usage_errors(capsys):
 
 def test_subcommand_help_lists_only_its_flags(capsys):
     for argv, flags, foreign in (
-            (["verify", "sinprod", "--help"], ("--nmax", "--tol"),
-             ("--rank",)),
-            (["super", "osp", "--help"], ("--N",),
+            (["verify", "sinprod", "--help"],
+             ("--nmax", "default 50", "--tol", "default 1e-06"), ("--rank",)),
+            (["verify", "prop", "--help"],
+             ("--law", "default S", "default 4.6"), ("--nmax",)),
+            (["super", "osp", "--help"], ("--N", "default 3"),
              ("--rank", "--level", "--depth", "--tol"))):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -380,6 +382,10 @@ def test_subcommand_help_lists_only_its_flags(capsys):
                  id="super-verify-N"),
     pytest.param(("verify", "--rank", "2", "sl2"), "invalid choice: '2'",
                  id="flag-before-subcommand"),
+    pytest.param(("verify", "sl2", "--t", "0.02"), "--t",
+                 id="sl2-t-no-prefix-of-tol"),
+    pytest.param(("verify", "sinprod", "--t", "0.02"), "--t",
+                 id="sinprod-t-no-prefix-of-tol"),
     pytest.param(("roots", "--rank", "100000"), "--rank",
                  id="roots-past-output-cap"),
     pytest.param(("weights", "--rank", "1000000", "--level", "0"), "--rank",
